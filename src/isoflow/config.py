@@ -51,12 +51,13 @@ class ShapeSpec:
         scaled = np.sqrt((rho / self.a) ** 2 + (z / self.b) ** 2)
         return (scaled - 1.0) * min(self.a, self.b)
 
-    def bounding_radius(self) -> float:
+    def extents(self) -> tuple[float, float]:
+        """(largest rho, largest |z|) over the region."""
         if self.kind == "sphere":
-            return self.r0
+            return self.r0, self.r0
         if self.kind == "dumbbell":
-            return 0.5 * self.separation + self.ball_radius
-        return max(self.a, self.b)
+            return max(self.ball_radius, self.neck_radius), 0.5 * self.separation + self.ball_radius
+        return self.a, self.b
 
 
 @dataclass(frozen=True)
@@ -241,8 +242,14 @@ def _parse_scenario(obj, path: str, seen_names: set) -> Scenario:
         shape = _parse_shape(_require(obj, "shape", path), f"{path}.shape")
         grid = _parse_grid(_require(obj, "grid", path), f"{path}.grid")
         time = _parse_time(_require(obj, "time", path), f"{path}.time")
-        if shape.bounding_radius() >= grid.rho_max:
-            raise ConfigError(f"{path}.grid.rho_max: shape does not fit inside the grid")
+        rho_extent, z_extent = shape.extents()
+        for key, room, extent in (
+            ("rho_max", grid.rho_max, rho_extent),
+            ("z_min", -grid.z_min, z_extent),
+            ("z_max", grid.z_max, z_extent),
+        ):
+            if extent >= room:
+                raise ConfigError(f"{path}.grid.{key}: shape does not fit inside the grid")
     elif mode == "ode-flow":
         r0 = _number(_require(obj, "r0", path), f"{path}.r0", positive=True)
         time = _parse_time(_require(obj, "time", path), f"{path}.time")

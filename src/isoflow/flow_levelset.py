@@ -24,10 +24,11 @@ import numpy as np
 from scipy import ndimage
 
 from .measure import (
-    _GRAD_EPS,
-    _RADIUS_FLOOR,
     AxiGrid,
     ComponentMeasure,
+    _conformal_power,
+    _curvature_stencil,
+    _normal_geometry,
     curvature_and_gradient,
     measure_components,
 )
@@ -125,10 +126,7 @@ def cfl_time_step(metric: AmbientMetric, grid: AxiGrid, frozen_mask: np.ndarray 
     h = grid.h
     if metric.mass == 0.0:
         return CFL_SAFETY * h * h
-    rho = grid.rho[:, None]
-    z = grid.z[None, :]
-    r = np.maximum(np.hypot(rho, z), 0.25 * h)
-    w4 = (1.0 + metric.mass / (2.0 * r)) ** 4
+    w4 = _conformal_power(metric, grid.rho[:, None], grid.z[None, :], 4, h)
     if frozen_mask is not None and frozen_mask.any():
         w4 = np.where(frozen_mask, np.inf, w4)
     return CFL_SAFETY * h * h * float(w4.min())
@@ -163,10 +161,7 @@ def evolve_step(state: LevelSetState, metric: AmbientMetric, dt: float) -> Level
     h_field, grad = curvature_and_gradient(metric, grid)
     speed = h_field * grad
     if metric.mass != 0.0:
-        rho = grid.rho[:, None]
-        z = grid.z[None, :]
-        r = np.maximum(np.hypot(rho, z), 0.25 * grid.h)
-        speed = speed / (1.0 + metric.mass / (2.0 * r)) ** 2
+        speed = speed / _conformal_power(metric, grid.rho[:, None], grid.z[None, :], 2, grid.h)
     u_new = grid.values + dt * speed
     if state.frozen_mask.any():
         u_new = np.where(state.frozen_mask, grid.values, u_new)
@@ -305,21 +300,6 @@ def _edge_zero(a: np.ndarray) -> np.ndarray:
     return np.clip(theta, 0.0, 1.0)
 
 
-def gradient_quality(state: LevelSetState, band_width: float = 3.0) -> tuple[float, float]:
-    """(min, max) of |grad values| on nodes within ``band_width`` cells
-    of the interface — the health check that decides whether a distance
-    rebuild is worthwhile."""
-    grid = state.grid
-    u = grid.values
-    h = grid.h
-    band = np.abs(u) < band_width * h
-    if not band.any():
-        return 1.0, 1.0
-    du_i, du_j = np.gradient(u, h)
-    gn = np.hypot(du_i, du_j)[band]
-    return float(gn.min()), float(gn.max())
-
-
 def reinitialize(state: LevelSetState) -> LevelSetState:
     """Replace values by an approximate signed flat distance field.
 
@@ -387,11 +367,16 @@ def reinitialize(state: LevelSetState) -> LevelSetState:
 class _BandedStepper:
     """Narrow-band form of :func:`evolve_step` for the run loop.
 
-    Identical update arithmetic, applied only to nodes within a dozen
+    The same curvature stencil, applied only to nodes within a dozen
     cells of the interface; everything further keeps its value until the
     next distance rebuild.  Far values influence nothing measured — the
     stencils that matter live next to the zero set — and skipping them
     makes long runs an order of magnitude cheaper.
+
+    The band only changes at a refresh, so :meth:`refresh` caches its
+    geometry: flat indices into ``u.ravel()`` of each node's nine-point
+    stencil, the axis mask, rho and, with mass, the conformal terms.  A
+    step is then one gather, the stencil arithmetic and one scatter.
     """
 
     WIDTH = 12.0  # band half-width in cells
@@ -402,56 +387,53 @@ class _BandedStepper:
         self.h = grid.h
         self.z_min = grid.z_min
         self.shape = grid.values.shape
-        self.ii: np.ndarray | None = None
-        self.jj: np.ndarray | None = None
+        # (9, band size) flat stencil indices in _curvature_stencil's
+        # argument order; row 0 is the band node itself
+        self.stencil: np.ndarray | None = None
         self._age = self.REBUILD
 
     def refresh(self, u: np.ndarray, frozen_mask: np.ndarray) -> None:
-        band = np.abs(u) < self.WIDTH * self.h
+        h = self.h
+        band = np.abs(u) < self.WIDTH * h
         if frozen_mask.any():
             band &= ~frozen_mask
-        self.ii, self.jj = np.nonzero(band)
+        ii, jj = np.nonzero(band)
+        n, m = self.shape
+        row = ii * m
+        row_m = np.where(ii > 0, ii - 1, 1) * m  # mirror ghost across the axis
+        row_p = np.minimum(ii + 1, n - 1) * m  # replicate at outer edges
+        jm = np.maximum(jj - 1, 0)
+        jp = np.minimum(jj + 1, m - 1)
+        self.stencil = np.stack(
+            [row + jj, row_p + jj, row_m + jj, row + jp, row + jm,
+             row_p + jp, row_p + jm, row_m + jp, row_m + jm]
+        )
+        self.off_axis = ii > 0
+        self.rho = ii * h
+        self.geometry = None
+        if self.metric.mass != 0.0:
+            self.geometry, w = _normal_geometry(self.metric, self.rho, self.z_min + jj * h, h)
+            self.w4 = w**4
         self._age = 0
 
     def step(self, u: np.ndarray, frozen_mask: np.ndarray, dt: float) -> np.ndarray | None:
         """Advance ``u`` in place by one banded explicit step.
 
-        Returns the updated band values (aligned with ``ii``/``jj``), or
+        Returns the updated band values (aligned with ``stencil[0]``), or
         None when the band is empty.
         """
-        if self._age >= self.REBUILD or self.ii is None:
+        if self._age >= self.REBUILD or self.stencil is None:
             self.refresh(u, frozen_mask)
         self._age += 1
-        ii, jj = self.ii, self.jj
-        if ii.size == 0:
+        if self.stencil.shape[1] == 0:
             return None
-        h = self.h
-        n, m = self.shape
-        im = np.where(ii > 0, ii - 1, 1)  # mirror ghost across the axis
-        ip = np.minimum(ii + 1, n - 1)  # replicate at outer edges
-        jm = np.maximum(jj - 1, 0)
-        jp = np.minimum(jj + 1, m - 1)
-        uc = u[ii, jj]
-        u_r = (u[ip, jj] - u[im, jj]) / (2 * h)
-        u_z = (u[ii, jp] - u[ii, jm]) / (2 * h)
-        u_rr = (u[ip, jj] - 2 * uc + u[im, jj]) / (h * h)
-        u_zz = (u[ii, jp] - 2 * uc + u[ii, jm]) / (h * h)
-        u_rz = (u[ip, jp] - u[ip, jm] - u[im, jp] + u[im, jm]) / (4 * h * h)
-        grad = np.sqrt(u_r**2 + u_z**2 + _GRAD_EPS * _GRAD_EPS)
-        kappa = (u_rr * u_z**2 - 2 * u_r * u_z * u_rz + u_zz * u_r**2) / grad**3
-        rho = ii * h
-        axi = np.where(ii > 0, u_r / np.where(ii > 0, rho * grad, 1.0), u_rr / grad)
-        speed = (kappa + axi) * grad
-        mass = self.metric.mass
-        if mass != 0.0:
-            z = self.z_min + jj * h
-            r = np.maximum(np.hypot(rho, z), _RADIUS_FLOOR * h)
-            w = 1.0 + mass / (2.0 * r)
-            dlnw_dr = -mass / (2.0 * r**2 * w)
-            normal = dlnw_dr * (rho * u_r + z * u_z) / (r * grad)
-            speed = (speed + 4.0 * normal * grad) / w**4
-        u_new = uc + dt * speed
-        u[ii, jj] = u_new
+        near = np.take(u, self.stencil)
+        h_flat, grad, normal = _curvature_stencil(*near, self.h, self.rho, self.off_axis, self.geometry)
+        speed = h_flat * grad
+        if normal is not None:
+            speed = (speed + 4.0 * normal * grad) / self.w4
+        u_new = near[0] + dt * speed
+        np.put(u, self.stencil[0], u_new)
         return u_new
 
 
@@ -547,7 +529,6 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     u = state.grid.values.copy()  # working field; the input grid is kept intact
     stepper = _BandedStepper(metric, state.grid)
     arrival_flat = state.trace.arrival_time.ravel()
-    n_z = u.shape[1]
     next_sample = config.sample_interval
     step_idx = 0
     runs_prev = _axis_run_count(u)
@@ -558,7 +539,7 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
         step_idx += 1
         t = step_idx * dt
         if band_vals is not None:
-            flat = stepper.ii * n_z + stepper.jj
+            flat = stepper.stencil[0]
             flip = np.isinf(arrival_flat[flat]) & (band_vals >= 0.0)
             if flip.any():
                 arrival_flat[flat[flip]] = t

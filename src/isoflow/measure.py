@@ -105,19 +105,6 @@ class AxiGrid:
     def replace_values(self, values: np.ndarray) -> "AxiGrid":
         return AxiGrid(h=self.h, z_min=self.z_min, values=values)
 
-    def boundary_margin(self) -> float:
-        """Distance (in cells) from the region to the outer boundary."""
-        neg_i, neg_j = np.nonzero(self.values < 0)
-        if neg_i.size == 0:
-            return math.inf
-        return float(
-            min(
-                self.n_rho - 1 - neg_i.max(),
-                neg_j.min(),
-                self.n_z - 1 - neg_j.max(),
-            )
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class Component:
@@ -175,13 +162,24 @@ def extract_components(grid: AxiGrid) -> list[Component]:
 # conformal weights
 
 
+def _floored_radius(rho, z, h: float):
+    """Distance from the origin, floored at a fraction of a cell."""
+    return np.maximum(np.hypot(rho, z), _RADIUS_FLOOR * h)
+
+
 def _conformal_power(metric: AmbientMetric, rho, z, power: int, h: float):
     """w^power at points, radius floored at a fraction of a cell."""
     if metric.mass == 0.0:
         return np.ones_like(np.asarray(rho, dtype=float))
-    r = np.hypot(rho, z)
-    r = np.maximum(r, _RADIUS_FLOOR * h)
-    return (1.0 + metric.mass / (2.0 * r)) ** power
+    return (1.0 + metric.mass / (2.0 * _floored_radius(rho, z, h))) ** power
+
+
+def _normal_geometry(metric: AmbientMetric, rho, z, h: float):
+    """What the stencil's conformal normal term reads at points with mass
+    m > 0: ((z, floored r, d ln w / dr), w)."""
+    r = _floored_radius(rho, z, h)
+    w = _conformal_power(metric, rho, z, 1, h)
+    return (z, r, -metric.mass / (2.0 * r**2 * w)), w
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +218,6 @@ def _local_polygon_moments(points) -> tuple[float, float, float, float]:
     """(area, int xi dA, centroid xi, centroid eta) in cell units."""
     area2 = 0.0
     moment6 = 0.0
-    cx6 = 0.0
     cy6 = 0.0
     n = len(points)
     for k in range(n):
@@ -229,13 +226,12 @@ def _local_polygon_moments(points) -> tuple[float, float, float, float]:
         cross = x0 * y1 - x1 * y0
         area2 += cross
         moment6 += (x0 + x1) * cross
-        cx6 += (x0 + x1) * cross
         cy6 += (y0 + y1) * cross
     area = 0.5 * area2
     moment = moment6 / 6.0
     if area == 0.0:
         return 0.0, 0.0, points[0][0], points[0][1]
-    cx = cx6 / (6.0 * area)
+    cx = moment6 / (6.0 * area)
     cy = cy6 / (6.0 * area)
     if area < 0:
         area, moment = -area, -moment
@@ -539,40 +535,52 @@ def mean_curvature_field(metric: AmbientMetric, grid: AxiGrid) -> np.ndarray:
     return curvature_and_gradient(metric, grid)[0]
 
 
+def _curvature_stencil(c, rp, rm, zp, zm, pp, pm, mp, mm, h, rho, off_axis, normal_geometry):
+    """Centered-difference curvature from a node's nine-point neighbourhood.
+
+    The arguments are the centre value, its rho+/rho-/z+/z- neighbours and
+    the four diagonal ones ((rho+, z+), (rho+, z-), (rho-, z+), (rho-, z-)),
+    any shape.  Returns (flat axisymmetric curvature, regularized gradient
+    norm, conformal normal term d(ln w)/d(nu)); the last is None when
+    ``normal_geometry`` (from :func:`_normal_geometry`) is None.
+    """
+    u_r = (rp - rm) / (2 * h)
+    u_z = (zp - zm) / (2 * h)
+    u_rr = (rp - 2 * c + rm) / (h * h)
+    u_zz = (zp - 2 * c + zm) / (h * h)
+    u_rz = (pp - pm - mp + mm) / (4 * h * h)
+    grad = np.sqrt(u_r**2 + u_z**2 + _GRAD_EPS**2)
+    kappa = (u_rr * u_z**2 - 2 * u_r * u_z * u_rz + u_zz * u_r**2) / grad**3
+    # on the axis (1/rho) u_r / |grad u| takes its limit u_rr / |grad u|
+    axi = np.where(off_axis, u_r / np.where(off_axis, rho * grad, 1.0), u_rr / grad)
+    if normal_geometry is None:
+        return kappa + axi, grad, None
+    z, r, dlnw_dr = normal_geometry
+    return kappa + axi, grad, dlnw_dr * (rho * u_r + z * u_z) / (r * grad)
+
+
 def curvature_and_gradient(metric: AmbientMetric, grid: AxiGrid) -> tuple[np.ndarray, np.ndarray]:
     """(mean curvature, regularized flat gradient norm) at every node.
 
     Same stencils as :func:`mean_curvature_field`; the gradient norm is
     what level-set stepping needs alongside the curvature.
     """
-    u = grid.values
     h = grid.h
     # pad: mirror across the axis, replicate at the three outer edges
-    up = np.pad(u, ((1, 1), (1, 1)), mode="edge")
+    up = np.pad(grid.values, ((1, 1), (1, 1)), mode="edge")
     up[0, :] = up[2, :]  # mirror ghost at rho = -h
-    core = np.s_[1:-1, 1:-1]
-    u_r = (up[2:, 1:-1] - up[:-2, 1:-1]) / (2 * h)
-    u_z = (up[1:-1, 2:] - up[1:-1, :-2]) / (2 * h)
-    u_rr = (up[2:, 1:-1] - 2 * up[core] + up[:-2, 1:-1]) / (h * h)
-    u_zz = (up[1:-1, 2:] - 2 * up[core] + up[1:-1, :-2]) / (h * h)
-    u_rz = (up[2:, 2:] - up[2:, :-2] - up[:-2, 2:] + up[:-2, :-2]) / (4 * h * h)
-
-    grad = np.sqrt(u_r**2 + u_z**2 + _GRAD_EPS**2)
-    kappa = (u_rr * u_z**2 - 2 * u_r * u_z * u_rz + u_zz * u_r**2) / grad**3
     rho = grid.rho[:, None]
-    axi = np.empty_like(u_r)
-    axi[0, :] = (u_rr / grad)[0, :]  # axis limit of (1/rho) u_r / |grad u|
-    axi[1:, :] = u_r[1:, :] / (rho[1:, :] * grad[1:, :])
-    h_flat = kappa + axi
-    if metric.mass == 0.0:
+    geometry = w = None
+    if metric.mass != 0.0:
+        geometry, w = _normal_geometry(metric, rho, grid.z[None, :], h)
+    h_flat, grad, normal = _curvature_stencil(
+        up[1:-1, 1:-1], up[2:, 1:-1], up[:-2, 1:-1], up[1:-1, 2:], up[1:-1, :-2],
+        up[2:, 2:], up[2:, :-2], up[:-2, 2:], up[:-2, :-2],
+        h, rho, rho > 0, geometry,
+    )
+    if normal is None:
         return h_flat, grad
-    z = grid.z[None, :]
-    r = np.hypot(rho, z)
-    r_safe = np.maximum(r, _RADIUS_FLOOR * h)
-    w = 1.0 + metric.mass / (2.0 * r_safe)
-    dlnw_dr = -metric.mass / (2.0 * r_safe**2 * w)
-    normal_deriv = dlnw_dr * (rho * u_r + z * u_z) / (r_safe * grad)
-    return (h_flat + 4.0 * normal_deriv) / w**2, grad
+    return (h_flat + 4.0 * normal) / w**2, grad
 
 
 def _bilinear(field: np.ndarray, grid: AxiGrid, rho: float, z: float) -> float:

@@ -9,6 +9,7 @@ import pytest
 
 import isoflow.runner as runner_mod
 from isoflow.cli import main
+from isoflow.config import ConfigError, parse_plan
 from isoflow.flow_levelset import ComponentRecord, FlowTrace, TraceSample
 
 TRACE_HEADER = "t,A_total,V_total,Q,ratio,n_components,n_frozen"
@@ -98,6 +99,26 @@ def test_ode_dt_must_divide_sample_interval(tmp_path, capsys):
     sc["time"]["dt"] = 0.3  # 0.5 / 0.3 is not an integer
     assert main(["run", write_plan(tmp_path, [sc]), "--out", str(tmp_path / "out")]) == 2
     assert "sample_interval" in capsys.readouterr().err
+
+
+def test_dumbbell_fits_a_grid_narrower_than_its_length():
+    # criterion 07's coarsest grid: the dumbbell is 7.7 long in z, 3.5 wide
+    sc = small_levelset_scenario("dumbbell")
+    sc["shape"] = {"kind": "dumbbell", "ball_radius": 3.5, "separation": 8.4, "neck_radius": 0.7}
+    sc["grid"] = {"h": 0.1, "rho_max": 4.4, "z_min": -8.8, "z_max": 8.8}
+    (parsed,) = parse_plan(json.dumps({"scenarios": [sc]})).scenarios
+    assert parsed.name == "dumbbell" and parsed.grid.rho_max == 4.4
+
+
+@pytest.mark.parametrize("field", ["z_min", "z_max", "rho_max"])
+def test_sphere_outside_the_grid_is_rejected(tmp_path, capsys, field):
+    sc = small_levelset_scenario()
+    sc["grid"][field] = math.copysign(0.9, sc["grid"][field])  # r0 is 1
+    with pytest.raises(ConfigError, match=f"grid.{field}"):
+        parse_plan(json.dumps({"scenarios": [sc]}))
+    assert main(["run", write_plan(tmp_path, [sc]), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and field in err
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from scipy import ndimage
 
 from isoflow.flow_levelset import (
     FlowRunConfig,
+    _BandedStepper,
     cfl_time_step,
     evolve_step,
     freeze_sweep,
@@ -100,6 +101,69 @@ def test_fully_frozen_state_never_changes():
     assert np.array_equal(stepped.grid.values, g.values)
     rebuilt = reinitialize(state)
     assert np.array_equal(rebuilt.grid.values, g.values)
+
+
+def band_mask(stepper, shape):
+    mask = np.zeros(shape, dtype=bool)
+    mask.ravel()[stepper.stencil[0]] = True
+    return mask
+
+
+@pytest.mark.parametrize("metric", [EUCLID, SCHW])
+def test_banded_step_matches_evolve_step_on_the_band(metric):
+    g = sphere_grid(2.5, 0.05, pad=0.6)
+    dt = cfl_time_step(metric, g)
+    u = g.values.copy()
+    stepper = _BandedStepper(metric, g)
+    stepper.step(u, np.zeros(u.shape, dtype=bool), dt)
+    full = evolve_step(initial_state(metric, g), metric, dt).grid.values
+    band = band_mask(stepper, u.shape)
+    assert band.any() and not band.all()
+    assert np.array_equal(u[~band], g.values[~band])
+    if metric.mass == 0.0:
+        # the same stencil and the same final combination: bit for bit
+        assert np.array_equal(u[band], full[band])
+    else:
+        # (H g + 4 n g) / w^4 against ((H + 4 n) / w^2) g / w^2
+        np.testing.assert_allclose(u[band], full[band], rtol=1e-12, atol=0.0)
+
+
+def test_banded_step_leaves_frozen_and_far_nodes_untouched():
+    g = sphere_grid(2.5, 0.05, pad=0.6)
+    frozen = np.zeros(g.values.shape, dtype=bool)
+    frozen[:, : g.n_z // 2] = True  # the lower half of the sphere
+    u = g.values.copy()
+    _BandedStepper(SCHW, g).step(u, frozen, cfl_time_step(SCHW, g, frozen))
+    moved = u != g.values
+    assert moved.any()
+    assert not np.any(moved & frozen)
+    assert not np.any(moved & (np.abs(g.values) >= _BandedStepper.WIDTH * g.h))
+
+
+def test_band_refresh_after_freeze_drops_the_frozen_halo():
+    # a ball of area 18 and one of area pi; the threshold area 16 freezes
+    # only the small one
+    def balls(rho, z):
+        return np.minimum(np.hypot(rho, z) - 1.2, np.hypot(rho, z - 2.5) - 0.5)
+
+    h = 0.05
+    g = AxiGrid.sample(h, 1.6, -1.6, 3.4, balls)
+    u = g.values.copy()
+    stepper = _BandedStepper(EUCLID, g)
+    stepper.refresh(u, np.zeros(u.shape, dtype=bool))
+    before = stepper.stencil[0].copy()
+    state = freeze_sweep(initial_state(EUCLID, g), EUCLID, math.sqrt(16.0 / (36.0 * math.pi)))
+    assert state.frozen_count == 1
+    stepper.refresh(u, state.frozen_mask)
+    centre = stepper.stencil[0]
+    expected = (np.abs(u) < _BandedStepper.WIDTH * h) & ~state.frozen_mask
+    assert np.array_equal(centre, np.flatnonzero(expected))
+    assert centre.size < before.size
+    assert stepper.stencil.shape == (9, centre.size)
+    assert np.array_equal(stepper.rho, (centre // g.n_z) * h)
+    # off the axis and the edges, row 1 is the rho + h neighbour
+    inner = (centre // g.n_z > 0) & (centre // g.n_z < g.n_rho - 1)
+    assert np.array_equal(stepper.stencil[1][inner], centre[inner] + g.n_z)
 
 
 def test_euclidean_sphere_tracks_exact_radius(euclid_sphere_run):
