@@ -29,6 +29,7 @@ from .measure import (
     _conformal_power,
     _curvature_stencil,
     _normal_geometry,
+    _stencil_indices,
     curvature_and_gradient,
     measure_components,
 )
@@ -398,16 +399,7 @@ class _BandedStepper:
         if frozen_mask.any():
             band &= ~frozen_mask
         ii, jj = np.nonzero(band)
-        n, m = self.shape
-        row = ii * m
-        row_m = np.where(ii > 0, ii - 1, 1) * m  # mirror ghost across the axis
-        row_p = np.minimum(ii + 1, n - 1) * m  # replicate at outer edges
-        jm = np.maximum(jj - 1, 0)
-        jp = np.minimum(jj + 1, m - 1)
-        self.stencil = np.stack(
-            [row + jj, row_p + jj, row_m + jj, row + jp, row + jm,
-             row_p + jp, row_p + jm, row_m + jp, row_m + jm]
-        )
+        self.stencil = _stencil_indices(ii, jj, self.shape)
         self.off_axis = ii > 0
         self.rho = ii * h
         self.geometry = None

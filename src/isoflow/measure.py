@@ -7,18 +7,33 @@ squares, and evaluates metric-weighted surface area ("perimeter" of the
 revolved interface), enclosed volume, and the interface integral of the
 squared mean curvature.
 
+Component measures and contours read one marching-squares pass
+(:func:`_sweep`) over the cells whose corners change sign.  A cell's
+case number has one bit per inside corner: 00 -> 1, 10 -> 2, 01 -> 4,
+11 -> 8 (corner names are the cell-local (rho, z) offsets).  A case
+table, built from the counterclockwise boundary walk 00, S, 10, E, 11,
+N, 01, W, gives each case its pieces: one chord of the zero contour, the
+corner whose component owns it, and the inside polygon (walk positions,
+in walk order) whose volume goes with it.  The 14 ordinary cases have
+one piece; the two saddles, 6 (10 and 01 inside) and 9 (00 and 11
+inside), have two, chosen by the centre-mean rule below.  The pass runs
+on whole arrays of cells and returns flat per-chord arrays;
+per-component totals are exactly rounded sums (``math.fsum``) over each
+owner's chords.
+
 Conventions that matter:
 
 - components are 4-connected sets of negative nodes, labeled in scan
   order of their first node;
 - saddle cells are disambiguated by the sign of the cell-center mean:
-  negative connects the two inside corners, otherwise they stay
-  separate;
+  negative connects the two inside corners (each takes the wall chord on
+  its side and half the hexagonal band's volume), otherwise they stay
+  separate (one corner triangle each);
 - the axis is handled by mirror symmetry (interfaces may terminate on
   it; revolution closes them);
 - with positive mass, cells whose center lies inside the horizon
   radius contribute no volume (they are outside the manifold proper);
-- every interface segment and sub-cell polygon is attributed to exactly
+- every interface chord and sub-cell polygon is attributed to exactly
   one component, so component sums reproduce region totals exactly;
 - all interface geometry is computed in cell-local coordinates, so
   translating the region along z by whole cells changes nothing, bit
@@ -182,308 +197,252 @@ def _normal_geometry(metric: AmbientMetric, rho, z, h: float):
     return (z, r, -metric.mass / (2.0 * r**2 * w)), w
 
 
+def _area_element(metric: AmbientMetric, rho_mid, z_mid, length, h: float):
+    """g-area swept by revolving chords about the axis: 2 pi rho_mid len w^4."""
+    return 2.0 * math.pi * rho_mid * length * _conformal_power(metric, rho_mid, z_mid, 4, h)
+
+
+def _cell_centres(grid: AxiGrid):
+    """(rho, z) of the cell centres, shaped to broadcast to (n_rho - 1, n_z - 1)."""
+    h = grid.h
+    rho_c = (np.arange(grid.n_rho - 1) + 0.5)[:, None] * h
+    z_c = (grid.z_min + (np.arange(grid.n_z - 1) + 0.5) * h)[None, :]
+    return rho_c, z_c
+
+
+def _inside_horizon(metric: AmbientMetric, grid: AxiGrid) -> np.ndarray:
+    """Cells whose centre lies inside the horizon radius (none at zero mass)."""
+    if metric.mass == 0.0:
+        return np.zeros((grid.n_rho - 1, grid.n_z - 1), dtype=bool)
+    rho_c, z_c = _cell_centres(grid)
+    return np.hypot(rho_c, z_c) < metric.horizon_radius
+
+
 # ---------------------------------------------------------------------------
-# marching squares (cell-local geometry)
+# marching squares: one pass over the mixed cells, driven by a case table
+
+# the cell boundary walked counterclockwise; polygons and chords are
+# positions on this walk
+_WALK = ("00", "S", "10", "E", "11", "N", "01", "W")
+_CORNER_BIT = {"00": 0, "10": 1, "01": 2, "11": 3}
+_EDGE_ENDS = {"S": ("00", "10"), "E": ("10", "11"), "N": ("01", "11"), "W": ("00", "01")}
+# saddle case -> (inside corner, arc around it, wall on its side of the band)
+_SADDLES = {
+    6: (("10", "SE", "NE"), ("01", "NW", "WS")),
+    9: (("00", "WS", "NW"), ("11", "EN", "SE")),
+}
+# added to a saddle's case number when its centre mean is negative
+_CONNECTED = 16
+
+
+def _case_table():
+    """Pieces of each case as arrays indexed [case, slot]: chord ends,
+    owner corner bit, polygon (6 walk positions) and volume weight, plus
+    the number of slots each case fills."""
+    chord = np.zeros((32, 2, 2), dtype=np.intp)
+    owner = np.zeros((32, 2), dtype=np.intp)
+    polygon = np.zeros((32, 2, 6), dtype=np.intp)
+    weight = np.zeros((32, 2))
+    slots = np.zeros(32, dtype=np.intp)
+    pos = {name: k for k, name in enumerate(_WALK)}
+
+    def put(case, slot, ends, corner, vertices, w):
+        chord[case, slot] = [pos[e] for e in ends]
+        owner[case, slot] = _CORNER_BIT[corner]
+        # repeating the last vertex adds zero-length edges, whose shoelace
+        # terms are exact zeros: the sums keep their value and order
+        verts = [pos[v] for v in vertices]
+        polygon[case, slot] = verts + verts[-1:] * (6 - len(verts))
+        weight[case, slot] = w
+        slots[case] = slot + 1
+
+    for case in range(1, 15):
+        inside = {c: bool(case >> bit & 1) for c, bit in _CORNER_BIT.items()}
+        crossed = [e for e, (p, q) in _EDGE_ENDS.items() if inside[p] != inside[q]]
+        walk = [v for v in _WALK if (inside[v] if v in inside else v in crossed)]
+        if case in _SADDLES:
+            for slot, (corner, arc, wall) in enumerate(_SADDLES[case]):
+                put(case, slot, arc, corner, (arc[0], corner, arc[1]), 1.0)
+                put(case + _CONNECTED, slot, wall, corner, walk, 0.5)
+        else:
+            first = next(c for c in ("00", "01", "10", "11") if inside[c])
+            put(case, 0, crossed, first, walk, 1.0)
+    return chord, owner, polygon, weight, slots
+
+
+_CHORD, _OWNER, _POLYGON, _WEIGHT, _SLOTS = _case_table()
 
 
 @dataclass(frozen=True, eq=False)
-class _Segment:
-    """One interface chord inside cell (i, j), endpoints in cell units."""
+class _Sweep:
+    """Flat arrays from one marching-squares pass, one entry per chord.
 
-    i: int
-    j: int
-    a: tuple[float, float]  # local (xi, eta) in [0, 1]^2
-    b: tuple[float, float]
-    key_a: tuple
-    key_b: tuple
-    owner: int
-
-    @property
-    def local_length(self) -> float:
-        return math.hypot(self.b[0] - self.a[0], self.b[1] - self.a[1])
-
-    @property
-    def local_mid(self) -> tuple[float, float]:
-        return (0.5 * (self.a[0] + self.b[0]), 0.5 * (self.a[1] + self.b[1]))
-
-    def global_points(self, grid: AxiGrid) -> tuple[tuple[float, float], tuple[float, float]]:
-        h, z0 = grid.h, grid.z_min
-        return (
-            ((self.i + self.a[0]) * h, z0 + (self.j + self.a[1]) * h),
-            ((self.i + self.b[0]) * h, z0 + (self.j + self.b[1]) * h),
-        )
-
-
-def _local_polygon_moments(points) -> tuple[float, float, float, float]:
-    """(area, int xi dA, centroid xi, centroid eta) in cell units."""
-    area2 = 0.0
-    moment6 = 0.0
-    cy6 = 0.0
-    n = len(points)
-    for k in range(n):
-        x0, y0 = points[k]
-        x1, y1 = points[(k + 1) % n]
-        cross = x0 * y1 - x1 * y0
-        area2 += cross
-        moment6 += (x0 + x1) * cross
-        cy6 += (y0 + y1) * cross
-    area = 0.5 * area2
-    moment = moment6 / 6.0
-    if area == 0.0:
-        return 0.0, 0.0, points[0][0], points[0][1]
-    cx = moment6 / (6.0 * area)
-    cy = cy6 / (6.0 * area)
-    if area < 0:
-        area, moment = -area, -moment
-    return area, moment, cx, cy
-
-
-class _CellSweep:
-    """One pass over interface cells: segments plus sub-cell volumes.
-
-    Geometry is accumulated in cell-local units so that results are
-    exactly invariant under whole-cell z translation when the metric
-    weight is (no weights present at zero mass).
+    Chord k lies in cell (i[k], j[k]) from local point a[k] to b[k] (cell
+    units, (xi, eta) in [0, 1]^2), crossing grid edges key_a[k] and
+    key_b[k], and belongs to component owner[k] together with the metric
+    volume[k] of the sub-cell piece on its inside.  Edge keys number the
+    rho-edges (i, j) -> i n_z + j first, then the z-edges, offset by the
+    node count.  full_volume[k] is the volume of component k's fully
+    inside cells.
     """
 
-    def __init__(self, metric: AmbientMetric, grid: AxiGrid, labels: np.ndarray, n_comp: int):
-        self.metric = metric
-        self.grid = grid
-        self.labels = labels
-        self.segments: list[_Segment] = []
-        # per-component partial-cell volume contributions (for fsum)
-        self.vol_pieces: list[list[float]] = [[] for _ in range(n_comp + 1)]
-        self._sweep()
-
-    # -- helpers ------------------------------------------------------
-
-    def _add_piece(self, owner: int, i: int, j: int, polygon, weight: float, masked: bool):
-        if masked or len(polygon) < 3:
-            return
-        area, moment, cx, cy = _local_polygon_moments(polygon)
-        if area <= 0.0:
-            return
-        h = self.grid.h
-        # int rho dA over the piece = h^3 (i * area + moment)
-        rho_moment = h**3 * (i * area + moment)
-        if self.metric.mass == 0.0:
-            w6 = 1.0
-        else:
-            w6 = float(
-                _conformal_power(
-                    self.metric,
-                    np.float64((i + cx) * h),
-                    np.float64(self.grid.z_min + (j + cy) * h),
-                    6,
-                    h,
-                )
-            )
-        self.vol_pieces[owner].append(weight * 2.0 * math.pi * rho_moment * w6)
-
-    def _crossings(self, i: int, j: int, flags) -> dict:
-        """Local crossing coordinates and edge keys for one cell."""
-        u = self.grid.values
-        b00, b10, b01, b11 = flags
-        out = {}
-        if b00 != b10:
-            ua, ub = u[i, j], u[i + 1, j]
-            out["S"] = ((ua / (ua - ub), 0.0), ("r", i, j))
-        if b01 != b11:
-            ua, ub = u[i, j + 1], u[i + 1, j + 1]
-            out["N"] = ((ua / (ua - ub), 1.0), ("r", i, j + 1))
-        if b00 != b01:
-            ua, ub = u[i, j], u[i, j + 1]
-            out["W"] = ((0.0, ua / (ua - ub)), ("z", i, j))
-        if b10 != b11:
-            ua, ub = u[i + 1, j], u[i + 1, j + 1]
-            out["E"] = ((1.0, ua / (ua - ub)), ("z", i + 1, j))
-        return out
-
-    @staticmethod
-    def _walk_polygon(flags, cross):
-        """Inside polygon from the counterclockwise cell boundary walk."""
-        b00, b10, b01, b11 = flags
-        corner_xy = {"00": (0.0, 0.0), "10": (1.0, 0.0), "11": (1.0, 1.0), "01": (0.0, 1.0)}
-        cycle = (
-            ("c", "00", b00),
-            ("e", "S", None),
-            ("c", "10", b10),
-            ("e", "E", None),
-            ("c", "11", b11),
-            ("e", "N", None),
-            ("c", "01", b01),
-            ("e", "W", None),
-        )
-        pts = []
-        for kind, name, flag in cycle:
-            if kind == "c":
-                if flag:
-                    pts.append(corner_xy[name])
-            elif name in cross:
-                pts.append(cross[name][0])
-        return pts
-
-    # -- the sweep ----------------------------------------------------
-
-    def _sweep(self):
-        grid, labels = self.grid, self.labels
-        u = grid.values
-        h, z_min = grid.h, grid.z_min
-        m = self.metric.mass
-        inside = u < 0
-        s00 = inside[:-1, :-1]
-        s10 = inside[1:, :-1]
-        s01 = inside[:-1, 1:]
-        s11 = inside[1:, 1:]
-        count = (
-            s00.astype(np.int8) + s10.astype(np.int8) + s01.astype(np.int8) + s11.astype(np.int8)
-        )
-        mixed = (count > 0) & (count < 4)
-        horizon = m / 2.0
-        corner_xy = {"00": (0.0, 0.0), "10": (1.0, 0.0), "11": (1.0, 1.0), "01": (0.0, 1.0)}
-        for i, j in np.argwhere(mixed):
-            i, j = int(i), int(j)
-            masked = False
-            if m > 0.0:
-                rho_c = (i + 0.5) * h
-                z_c = z_min + (j + 0.5) * h
-                masked = math.hypot(rho_c, z_c) < horizon
-            flags = (bool(s00[i, j]), bool(s10[i, j]), bool(s01[i, j]), bool(s11[i, j]))
-            b00, b10, b01, b11 = flags
-            cross = self._crossings(i, j, flags)
-            lab = {
-                "00": int(labels[i, j]),
-                "10": int(labels[i + 1, j]),
-                "01": int(labels[i, j + 1]),
-                "11": int(labels[i + 1, j + 1]),
-            }
-
-            def add_segment(side_a, side_b, owner):
-                (pa, ka), (pb, kb) = cross[side_a], cross[side_b]
-                self.segments.append(
-                    _Segment(i=i, j=j, a=pa, b=pb, key_a=ka, key_b=kb, owner=owner)
-                )
-
-            saddle = (b10 and b01 and not b00 and not b11) or (
-                b00 and b11 and not b10 and not b01
-            )
-            if saddle:
-                center_mean = 0.25 * (u[i, j] + u[i + 1, j] + u[i, j + 1] + u[i + 1, j + 1])
-                if b10 and b01:
-                    corners = ("10", "01")
-                    arcs = {"10": ("S", "E"), "01": ("N", "W")}
-                    walls = {"01": ("W", "S"), "10": ("N", "E")}
-                else:
-                    corners = ("00", "11")
-                    arcs = {"00": ("W", "S"), "11": ("E", "N")}
-                    walls = {"00": ("N", "W"), "11": ("S", "E")}
-                if center_mean >= 0.0:
-                    # inside corners stay separate: one triangle each
-                    for c in corners:
-                        sa, sb = arcs[c]
-                        add_segment(sa, sb, lab[c])
-                        tri = [cross[sa][0], corner_xy[c], cross[sb][0]]
-                        self._add_piece(lab[c], i, j, tri, 1.0, masked)
-                else:
-                    # the inside connects through the cell: hexagonal band;
-                    # each wall goes with one inside corner, and the band's
-                    # volume is shared half-and-half
-                    band = self._walk_polygon(flags, cross)
-                    for c in corners:
-                        sa, sb = walls[c]
-                        add_segment(sa, sb, lab[c])
-                        self._add_piece(lab[c], i, j, band, 0.5, masked)
-                continue
-
-            polygon = self._walk_polygon(flags, cross)
-            flag_of = {"00": b00, "01": b01, "10": b10, "11": b11}
-            owner = lab[next(c for c in ("00", "01", "10", "11") if flag_of[c])]
-            sides = [s for s in ("S", "E", "N", "W") if s in cross]
-            add_segment(sides[0], sides[1], owner)
-            self._add_piece(owner, i, j, polygon, 1.0, masked)
-
-    # -- per-segment integrands ---------------------------------------
-
-    def segment_area_element(self, seg: _Segment) -> float:
-        """g-area swept by revolving one chord: 2 pi rho_mid len w^4."""
-        h = self.grid.h
-        xm, ym = seg.local_mid
-        rho_mid = (seg.i + xm) * h
-        length = seg.local_length * h
-        if self.metric.mass == 0.0:
-            w4 = 1.0
-        else:
-            w4 = float(
-                _conformal_power(
-                    self.metric,
-                    np.float64(rho_mid),
-                    np.float64(self.grid.z_min + (seg.j + ym) * h),
-                    4,
-                    h,
-                )
-            )
-        return 2.0 * math.pi * rho_mid * length * w4
-
-    def segment_h_interp(self, seg: _Segment, field: np.ndarray) -> float:
-        """Bilinear sample of a node field at the chord midpoint."""
-        fx, fy = seg.local_mid
-        i, j = seg.i, seg.j
-        return float(
-            field[i, j] * (1 - fx) * (1 - fy)
-            + field[i + 1, j] * fx * (1 - fy)
-            + field[i, j + 1] * (1 - fx) * fy
-            + field[i + 1, j + 1] * fx * fy
-        )
+    i: np.ndarray
+    j: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    key_a: np.ndarray
+    key_b: np.ndarray
+    owner: np.ndarray
+    volume: np.ndarray
+    full_volume: np.ndarray
 
 
-def _chain_segments(sweep: _CellSweep, indices) -> list[np.ndarray]:
-    """Join segments into polylines; closed loops repeat the first point.
+def _sweep(metric: AmbientMetric, grid: AxiGrid, labels: np.ndarray, n_comp: int) -> _Sweep:
+    """The one marching-squares pass: chords and sub-cell volumes of every
+    mixed cell in scan order (a saddle's two in the table's corner order),
+    and the full-cell volume of each label."""
+    u = grid.values
+    h, n_z = grid.h, grid.n_z
+    inside = u < 0
+    case = inside[:-1, :-1] + 2 * inside[1:, :-1] + 4 * inside[:-1, 1:] + 8 * inside[1:, 1:]
+    horizon = _inside_horizon(metric, grid)
+    full_volume = _full_cell_volumes(metric, grid, labels, n_comp, case == 15, horizon)
+    ii, jj = np.nonzero((case > 0) & (case < 15))
+    v00, v10, v01, v11 = u[ii, jj], u[ii + 1, jj], u[ii, jj + 1], u[ii + 1, jj + 1]
+    case = case[ii, jj]
+    saddle = (case == 6) | (case == 9)
+    case = np.where(saddle & (0.25 * (v00 + v10 + v01 + v11) < 0.0), case + _CONNECTED, case)
+
+    # local coordinates and edge keys of the eight walk positions; edges
+    # the contour does not cross are never read
+    pts = np.zeros((ii.size, 8, 2))
+    pts[:, 2:5, 0] = 1.0  # 10, E, 11
+    pts[:, 4:7, 1] = 1.0  # 11, N, 01
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pts[:, 1, 0] = v00 / (v00 - v10)  # S
+        pts[:, 3, 1] = v10 / (v10 - v11)  # E
+        pts[:, 5, 0] = v01 / (v01 - v11)  # N
+        pts[:, 7, 1] = v00 / (v00 - v01)  # W
+    keys = np.zeros((ii.size, 8), dtype=np.int64)
+    keys[:, 1] = ii * n_z + jj  # S
+    keys[:, 5] = keys[:, 1] + 1  # N
+    keys[:, 7] = u.size + keys[:, 1]  # W
+    keys[:, 3] = keys[:, 7] + n_z  # E
+    corner_labels = np.stack(
+        [labels[ii, jj], labels[ii + 1, jj], labels[ii, jj + 1], labels[ii + 1, jj + 1]], axis=1
+    )
+
+    # one row per (cell, slot): saddle cells fill two slots
+    cell = np.repeat(np.arange(ii.size), _SLOTS[case])
+    slot = np.zeros(cell.size, dtype=np.intp)
+    slot[1:] = cell[1:] == cell[:-1]
+    entry = case[cell]
+    ends = _CHORD[entry, slot]
+    ci, cj = ii[cell], jj[cell]
+
+    # shoelace sums over the piece polygon, in walk order
+    vertices = pts[cell[:, None], _POLYGON[entry, slot]]
+    x, y = vertices[..., 0], vertices[..., 1]
+    area2 = moment6 = cy6 = 0.0
+    for k in range(6):
+        x0, y0, x1, y1 = x[:, k], y[:, k], x[:, (k + 1) % 6], y[:, (k + 1) % 6]
+        cross = x0 * y1 - x1 * y0
+        area2 = area2 + cross
+        moment6 = moment6 + (x0 + x1) * cross
+        cy6 = cy6 + (y0 + y1) * cross
+    area = 0.5 * area2
+    moment = np.where(area < 0, -moment6 / 6.0, moment6 / 6.0)  # int xi dA, cell units
+    w6 = 1.0
+    if metric.mass != 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):  # empty pieces are dropped
+            cx = moment6 / (6.0 * area)
+            cy = cy6 / (6.0 * area)
+        w6 = _conformal_power(metric, (ci + cx) * h, grid.z_min + (cj + cy) * h, 6, h)
+    # int rho dA over the piece = h^3 (i * area + moment)
+    rho_moment = h**3 * (ci * np.abs(area) + moment)
+    volume = _WEIGHT[entry, slot] * 2.0 * math.pi * rho_moment * w6
+    volume = np.where((area != 0.0) & ~horizon[ci, cj], volume, 0.0)
+
+    return _Sweep(
+        i=ci,
+        j=cj,
+        a=pts[cell, ends[:, 0]],
+        b=pts[cell, ends[:, 1]],
+        key_a=keys[cell, ends[:, 0]],
+        key_b=keys[cell, ends[:, 1]],
+        owner=corner_labels[cell, _OWNER[entry, slot]],
+        volume=volume,
+        full_volume=full_volume,
+    )
+
+
+def _full_cell_volumes(metric, grid, labels, n_comp, full, horizon) -> np.ndarray:
+    """Volume of fully inside cells, accumulated per component label."""
+    if not np.any(full):
+        return np.zeros(n_comp + 1)
+    h = grid.h
+    rho_c, z_c = _cell_centres(grid)
+    contrib = 2.0 * math.pi * rho_c * h * h * np.ones((1, grid.n_z - 1))
+    if metric.mass > 0.0:
+        w6 = _conformal_power(metric, rho_c, z_c, 6, h)
+        contrib = np.where(horizon, 0.0, contrib * w6)
+    owner = np.where(full, labels[:-1, :-1], 0)
+    return np.bincount(owner.ravel(), weights=(contrib * full).ravel(), minlength=n_comp + 1)
+
+
+def _owner_fsums(owner: np.ndarray, values: np.ndarray, n_comp: int) -> list[float]:
+    """Exactly rounded sum of ``values`` per owner label 0..n_comp."""
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(n_comp + 2)).tolist()
+    grouped = values[order].tolist()
+    return [math.fsum(grouped[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _chain_chords(sweep: _Sweep, grid: AxiGrid, indices: list[int]) -> list[np.ndarray]:
+    """Join chords into polylines; closed loops repeat the first point.
 
     Chains terminate only at axis edges (degree-1 keys).  Walk order is
     deterministic: open chains first (sorted by their end key), then
-    remaining loops in segment order.
+    remaining loops in chord order.
     """
-    grid = sweep.grid
-    segs = sweep.segments
-    by_key: dict[tuple, list[int]] = {}
+    h, z0 = grid.h, grid.z_min
+
+    def global_points(p):
+        return np.column_stack([(sweep.i + p[:, 0]) * h, z0 + (sweep.j + p[:, 1]) * h]).tolist()
+
+    start, end = global_points(sweep.a), global_points(sweep.b)
+    key_a, key_b = sweep.key_a.tolist(), sweep.key_b.tolist()
+    by_key: dict[int, list[int]] = {}
     for k in indices:
-        for key in (segs[k].key_a, segs[k].key_b):
+        for key in (key_a[k], key_b[k]):
             by_key.setdefault(key, []).append(k)
     used = set()
     chains = []
 
-    def walk(start_seg, start_key):
+    def walk(k, key):
         pts = []
-        seg_idx, key = start_seg, start_key
         while True:
-            used.add(seg_idx)
-            seg = segs[seg_idx]
-            pa, pb = seg.global_points(grid)
-            if key == seg.key_a:
-                enter, exit_pt, exit_key = pa, pb, seg.key_b
+            used.add(k)
+            if key == key_a[k]:
+                enter, exit_pt, exit_key = start[k], end[k], key_b[k]
             else:
-                enter, exit_pt, exit_key = pb, pa, seg.key_a
+                enter, exit_pt, exit_key = end[k], start[k], key_a[k]
             if not pts:
                 pts.append(enter)
             pts.append(exit_pt)
             nxt = [s for s in by_key.get(exit_key, ()) if s not in used]
             if not nxt:
-                return pts, exit_key
-            seg_idx, key = nxt[0], exit_key
+                return pts
+            k, key = nxt[0], exit_key
 
-    open_keys = sorted(k for k, members in by_key.items() if len(members) == 1)
-    for key in open_keys:
-        seg_idx = by_key[key][0]
-        if seg_idx in used:
-            continue
-        pts, _ = walk(seg_idx, key)
-        chains.append(np.array(pts))
+    for key in sorted(k for k, members in by_key.items() if len(members) == 1):
+        if by_key[key][0] not in used:
+            chains.append(np.array(walk(by_key[key][0], key)))
     for k in indices:
-        if k in used:
-            continue
-        pts, _ = walk(k, segs[k].key_a)
-        pts.append(pts[0])  # closed loop
-        chains.append(np.array(pts))
+        if k not in used:
+            pts = walk(k, key_a[k])
+            pts.append(pts[0])  # closed loop
+            chains.append(np.array(pts))
     return chains
 
 
@@ -496,12 +455,12 @@ def interface_contour(grid: AxiGrid, component: Component | None = None) -> list
     labels, n = label_regions(grid)
     if n == 0:
         return []
-    sweep = _CellSweep(AmbientMetric.euclidean(), grid, labels, n)
+    sweep = _sweep(AmbientMetric.euclidean(), grid, labels, n)
     if component is None:
-        indices = list(range(len(sweep.segments)))
+        indices = np.arange(sweep.owner.size)
     else:
-        indices = [k for k, s in enumerate(sweep.segments) if s.owner == component.id]
-    return _chain_segments(sweep, indices)
+        indices = np.flatnonzero(sweep.owner == component.id)
+    return _chain_chords(sweep, grid, indices.tolist())
 
 
 def g_perimeter(metric: AmbientMetric, polyline: np.ndarray, h: float | None = None) -> float:
@@ -520,8 +479,11 @@ def g_perimeter(metric: AmbientMetric, polyline: np.ndarray, h: float | None = N
     if h is None:
         positive = seg_len[seg_len > 0]
         h = float(positive.min()) if positive.size else 1.0
-    w4 = _conformal_power(metric, mid[:, 0], mid[:, 1], 4, h)
-    return math.fsum(2.0 * math.pi * mid[:, 0] * seg_len * w4)
+    return math.fsum(_area_element(metric, mid[:, 0], mid[:, 1], seg_len, h))
+
+
+# ---------------------------------------------------------------------------
+# mean curvature
 
 
 def mean_curvature_field(metric: AmbientMetric, grid: AxiGrid) -> np.ndarray:
@@ -559,6 +521,22 @@ def _curvature_stencil(c, rp, rm, zp, zm, pp, pm, mp, mm, h, rho, off_axis, norm
     return kappa + axi, grad, dlnw_dr * (rho * u_r + z * u_z) / (r * grad)
 
 
+def _stencil_indices(ii: np.ndarray, jj: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """(9, k) flat indices into ``values.ravel()`` of the nine-point
+    stencils of nodes (ii, jj), in :func:`_curvature_stencil`'s argument
+    order: mirrored across the axis, replicated at the outer edges."""
+    n, m = shape
+    row = ii * m
+    row_m = np.where(ii > 0, ii - 1, 1) * m  # mirror ghost across the axis
+    row_p = np.minimum(ii + 1, n - 1) * m  # replicate at outer edges
+    jm = np.maximum(jj - 1, 0)
+    jp = np.minimum(jj + 1, m - 1)
+    return np.stack(
+        [row + jj, row_p + jj, row_m + jj, row + jp, row + jm,
+         row_p + jp, row_p + jm, row_m + jp, row_m + jm]
+    )
+
+
 def curvature_and_gradient(metric: AmbientMetric, grid: AxiGrid) -> tuple[np.ndarray, np.ndarray]:
     """(mean curvature, regularized flat gradient norm) at every node.
 
@@ -583,19 +561,24 @@ def curvature_and_gradient(metric: AmbientMetric, grid: AxiGrid) -> tuple[np.nda
     return (h_flat + 4.0 * normal) / w**2, grad
 
 
-def _bilinear(field: np.ndarray, grid: AxiGrid, rho: float, z: float) -> float:
-    h = grid.h
-    x = rho / h
-    y = (z - grid.z_min) / h
-    i = min(max(int(math.floor(x)), 0), grid.n_rho - 2)
-    j = min(max(int(math.floor(y)), 0), grid.n_z - 2)
-    fx, fy = x - i, y - j
-    return float(
-        field[i, j] * (1 - fx) * (1 - fy)
-        + field[i + 1, j] * fx * (1 - fy)
-        + field[i, j + 1] * (1 - fx) * fy
-        + field[i + 1, j + 1] * fx * fy
+def _curvature_in_cells(metric: AmbientMetric, grid: AxiGrid, i, j, fx, fy) -> np.ndarray:
+    """Mean curvature sampled bilinearly at local points (fx, fy) of cells
+    (i, j); the stencil runs only at those cells' corner nodes."""
+    h, n_z = grid.h, grid.n_z
+    base = i * n_z + j
+    nodes, inverse = np.unique(
+        np.stack([base, base + n_z, base + 1, base + n_z + 1]), return_inverse=True
     )
+    ni, nj = np.divmod(nodes, n_z)
+    rho = ni * h
+    geometry = w = None
+    if metric.mass != 0.0:
+        geometry, w = _normal_geometry(metric, rho, grid.z_min + nj * h, h)
+    near = np.take(grid.values, _stencil_indices(ni, nj, grid.values.shape))
+    h_flat, _, normal = _curvature_stencil(*near, h, rho, ni > 0, geometry)
+    field = h_flat if normal is None else (h_flat + 4.0 * normal) / w**2
+    f00, f10, f01, f11 = field[inverse.reshape(4, -1)]
+    return f00 * (1 - fx) * (1 - fy) + f10 * fx * (1 - fy) + f01 * (1 - fx) * fy + f11 * fx * fy
 
 
 def interface_H_sq(metric: AmbientMetric, grid: AxiGrid, polyline: np.ndarray) -> float:
@@ -607,36 +590,20 @@ def interface_H_sq(metric: AmbientMetric, grid: AxiGrid, polyline: np.ndarray) -
     pts = np.asarray(polyline, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         return 0.0
-    field = mean_curvature_field(metric, grid)
-    total = []
-    for k in range(pts.shape[0] - 1):
-        (r0, z0), (r1, z1) = pts[k], pts[k + 1]
-        length = math.hypot(r1 - r0, z1 - z0)
-        if length == 0.0:
-            continue
-        rm, zm = 0.5 * (r0 + r1), 0.5 * (z0 + z1)
-        w4 = float(_conformal_power(metric, np.float64(rm), np.float64(zm), 4, grid.h))
-        h_mid = _bilinear(field, grid, rm, zm)
-        total.append(h_mid * h_mid * 2.0 * math.pi * rm * length * w4)
-    return math.fsum(total)
+    d = np.diff(pts, axis=0)
+    length = np.hypot(d[:, 0], d[:, 1])
+    mid = (0.5 * (pts[:-1] + pts[1:]))[length > 0.0]
+    length = length[length > 0.0]
+    x = mid[:, 0] / grid.h
+    y = (mid[:, 1] - grid.z_min) / grid.h
+    i = np.clip(np.floor(x).astype(np.int64), 0, grid.n_rho - 2)
+    j = np.clip(np.floor(y).astype(np.int64), 0, grid.n_z - 2)
+    h_mid = _curvature_in_cells(metric, grid, i, j, x - i, y - j)
+    return math.fsum(h_mid * h_mid * _area_element(metric, mid[:, 0], mid[:, 1], length, grid.h))
 
 
-def _full_cell_volumes(metric, grid, labels, n_comp) -> np.ndarray:
-    """Volume of fully inside cells, accumulated per component label."""
-    u = grid.values
-    h = grid.h
-    inside = u < 0
-    full = inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:] & inside[1:, 1:]
-    if not np.any(full):
-        return np.zeros(n_comp + 1)
-    rho_c = (np.arange(grid.n_rho - 1) + 0.5)[:, None] * h
-    contrib = 2.0 * math.pi * rho_c * h * h * np.ones((1, grid.n_z - 1))
-    if metric.mass > 0.0:
-        z_c = (grid.z_min + (np.arange(grid.n_z - 1) + 0.5) * h)[None, :]
-        w6 = _conformal_power(metric, rho_c, z_c, 6, h)
-        contrib = np.where(np.hypot(rho_c, z_c) < metric.mass / 2.0, 0.0, contrib * w6)
-    owner = np.where(full, labels[:-1, :-1], 0)
-    return np.bincount(owner.ravel(), weights=(contrib * full).ravel(), minlength=n_comp + 1)
+# ---------------------------------------------------------------------------
+# per-component readers of the sweep
 
 
 def g_volume(metric: AmbientMetric, grid: AxiGrid, component: Component) -> float:
@@ -644,16 +611,16 @@ def g_volume(metric: AmbientMetric, grid: AxiGrid, component: Component) -> floa
     labels, n = label_regions(grid)
     if n == 0:
         return 0.0
-    sweep = _CellSweep(metric, grid, labels, n)
-    full = _full_cell_volumes(metric, grid, labels, n)
-    return float(full[component.id]) + math.fsum(sweep.vol_pieces[component.id])
+    sweep = _sweep(metric, grid, labels, n)
+    pieces = sweep.volume[sweep.owner == component.id]
+    return float(sweep.full_volume[component.id]) + math.fsum(pieces.tolist())
 
 
 def measure_components(metric: AmbientMetric, grid: AxiGrid) -> list[ComponentMeasure]:
     """Perimeter, volume, and H^2 integral of every component.
 
     One sweep serves all components; totals over the returned list equal
-    whole-region measurements exactly, because every segment and every
+    whole-region measurements exactly, because every chord and every
     sub-cell piece belongs to exactly one component.
     """
     labels, n = label_regions(grid)
@@ -665,31 +632,29 @@ def measure_components(metric: AmbientMetric, grid: AxiGrid) -> list[ComponentMe
     # "component" to the freezing logic, which would then pin a phantom
     # region forever; left alone, the flow evaporates them immediately.
     depth = ndimage.minimum(grid.values, labels, index=range(1, n + 1))
-    out = []
-    sweep = _CellSweep(metric, grid, labels, n)
-    full = _full_cell_volumes(metric, grid, labels, n)
-    field = mean_curvature_field(metric, grid)
-    per_seg_area = [sweep.segment_area_element(s) for s in sweep.segments]
-    for k in range(1, n + 1):
-        if depth[k - 1] > -grid.h:
-            continue
-        perim_terms = []
-        h_sq_terms = []
-        for s_idx, seg in enumerate(sweep.segments):
-            if seg.owner != k:
-                continue
-            da = per_seg_area[s_idx]
-            perim_terms.append(da)
-            if da != 0.0:
-                h_mid = sweep.segment_h_interp(seg, field)
-                h_sq_terms.append(h_mid * h_mid * da)
-        out.append(
-            ComponentMeasure(
-                id=k,
-                perimeter=math.fsum(perim_terms),
-                volume=float(full[k]) + math.fsum(sweep.vol_pieces[k]),
-                h_sq_integral=math.fsum(h_sq_terms),
-                node_mask=labels == k,
-            )
+    sweep = _sweep(metric, grid, labels, n)
+    h = grid.h
+    xm = 0.5 * (sweep.a[:, 0] + sweep.b[:, 0])
+    ym = 0.5 * (sweep.a[:, 1] + sweep.b[:, 1])
+    # math.hypot is Python's own correctly rounded algorithm; np.hypot
+    # defers to the C library, whose last bit varies between platforms
+    d = (sweep.b - sweep.a).T.tolist()
+    length = np.fromiter(map(math.hypot, *d), dtype=float, count=len(d[0])) * h
+    rho_mid = (sweep.i + xm) * h
+    area = _area_element(metric, rho_mid, grid.z_min + (sweep.j + ym) * h, length, h)
+    h_mid = _curvature_in_cells(metric, grid, sweep.i, sweep.j, xm, ym)
+    h_sq = np.where(area != 0.0, h_mid * h_mid * area, 0.0)
+    perimeter = _owner_fsums(sweep.owner, area, n)
+    h_sq_integral = _owner_fsums(sweep.owner, h_sq, n)
+    volume = _owner_fsums(sweep.owner, sweep.volume, n)
+    return [
+        ComponentMeasure(
+            id=k,
+            perimeter=perimeter[k],
+            volume=float(sweep.full_volume[k]) + volume[k],
+            h_sq_integral=h_sq_integral[k],
+            node_mask=labels == k,
         )
-    return out
+        for k in range(1, n + 1)
+        if depth[k - 1] <= -h
+    ]

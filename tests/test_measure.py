@@ -1,5 +1,6 @@
 """Grid measurement: labeling, contours, metric area/volume, H^2."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -270,21 +271,26 @@ def test_refinement_reduces_error():
         assert errs[k + 1][1] <= 0.75 * errs[k][1]
 
 
-def _saddle_grid(plateau):
-    # one saddle cell: inside corners on the (1,1)-(2,2) diagonal
+def _saddle_grid(plateau, case=9):
+    # one saddle cell (1, 1): inside corners on its 00-11 diagonal (case 9)
+    # or on its 10-01 diagonal (case 6); the other two corners at plateau
     v = np.full((4, 4), 2.0)
-    v[1, 1] = -1.0
-    v[2, 2] = -1.0
-    v[2, 1] = plateau
-    v[1, 2] = plateau
+    inside, other = ((1, 1), (2, 2)), ((2, 1), (1, 2))
+    if case == 6:
+        inside, other = other, inside
+    for ij in inside:
+        v[ij] = -1.0
+    for ij in other:
+        v[ij] = plateau
     return AxiGrid(h=1.0, z_min=0.0, values=v)
 
 
-def test_saddle_center_mean_rule():
+@pytest.mark.parametrize("case", [9, 6], ids=["case9", "case6"])
+def test_saddle_center_mean_rule(case):
     # center mean < 0: the inside connects through the cell (wide band);
     # center mean >= 0: corners stay separate (two small triangles)
-    band = measure_components(EUCLID, _saddle_grid(0.4))
-    tri = measure_components(EUCLID, _saddle_grid(1.5))
+    band = measure_components(EUCLID, _saddle_grid(0.4, case))
+    tri = measure_components(EUCLID, _saddle_grid(1.5, case))
     assert len(band) == 2 and len(tri) == 2
     band_P = sum(c.perimeter for c in band)
     tri_P = sum(c.perimeter for c in tri)
@@ -294,9 +300,136 @@ def test_saddle_center_mean_rule():
     assert band_V > tri_V
 
 
-def test_g_volume_matches_component_measures():
-    g = _saddle_grid(0.4)
+@pytest.mark.parametrize(
+    "case, plateau",
+    [(9, 0.4), (9, 1.5), (6, 0.4), (6, 1.5)],
+    ids=["case9-connected", "case9-separate", "case6-connected", "case6-separate"],
+)
+def test_g_volume_matches_component_measures(case, plateau):
+    g = _saddle_grid(plateau, case)
     comps = extract_components(g)
     measures = measure_components(EUCLID, g)
     for c, m in zip(comps, measures):
         assert g_volume(EUCLID, g, c) == m.volume
+
+
+def two_balls(rho, z):
+    return np.minimum(np.hypot(rho, z - 1.3) - 0.7, np.hypot(rho, z + 1.3) - 0.7)
+
+
+def test_contour_of_one_component():
+    g = AxiGrid.sample(0.05, 2.4, -2.6, 2.6, two_balls)
+    per_component = [interface_contour(g, c) for c in extract_components(g)]
+    assert len(per_component) == 2
+    for chains in per_component:
+        # each ball alone: one open chain from axis to axis
+        assert len(chains) == 1
+        assert chains[0][0][0] == 0.0 and chains[0][-1][0] == 0.0
+    whole = interface_contour(g)
+    joined = [c for chains in per_component for c in chains]
+    assert len(joined) == len(whole)
+    assert all(np.array_equal(a, b) for a, b in zip(joined, whole))
+
+
+# ---------------------------------------------------------------------------
+# regression against the per-cell sweep that the case-table pass replaced
+# (commit 2e36562): one (perimeter, volume, h_sq_integral) per component as
+# float.hex, and a sha256 of the contour chains
+
+
+def dumbbell(rho, z):
+    d1 = np.hypot(rho, z - 1.5) - 1.0
+    d2 = np.hypot(rho, z + 1.5) - 1.0
+    neck = np.maximum(rho - 0.35, np.abs(z) - 1.6)
+    return np.minimum(np.minimum(d1, d2), neck)
+
+
+REFERENCE_GRIDS = {
+    "two-balls": lambda: AxiGrid.sample(0.05, 2.4, -2.6, 2.6, two_balls),
+    "dumbbell": lambda: AxiGrid.sample(0.05, 3.0, -3.2, 3.2, dumbbell),
+    "torus": lambda: AxiGrid.sample(0.02, 2.0, -1.0, 1.0, lambda rho, z: np.hypot(rho - 1.0, z) - 0.4),
+    "near-horizon": lambda: AxiGrid.sample(0.01, 1.2, -1.2, 1.2, ball(0.8)),
+    "case9-connected": lambda: _saddle_grid(0.4, 9),
+    "case9-separate": lambda: _saddle_grid(1.5, 9),
+    "case6-connected": lambda: _saddle_grid(0.4, 6),
+    "case6-separate": lambda: _saddle_grid(1.5, 6),
+}
+
+REFERENCE = {
+    "two-balls": (
+        [("0x1.89bfe150e7b68p+2", "0x1.6f3b7a0cfae20p+0", "0x1.92844e6f7ad34p+5"),
+         ("0x1.89bfe150e7b68p+2", "0x1.6f3b7a0cfae20p+0", "0x1.92844e6f7ad3ep+5")],
+        [("0x1.7f6605cfd510dp+4", "0x1.5fd03447c921ep+3", "0x1.95f01a3649ea9p+5"),
+         ("0x1.7f6605cfd510cp+4", "0x1.5fd03447c9221p+3", "0x1.95f01a3649eb1p+5")],
+        "c3a3153cb7e8eb9012f1200f34bd01e0be465ea38fde6b1df751904ff928f588",
+    ),
+    "dumbbell": (
+        [("0x1.ac6aaf676fb92p+4", "0x1.19024a72b43a3p+3", "0x1.3598bfadc56f3p+7")],
+        [("0x1.028b8e2b68389p+7", "0x1.c63a94335b856p+5", "0x1.0a08c446fdc71p+7")],
+        "447860337d667a96500467a2b8fadb6d925682c4110e0e1a2bc4d26801203073",
+    ),
+    "torus": (
+        [("0x1.f93f16aa9a1bfp+3", "0x1.940c0c0006dc9p+1", "0x1.aef7aa5d34355p+6")],
+        [("0x1.409ebd1ad0f72p+6", "0x1.28eb882b1e4fcp+5", "0x1.77a5885ce903ap+6")],
+        "948a5f46bce4e5d67fbe24b6fa15be22035fcf33eebad430cc1fc994da1a25f6",
+    ),
+    "near-horizon": (
+        [("0x1.015a3bc1828b0p+3", "0x1.1280ba5288feap+1", "0x1.92233ec969051p+5")],
+        [("0x1.c0a3a80486903p+5", "0x1.8f8cd34fe9af6p+5", "0x1.569630a89a4d0p+1")],
+        "cc919d65782b5b2bde531ab1bd431d937f9162323fea5794bcaf1798fe21a980",
+    ),
+    "case9-connected": (
+        [("0x1.037e674f285bbp+4", "0x1.8ea75e3114726p+2", "0x1.4570fd9a7b237p+55"),
+         ("0x1.dffe2cc1c525ap+4", "0x1.fd8b58ce183b3p+2", "0x1.c6185292d3505p+7")],
+        [("0x1.88f4ed21c572cp+5", "0x1.a735397c8fac3p+4", "0x1.e87798f62775cp+54"),
+         ("0x1.dc9fc413255bbp+5", "0x1.92ae9fde03412p+4", "0x1.9388975b3da0fp+7")],
+        "88e1b5f5ef6bfd5199fcf446b9aae36565b84c104c2d791130e357e00d3f0ad2",
+    ),
+    "case9-separate": (
+        [("0x1.ac56baa4a7dccp+3", "0x1.ba1e28a9d0749p+0", "0x1.0050fd6a00454p+55"),
+         ("0x1.9cada7ba6dee6p+4", "0x1.abb36faf68443p+1", "0x1.d4a02011579f9p+11")],
+        [("0x1.5dd671c821601p+5", "0x1.490399fa2bac6p+3", "0x1.789d432b6ae30p+54"),
+         ("0x1.8e6ec65788c98p+5", "0x1.1ec8c2535cba1p+3", "0x1.c7bcc883fb75cp+11")],
+        "b8d67a012e1bb2eb8371e2d9eea8f4913883dc08d3d3c063ce6102f08260128a",
+    ),
+    "case6-connected": (
+        [("0x1.037e674f285bbp+4", "0x1.8ea75e3114726p+2", "0x1.4570fd9a7b236p+55"),
+         ("0x1.dffe2cc1c525ap+4", "0x1.fd8b58ce183b2p+2", "0x1.c6185292d3504p+7")],
+        [("0x1.3374645713de4p+5", "0x1.5d33dd6472630p+4", "0x1.29717fb47481cp+55"),
+         ("0x1.0aa006604afb7p+6", "0x1.bbe6b770c1c12p+4", "0x1.b5e0f43476ddep+7")],
+        "a73290234fe4725864c2dee91abbb86226bc32964f90d6c2e0d27dc2471ffe45",
+    ),
+    "case6-separate": (
+        [("0x1.ac56baa4a7dccp+3", "0x1.ba1e28a9d0748p+0", "0x1.0050fd6a00455p+55"),
+         ("0x1.9cada7ba6dee6p+4", "0x1.abb36faf68443p+1", "0x1.d4a02011579f8p+11")],
+        [("0x1.e136efd8764acp+4", "0x1.74aac159eae68p+2", "0x1.e1f6a51560bf4p+54"),
+         ("0x1.cfb525a80af01p+5", "0x1.688ae95da7342p+3", "0x1.d2abcdf3e9d30p+11")],
+        "b747f2983400314597ad46316167c675dc756db4f8d5bc4ff8f73d69d17babfd",
+    ),
+}
+
+
+def contour_digest(chains):
+    digest = hashlib.sha256()
+    for chain in chains:
+        chain = np.ascontiguousarray(chain, dtype="<f8")
+        digest.update(repr(chain.shape).encode())
+        digest.update(chain.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(REFERENCE))
+def test_measures_match_per_cell_reference(name):
+    g = REFERENCE_GRIDS[name]()
+    at_m0, at_m1, contour = REFERENCE[name]
+    # zero mass keeps every operation of the per-cell sweep: bit for bit;
+    # with mass, w^4 and w^6 come from array powers, which may round the
+    # last bit differently from the scalar ones
+    for metric, expected, rtol in ((EUCLID, at_m0, 0.0), (SCHW, at_m1, 1e-14)):
+        got = measure_components(metric, g)
+        assert len(got) == len(expected)
+        for c, row in zip(got, expected):
+            want = [float.fromhex(x) for x in row]
+            for value, ref in zip((c.perimeter, c.volume, c.h_sq_integral), want):
+                assert abs(value - ref) <= rtol * abs(ref)
+    assert contour_digest(interface_contour(g)) == contour
