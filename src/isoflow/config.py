@@ -108,7 +108,10 @@ def _require(obj: dict, key: str, path: str):
 def _number(value, path: str, *, minimum=None, positive=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
     if not math.isfinite(x):
         raise ConfigError(f"{path}: must be finite")
     if positive and x <= 0:
@@ -291,6 +294,8 @@ def parse_plan(text: str) -> RunPlan:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:  # an over-long integer, or nesting too deep
+        raise ConfigError(f"unreadable document: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected an object")
     _reject_unknown(doc, {"scenarios"}, "top level")

@@ -24,13 +24,12 @@ import numpy as np
 from scipy import ndimage
 
 from .measure import (
+    _GRAD_EPS,
     AxiGrid,
     ComponentMeasure,
     _conformal_power,
-    _curvature_stencil,
     _normal_geometry,
     _stencil_indices,
-    curvature_and_gradient,
     measure_components,
 )
 from .metric import AmbientMetric
@@ -148,24 +147,65 @@ def initial_state(metric: AmbientMetric, grid: AxiGrid) -> LevelSetState:
     )
 
 
+def _speed_coefficients(metric: AmbientMetric, h: float, z_min: float, shape) -> np.ndarray:
+    """(4, nodes) coefficients K, C_a, C_b, C_rr of :func:`_speed` at every
+    node, in ``values.ravel()`` order; they depend only on node position."""
+    rho = (np.arange(shape[0]) * h)[:, None]
+    z = (z_min + np.arange(shape[1]) * h)[None, :]
+    # (1/rho) u_r: a / (2 h rho) off the axis; on it a = 0 and the limit u_rr is C_rr's
+    c_a = np.where(rho > 0, 1.0 / (2.0 * h * np.where(rho > 0, rho, 1.0)), 0.0)
+    c_b, w4 = np.zeros_like(z), 1.0
+    if metric.mass != 0.0:
+        # 4 d(ln w)/d(nu) |grad u| = 4 dlnw_dr (rho u_r + z u_z) / r
+        (z, r, dlnw_dr), w = _normal_geometry(metric, rho, z, h)
+        c_a, c_b, w4 = c_a + 2.0 * dlnw_dr * rho / (h * r), 2.0 * dlnw_dr * z / (h * r), w**4
+    k = 1.0 / (h * h * w4)
+    fields = (k, c_a / w4, c_b / w4, np.where(rho > 0, 0.0, k))
+    return np.stack([np.broadcast_to(f, shape) for f in fields]).reshape(4, -1)
+
+
+def _speed(near: np.ndarray, coef: np.ndarray, h: float) -> np.ndarray:
+    """The flow speed H_g |grad u| / w^2 from nine-point stencil values
+    ``near`` (in :func:`~isoflow.measure._curvature_stencil`'s argument
+    order) and :func:`_speed_coefficients` gathered at the same nodes.
+
+    With a = rp - rm, b = zp - zm, A_rr = rp + rm - 2c, A_zz = zp + zm - 2c
+    and A_rz = pp - pm - mp + mm, the speed is
+
+        K (A_rr b^2 - a b A_rz / 2 + A_zz a^2) / (a^2 + b^2 + 4 h^2 eps^2)
+          + C_a a + C_b b + C_rr A_rr,
+
+    algebraically equal to ((H + 4 d(ln w)/d(nu)) / w^2) |grad u| / w^2
+    from the measurement stencil: the |grad u| factors of the curvature
+    cancel, so no square root and no division by rho runs per step.
+    """
+    c, rp, rm, zp, zm, pp, pm, mp, mm = near
+    k, c_a, c_b, c_rr = coef
+    a, b = rp - rm, zp - zm
+    a_rr = rp + rm - 2.0 * c
+    aa, bb = a * a, b * b
+    num = a_rr * bb - 0.5 * a * b * (pp - pm - mp + mm) + (zp + zm - 2.0 * c) * aa
+    return k * num / (aa + bb + 4.0 * h * h * _GRAD_EPS**2) + c_a * a + c_b * b + c_rr * a_rr
+
+
 def evolve_step(state: LevelSetState, metric: AmbientMetric, dt: float) -> LevelSetState:
     """One explicit step of du/dt = H_g |grad u| / w^2 on unfrozen nodes.
 
-    H_g is the conformal mean curvature of the level sets (shared with
-    the measurement stencils), so the zero set moves inward with normal
-    speed H_g in the metric.  Raises if dt violates the CFL bound.
+    H_g is the conformal mean curvature of the level sets (the
+    measurement's, in the cancelled form of :func:`_speed`), so the zero
+    set moves inward with normal speed H_g in the metric.  Raises if dt
+    violates the CFL bound.
     """
     bound = cfl_time_step(metric, state.grid, state.frozen_mask)
     if dt > bound * (1.0 + 1e-9):
         raise ValueError(f"dt={dt} exceeds the stability bound {bound}")
     grid = state.grid
-    h_field, grad = curvature_and_gradient(metric, grid)
-    speed = h_field * grad
-    if metric.mass != 0.0:
-        speed = speed / _conformal_power(metric, grid.rho[:, None], grid.z[None, :], 2, grid.h)
-    u_new = grid.values + dt * speed
-    if state.frozen_mask.any():
-        u_new = np.where(state.frozen_mask, grid.values, u_new)
+    shape = grid.values.shape
+    stencil = _stencil_indices(*np.nonzero(~state.frozen_mask), shape)
+    near = np.take(grid.values, stencil)
+    coef = _speed_coefficients(metric, grid.h, grid.z_min, shape)[:, stencil[0]]
+    u_new = grid.values.copy()
+    np.put(u_new, stencil[0], near[0] + dt * _speed(near, coef, grid.h))
     t_new = state.t + dt
     arrival = state.trace.arrival_time
     if arrival is not None:
@@ -304,58 +344,75 @@ def _edge_zero(a: np.ndarray) -> np.ndarray:
 def reinitialize(state: LevelSetState) -> LevelSetState:
     """Replace values by an approximate signed flat distance field.
 
-    Sub-cell seeds at sign changes, a far-field estimate from the node
-    distance transform, and Godunov relaxation passes in between.  The
-    zero set moves by less than half a cell, no node changes sign, and
-    frozen nodes are left untouched.
+    Sub-cell seeds at sign changes, then Godunov relaxation outward from
+    them on the nodes a band can read: those within ``WIDTH + 4`` cells
+    of a seed by the node distance transform.  The relaxation runs to its
+    fixed point; further out, a node takes its distance to the nearest
+    seed's edge zero.  The zero set moves by less than half a cell, no
+    node changes sign, and frozen nodes are left untouched.
     """
     grid = state.grid
     u = grid.values
     h = grid.h
     inside = u < 0.0
     d = np.full(u.shape, np.inf)
+    foot = np.zeros(u.shape, dtype=complex)  # rho + i z offset (cells) to a seed's zero
 
     # sub-cell seeds on every sign-changing edge; the zero is located by
     # a quadratic fit along the edge (linear roots are biased by the
     # field's curvature, and that bias accumulates over many rebuilds)
-    for axis in (0, 1):
-        a = u if axis == 0 else u.T
-        da = d if axis == 0 else d.T  # views: writes land in d
-        lo, hi = a[:-1, :], a[1:, :]
-        crossing = (lo < 0.0) != (hi < 0.0)
+    for a, da, fa, unit in ((u, d, foot, 1.0), (u.T, d.T, foot.T, 1j)):  # writes land in d, foot
+        crossing = (a[:-1, :] < 0.0) != (a[1:, :] < 0.0)
         if crossing.any():
             theta = _edge_zero(a)
-            da[:-1, :] = np.minimum(da[:-1, :], np.where(crossing, theta * h, np.inf))
-            da[1:, :] = np.minimum(da[1:, :], np.where(crossing, (1.0 - theta) * h, np.inf))
+            for end, offset, dist in ((np.s_[:-1], theta, theta * h), (np.s_[1:], theta - 1.0, (1.0 - theta) * h)):
+                closer = crossing & (dist < da[end])
+                da[end] = np.where(closer, dist, da[end])
+                fa[end] = np.where(closer, offset * unit, fa[end])
 
     seeds = np.isfinite(d)
     if not seeds.any():
         return state  # no interface: nothing to rebuild against
 
-    # Godunov eikonal relaxation outward from the seeds: one cell per
-    # pass.  Values may only be pulled down from "unknown", never locked
-    # to a low first guess, so the band near the interface is clean.
+    # Godunov eikonal relaxation outward from the seeds, one cell per
+    # pass, to its fixed point on the nodes a band and its stencils can
+    # read.  Every other node stays "unknown" (big): values may only be
+    # pulled down from there, never locked to a low first guess.  An
+    # update only reads smaller neighbours, so near the interface the
+    # fixed point is the whole grid's.
+    near_seed, (si, sj) = ndimage.distance_transform_edt(~seeds, return_indices=True)
     big = 1e12
-    d_band = np.where(seeds, d, big)
-    n_pass = 60
-    for _ in range(n_pass):
-        dp = np.full((d_band.shape[0] + 2, d_band.shape[1] + 2), big)
-        dp[1:-1, 1:-1] = d_band
-        dp[0, 1:-1] = d_band[1, :]  # mirror across the axis
-        a = np.minimum(dp[:-2, 1:-1], dp[2:, 1:-1])
-        b = np.minimum(dp[1:-1, :-2], dp[1:-1, 2:])
+    n, m = u.shape
+    ii, jj = np.nonzero((near_seed <= _BandedStepper.WIDTH + 4) & ~seeds)
+    node = ii * m + jj
+    unknown = u.size  # an extra slot held at big, read past the outer edges
+    neighbours = np.stack([
+        np.where(ii > 0, node - m, node + m),  # mirror across the axis
+        np.where(ii < n - 1, node + m, unknown),
+        np.where(jj > 0, node - 1, unknown),
+        np.where(jj < m - 1, node + 1, unknown),
+    ])
+    d_flat = np.append(np.where(seeds, d, big), big)
+    while True:
+        near = np.take(d_flat, neighbours)
+        a = np.minimum(near[0], near[1])
+        b = np.minimum(near[2], near[3])
         lo = np.minimum(a, b)
         quad = 0.5 * (a + b + np.sqrt(np.maximum(2 * h * h - (a - b) ** 2, 0.0)))
         upd = np.where(np.abs(a - b) >= h, lo + h, quad)
-        d_band = np.where(seeds, d_band, np.minimum(d_band, upd))
+        current = d_flat[node]
+        if not (upd < current).any():
+            break  # a fixed point: further passes change nothing
+        d_flat[node] = np.minimum(current, upd)
+    d = d_flat[:-1].reshape(u.shape)
 
-    # past the relaxed band: node distance transform, pulled back half a
-    # cell toward the interface (only the gradient matters out there)
-    far = np.maximum(
-        ndimage.distance_transform_edt(inside), ndimage.distance_transform_edt(~inside)
-    )
-    far_est = np.maximum(far - 0.5, 0.5) * h
-    d = np.where(d_band < 0.9 * big, d_band, far_est)
+    # past the reach (only the gradient matters there): the distance to
+    # the nearest seed's zero, which meets the relaxed values without a step
+    far = d >= 0.9 * big
+    if far.any():
+        fi, fj = np.nonzero(far)
+        ni, nj = si[fi, fj], sj[fi, fj]
+        d[fi, fj] = h * np.abs(fi - ni + 1j * (fj - nj) - foot[ni, nj])
 
     # an inside node's distance must stay strictly positive so no node
     # changes sign, even when a crossing sits on top of a node
@@ -368,51 +425,49 @@ def reinitialize(state: LevelSetState) -> LevelSetState:
 class _BandedStepper:
     """Narrow-band form of :func:`evolve_step` for the run loop.
 
-    The same curvature stencil, applied only to nodes within a dozen
-    cells of the interface; everything further keeps its value until the
-    next distance rebuild.  Far values influence nothing measured — the
-    stencils that matter live next to the zero set — and skipping them
-    makes long runs an order of magnitude cheaper.
+    The same speed kernel, applied only to nodes within a dozen cells of
+    the interface; everything further keeps its value until the next
+    distance rebuild, which in turn only rebuilds values a band can reach.
+    Far values influence nothing measured — the stencils that matter live
+    next to the zero set — and skipping them makes long runs an order of
+    magnitude cheaper.
 
-    The band only changes at a refresh, so :meth:`refresh` caches its
-    geometry: flat indices into ``u.ravel()`` of each node's nine-point
-    stencil, the axis mask, rho and, with mass, the conformal terms.  A
-    step is then one gather, the stencil arithmetic and one scatter.
+    The flat indices into ``u.ravel()`` of each node's nine-point stencil
+    and the speed coefficients depend only on node position, so the
+    stepper builds them for the whole grid once.  The band only changes
+    at a refresh, which gathers both for the band's nodes.  A step is then
+    one gather, the kernel's arithmetic and one scatter.
     """
 
     WIDTH = 12.0  # band half-width in cells
     REBUILD = 8  # steps between band refreshes
 
     def __init__(self, metric: AmbientMetric, grid: AxiGrid):
-        self.metric = metric
         self.h = grid.h
-        self.z_min = grid.z_min
-        self.shape = grid.values.shape
-        # (9, band size) flat stencil indices in _curvature_stencil's
-        # argument order; row 0 is the band node itself
+        shape = grid.values.shape
+        # (9, nodes) flat stencil indices in _speed's argument order and
+        # (4, nodes) speed coefficients, for every node of the grid
+        self.grid_stencil = _stencil_indices(*np.divmod(np.arange(grid.values.size), shape[1]), shape)
+        self.grid_coef = _speed_coefficients(metric, grid.h, grid.z_min, shape)
+        # (9, band size) flat stencil indices; row 0 is the band node itself
         self.stencil: np.ndarray | None = None
+        self.coef: np.ndarray | None = None  # (4, band size), aligned with stencil[0]
         self._age = self.REBUILD
 
     def refresh(self, u: np.ndarray, frozen_mask: np.ndarray) -> None:
-        h = self.h
-        band = np.abs(u) < self.WIDTH * h
+        band = np.abs(u) < self.WIDTH * self.h
         if frozen_mask.any():
             band &= ~frozen_mask
-        ii, jj = np.nonzero(band)
-        self.stencil = _stencil_indices(ii, jj, self.shape)
-        self.off_axis = ii > 0
-        self.rho = ii * h
-        self.geometry = None
-        if self.metric.mass != 0.0:
-            self.geometry, w = _normal_geometry(self.metric, self.rho, self.z_min + jj * h, h)
-            self.w4 = w**4
+        centre = np.flatnonzero(band)
+        self.stencil = np.take(self.grid_stencil, centre, axis=1)
+        self.coef = np.take(self.grid_coef, centre, axis=1)
         self._age = 0
 
-    def step(self, u: np.ndarray, frozen_mask: np.ndarray, dt: float) -> np.ndarray | None:
+    def step(self, u: np.ndarray, frozen_mask: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray] | None:
         """Advance ``u`` in place by one banded explicit step.
 
-        Returns the updated band values (aligned with ``stencil[0]``), or
-        None when the band is empty.
+        Returns the band values before and after the step (aligned with
+        ``stencil[0]``), or None when the band is empty.
         """
         if self._age >= self.REBUILD or self.stencil is None:
             self.refresh(u, frozen_mask)
@@ -420,13 +475,9 @@ class _BandedStepper:
         if self.stencil.shape[1] == 0:
             return None
         near = np.take(u, self.stencil)
-        h_flat, grad, normal = _curvature_stencil(*near, self.h, self.rho, self.off_axis, self.geometry)
-        speed = h_flat * grad
-        if normal is not None:
-            speed = (speed + 4.0 * normal * grad) / self.w4
-        u_new = near[0] + dt * speed
+        u_new = near[0] + dt * _speed(near, self.coef, self.h)
         np.put(u, self.stencil[0], u_new)
-        return u_new
+        return near[0], u_new
 
 
 def _axis_run_count(u: np.ndarray) -> int:
@@ -527,14 +578,17 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     t = 0.0
     t_end = config.t_max - 1e-12 * max(config.t_max, 1.0)
     while t < t_end:
-        band_vals = stepper.step(u, state.frozen_mask, dt)
+        band = stepper.step(u, state.frozen_mask, dt)
         step_idx += 1
         t = step_idx * dt
-        if band_vals is not None:
-            flat = stepper.stencil[0]
-            flip = np.isinf(arrival_flat[flat]) & (band_vals >= 0.0)
+        if band is not None:
+            band_prev, band_vals = band
+            # a node can only reach 0 in the step that takes it from
+            # negative; the gather below runs only when one did
+            flip = (band_vals >= 0.0) & (band_prev < 0.0)
             if flip.any():
-                arrival_flat[flat[flip]] = t
+                flat = stepper.stencil[0][flip]
+                arrival_flat[flat[np.isinf(arrival_flat[flat])]] = t
         runs = _axis_run_count(u)
         sample_due = t >= next_sample - 0.5 * dt
         if sample_due or step_idx % config.sweep_cadence == 0 or runs != runs_prev:

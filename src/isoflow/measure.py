@@ -42,6 +42,7 @@ Conventions that matter:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -202,20 +203,27 @@ def _area_element(metric: AmbientMetric, rho_mid, z_mid, length, h: float):
     return 2.0 * math.pi * rho_mid * length * _conformal_power(metric, rho_mid, z_mid, 4, h)
 
 
-def _cell_centres(grid: AxiGrid):
-    """(rho, z) of the cell centres, shaped to broadcast to (n_rho - 1, n_z - 1)."""
-    h = grid.h
-    rho_c = (np.arange(grid.n_rho - 1) + 0.5)[:, None] * h
-    z_c = (grid.z_min + (np.arange(grid.n_z - 1) + 0.5) * h)[None, :]
-    return rho_c, z_c
+@functools.lru_cache(maxsize=8)
+def _cell_geometry(metric: AmbientMetric, h: float, z_min: float, shape: tuple[int, int]):
+    """(horizon mask, full-cell volume) of every cell.
 
-
-def _inside_horizon(metric: AmbientMetric, grid: AxiGrid) -> np.ndarray:
-    """Cells whose centre lies inside the horizon radius (none at zero mass)."""
+    A cell is inside the horizon when its centre is (never at zero mass);
+    such a cell holds no volume.  Both depend only on the metric and the
+    grid geometry, which a run never changes, so they are cached and
+    returned read-only.
+    """
+    n_rho, n_z = shape
+    rho_c = (np.arange(n_rho - 1) + 0.5)[:, None] * h
+    z_c = (z_min + (np.arange(n_z - 1) + 0.5) * h)[None, :]
+    contrib = 2.0 * math.pi * rho_c * h * h * np.ones((1, n_z - 1))
     if metric.mass == 0.0:
-        return np.zeros((grid.n_rho - 1, grid.n_z - 1), dtype=bool)
-    rho_c, z_c = _cell_centres(grid)
-    return np.hypot(rho_c, z_c) < metric.horizon_radius
+        horizon = np.zeros((n_rho - 1, n_z - 1), dtype=bool)
+    else:
+        horizon = np.hypot(rho_c, z_c) < metric.horizon_radius
+        contrib = np.where(horizon, 0.0, contrib * _conformal_power(metric, rho_c, z_c, 6, h))
+    horizon.flags.writeable = False
+    contrib.flags.writeable = False
+    return horizon, contrib
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +313,8 @@ def _sweep(metric: AmbientMetric, grid: AxiGrid, labels: np.ndarray, n_comp: int
     h, n_z = grid.h, grid.n_z
     inside = u < 0
     case = inside[:-1, :-1] + 2 * inside[1:, :-1] + 4 * inside[:-1, 1:] + 8 * inside[1:, 1:]
-    horizon = _inside_horizon(metric, grid)
-    full_volume = _full_cell_volumes(metric, grid, labels, n_comp, case == 15, horizon)
+    horizon, contrib = _cell_geometry(metric, h, grid.z_min, u.shape)
+    full_volume = _full_cell_volumes(contrib, labels, n_comp, case == 15)
     ii, jj = np.nonzero((case > 0) & (case < 15))
     v00, v10, v01, v11 = u[ii, jj], u[ii + 1, jj], u[ii, jj + 1], u[ii + 1, jj + 1]
     case = case[ii, jj]
@@ -376,16 +384,10 @@ def _sweep(metric: AmbientMetric, grid: AxiGrid, labels: np.ndarray, n_comp: int
     )
 
 
-def _full_cell_volumes(metric, grid, labels, n_comp, full, horizon) -> np.ndarray:
+def _full_cell_volumes(contrib, labels, n_comp, full) -> np.ndarray:
     """Volume of fully inside cells, accumulated per component label."""
     if not np.any(full):
         return np.zeros(n_comp + 1)
-    h = grid.h
-    rho_c, z_c = _cell_centres(grid)
-    contrib = 2.0 * math.pi * rho_c * h * h * np.ones((1, grid.n_z - 1))
-    if metric.mass > 0.0:
-        w6 = _conformal_power(metric, rho_c, z_c, 6, h)
-        contrib = np.where(horizon, 0.0, contrib * w6)
     owner = np.where(full, labels[:-1, :-1], 0)
     return np.bincount(owner.ravel(), weights=(contrib * full).ravel(), minlength=n_comp + 1)
 
@@ -494,7 +496,8 @@ def mean_curvature_field(metric: AmbientMetric, grid: AxiGrid) -> np.ndarray:
     correction 4 d(ln w)/d(nu), all divided by w^2.  Values far from the
     zero set are as meaningful as the level-set function there.
     """
-    return curvature_and_gradient(metric, grid)[0]
+    nodes = np.divmod(np.arange(grid.values.size), grid.n_z)
+    return _curvature_at(metric, grid, *nodes).reshape(grid.values.shape)
 
 
 def _curvature_stencil(c, rp, rm, zp, zm, pp, pm, mp, mm, h, rho, off_axis, normal_geometry):
@@ -537,46 +540,27 @@ def _stencil_indices(ii: np.ndarray, jj: np.ndarray, shape: tuple[int, int]) -> 
     )
 
 
-def curvature_and_gradient(metric: AmbientMetric, grid: AxiGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(mean curvature, regularized flat gradient norm) at every node.
-
-    Same stencils as :func:`mean_curvature_field`; the gradient norm is
-    what level-set stepping needs alongside the curvature.
-    """
+def _curvature_at(metric: AmbientMetric, grid: AxiGrid, ni, nj) -> np.ndarray:
+    """Mean curvature at nodes (ni, nj), as :func:`mean_curvature_field`."""
     h = grid.h
-    # pad: mirror across the axis, replicate at the three outer edges
-    up = np.pad(grid.values, ((1, 1), (1, 1)), mode="edge")
-    up[0, :] = up[2, :]  # mirror ghost at rho = -h
-    rho = grid.rho[:, None]
-    geometry = w = None
-    if metric.mass != 0.0:
-        geometry, w = _normal_geometry(metric, rho, grid.z[None, :], h)
-    h_flat, grad, normal = _curvature_stencil(
-        up[1:-1, 1:-1], up[2:, 1:-1], up[:-2, 1:-1], up[1:-1, 2:], up[1:-1, :-2],
-        up[2:, 2:], up[2:, :-2], up[:-2, 2:], up[:-2, :-2],
-        h, rho, rho > 0, geometry,
-    )
-    if normal is None:
-        return h_flat, grad
-    return (h_flat + 4.0 * normal) / w**2, grad
-
-
-def _curvature_in_cells(metric: AmbientMetric, grid: AxiGrid, i, j, fx, fy) -> np.ndarray:
-    """Mean curvature sampled bilinearly at local points (fx, fy) of cells
-    (i, j); the stencil runs only at those cells' corner nodes."""
-    h, n_z = grid.h, grid.n_z
-    base = i * n_z + j
-    nodes, inverse = np.unique(
-        np.stack([base, base + n_z, base + 1, base + n_z + 1]), return_inverse=True
-    )
-    ni, nj = np.divmod(nodes, n_z)
     rho = ni * h
     geometry = w = None
     if metric.mass != 0.0:
         geometry, w = _normal_geometry(metric, rho, grid.z_min + nj * h, h)
     near = np.take(grid.values, _stencil_indices(ni, nj, grid.values.shape))
     h_flat, _, normal = _curvature_stencil(*near, h, rho, ni > 0, geometry)
-    field = h_flat if normal is None else (h_flat + 4.0 * normal) / w**2
+    return h_flat if normal is None else (h_flat + 4.0 * normal) / w**2
+
+
+def _curvature_in_cells(metric: AmbientMetric, grid: AxiGrid, i, j, fx, fy) -> np.ndarray:
+    """Mean curvature sampled bilinearly at local points (fx, fy) of cells
+    (i, j); the stencil runs only at those cells' corner nodes."""
+    n_z = grid.n_z
+    base = i * n_z + j
+    nodes, inverse = np.unique(
+        np.stack([base, base + n_z, base + 1, base + n_z + 1]), return_inverse=True
+    )
+    field = _curvature_at(metric, grid, *np.divmod(nodes, n_z))
     f00, f10, f01, f11 = field[inverse.reshape(4, -1)]
     return f00 * (1 - fx) * (1 - fy) + f10 * fx * (1 - fy) + f01 * (1 - fx) * fy + f11 * fx * fy
 
@@ -631,9 +615,10 @@ def measure_components(metric: AmbientMetric, grid: AxiGrid) -> list[ComponentMe
     # step or two).  Reporting them would hand a zero-perimeter
     # "component" to the freezing logic, which would then pin a phantom
     # region forever; left alone, the flow evaporates them immediately.
-    depth = ndimage.minimum(grid.values, labels, index=range(1, n + 1))
-    sweep = _sweep(metric, grid, labels, n)
     h = grid.h
+    deep = np.zeros(n + 1, dtype=bool)
+    deep[labels[grid.values <= -h]] = True
+    sweep = _sweep(metric, grid, labels, n)
     xm = 0.5 * (sweep.a[:, 0] + sweep.b[:, 0])
     ym = 0.5 * (sweep.a[:, 1] + sweep.b[:, 1])
     # math.hypot is Python's own correctly rounded algorithm; np.hypot
@@ -656,5 +641,5 @@ def measure_components(metric: AmbientMetric, grid: AxiGrid) -> list[ComponentMe
             node_mask=labels == k,
         )
         for k in range(1, n + 1)
-        if depth[k - 1] <= -h
+        if deep[k]
     ]

@@ -17,7 +17,7 @@ from isoflow.flow_levelset import (
     run_modified_flow,
 )
 from isoflow.flow_ode import run_symmetric_flow
-from isoflow.measure import AxiGrid, interface_contour
+from isoflow.measure import AxiGrid, _curvature_stencil, _normal_geometry, interface_contour
 from isoflow.metric import AmbientMetric, enclosed_volume, sphere_area
 from isoflow.profile import radius_from_area
 
@@ -120,12 +120,45 @@ def test_banded_step_matches_evolve_step_on_the_band(metric):
     band = band_mask(stepper, u.shape)
     assert band.any() and not band.all()
     assert np.array_equal(u[~band], g.values[~band])
-    if metric.mass == 0.0:
-        # the same stencil and the same final combination: bit for bit
-        assert np.array_equal(u[band], full[band])
-    else:
-        # (H g + 4 n g) / w^4 against ((H + 4 n) / w^2) g / w^2
-        np.testing.assert_allclose(u[band], full[band], rtol=1e-12, atol=0.0)
+    # one speed kernel on the same coefficients: bit for bit
+    assert np.array_equal(u[band], full[band])
+
+
+def reference_step(metric, grid, dt):
+    """One explicit step on every node in the measurement stencil's form:
+    u + dt ((H + 4 n) / w^2) |grad u| / w^2."""
+    h = grid.h
+    up = np.pad(grid.values, ((1, 1), (1, 1)), mode="edge")
+    up[0, :] = up[2, :]  # mirror ghost at rho = -h
+    rho = grid.rho[:, None]
+    geometry = w = None
+    if metric.mass != 0.0:
+        geometry, w = _normal_geometry(metric, rho, grid.z[None, :], h)
+    h_flat, grad, normal = _curvature_stencil(
+        up[1:-1, 1:-1], up[2:, 1:-1], up[:-2, 1:-1], up[1:-1, 2:], up[1:-1, :-2],
+        up[2:, 2:], up[2:, :-2], up[:-2, 2:], up[:-2, :-2],
+        h, rho, rho > 0, geometry,
+    )
+    speed = h_flat * grad
+    if normal is not None:
+        speed = (h_flat + 4.0 * normal) / w**2 * grad / w**2
+    return grid.values + dt * speed
+
+
+@pytest.mark.parametrize("metric", [EUCLID, SCHW])
+def test_banded_step_matches_the_measurement_stencil(metric):
+    # the cancelled speed kernel reorders the arithmetic; it may differ
+    # from the stencil's form by round-off only
+    g = sphere_grid(2.5, 0.05, pad=0.6)
+    dt = cfl_time_step(metric, g)
+    u = g.values.copy()
+    stepper = _BandedStepper(metric, g)
+    stepper.step(u, np.zeros(u.shape, dtype=bool), dt)
+    band = band_mask(stepper, u.shape)
+    expected = reference_step(metric, g, dt)[band] - g.values[band]
+    moved = u[band] - g.values[band]
+    assert np.abs(expected).max() > 0.0
+    assert np.abs(moved - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_banded_step_leaves_frozen_and_far_nodes_untouched():
@@ -160,7 +193,7 @@ def test_band_refresh_after_freeze_drops_the_frozen_halo():
     assert np.array_equal(centre, np.flatnonzero(expected))
     assert centre.size < before.size
     assert stepper.stencil.shape == (9, centre.size)
-    assert np.array_equal(stepper.rho, (centre // g.n_z) * h)
+    assert np.array_equal(stepper.coef, stepper.grid_coef[:, centre])
     # off the axis and the edges, row 1 is the rho + h neighbour
     inner = (centre // g.n_z > 0) & (centre // g.n_z < g.n_rho - 1)
     assert np.array_equal(stepper.stencil[1][inner], centre[inner] + g.n_z)

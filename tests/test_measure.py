@@ -98,6 +98,23 @@ def test_label_ids_follow_first_scan_node():
     assert firsts == sorted(firsts)
 
 
+def test_regions_shallower_than_one_cell_are_dropped():
+    # two 2 x 2 blocks of inside nodes: the first's deepest node lies just
+    # above -h, the second's sits at exactly -h
+    h = 0.1
+    values = np.ones((10, 20))
+    values[2:4, 3:5] = -0.5 * h
+    values[2, 3] = np.nextafter(-h, 0.0)
+    values[2:4, 12:14] = -0.5 * h
+    values[3, 13] = -h
+    g = AxiGrid(h=h, z_min=-1.0, values=values)
+    labels, n = label_regions(g)
+    assert n == 2
+    (kept,) = measure_components(EUCLID, g)
+    assert kept.id == labels[3, 13] == 2
+    assert np.array_equal(kept.node_mask, labels == 2)
+
+
 def test_ball_contour_open_chain_on_axis():
     h = 0.05
     g = AxiGrid.sample(h, 1.6, -1.6, 1.6, ball(1.0))
