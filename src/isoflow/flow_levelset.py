@@ -81,16 +81,8 @@ class FlowTrace:
     inside_masks: list[np.ndarray] | None = None
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    @property
     def areas(self) -> np.ndarray:
         return np.array([s.area for s in self.samples])
-
-    @property
-    def volumes(self) -> np.ndarray:
-        return np.array([s.volume for s in self.samples])
 
     @property
     def profile_gaps(self) -> np.ndarray:
@@ -120,15 +112,13 @@ class LevelSetState:
         return sum(c.frozen for c in self.components)
 
 
-def cfl_time_step(metric: AmbientMetric, grid: AxiGrid, frozen_mask: np.ndarray | None = None) -> float:
-    """Largest stable explicit step: CFL_SAFETY * h^2 * min over active
-    nodes of w^4 (the effective diffusivity is w^-4)."""
+def cfl_time_step(metric: AmbientMetric, grid: AxiGrid) -> float:
+    """Largest stable explicit step: CFL_SAFETY * h^2 * min over the grid
+    of w^4 (the effective diffusivity is w^-4)."""
     h = grid.h
     if metric.mass == 0.0:
         return CFL_SAFETY * h * h
     w4 = _conformal_power(metric, grid.rho[:, None], grid.z[None, :], 4, h)
-    if frozen_mask is not None and frozen_mask.any():
-        w4 = np.where(frozen_mask, np.inf, w4)
     return CFL_SAFETY * h * h * float(w4.min())
 
 
@@ -186,33 +176,6 @@ def _speed(near: np.ndarray, coef: np.ndarray, h: float) -> np.ndarray:
     aa, bb = a * a, b * b
     num = a_rr * bb - 0.5 * a * b * (pp - pm - mp + mm) + (zp + zm - 2.0 * c) * aa
     return k * num / (aa + bb + 4.0 * h * h * _GRAD_EPS**2) + c_a * a + c_b * b + c_rr * a_rr
-
-
-def evolve_step(state: LevelSetState, metric: AmbientMetric, dt: float) -> LevelSetState:
-    """One explicit step of du/dt = H_g |grad u| / w^2 on unfrozen nodes.
-
-    H_g is the conformal mean curvature of the level sets (the
-    measurement's, in the cancelled form of :func:`_speed`), so the zero
-    set moves inward with normal speed H_g in the metric.  Raises if dt
-    violates the CFL bound.
-    """
-    bound = cfl_time_step(metric, state.grid, state.frozen_mask)
-    if dt > bound * (1.0 + 1e-9):
-        raise ValueError(f"dt={dt} exceeds the stability bound {bound}")
-    grid = state.grid
-    shape = grid.values.shape
-    stencil = _stencil_indices(*np.nonzero(~state.frozen_mask), shape)
-    near = np.take(grid.values, stencil)
-    coef = _speed_coefficients(metric, grid.h, grid.z_min, shape)[:, stencil[0]]
-    u_new = grid.values.copy()
-    np.put(u_new, stencil[0], near[0] + dt * _speed(near, coef, grid.h))
-    t_new = state.t + dt
-    arrival = state.trace.arrival_time
-    if arrival is not None:
-        flipped = np.isinf(arrival) & (u_new >= 0.0) & ~state.frozen_mask
-        if flipped.any():
-            arrival[flipped] = t_new
-    return replace(state, grid=grid.replace_values(u_new), t=t_new)
 
 
 def _match_ids(state: LevelSetState, measures: list[ComponentMeasure]) -> tuple[list[int], np.ndarray, int]:
@@ -277,31 +240,20 @@ def freeze_sweep(
         if comp_id in frozen_records:
             records.append(frozen_records[comp_id])
             continue
-        if m_thr > 0.0 and m.perimeter < threshold:
+        freeze = m_thr > 0.0 and m.perimeter < threshold
+        if freeze:
             frozen_mask = frozen_mask | ndimage.binary_dilation(m.node_mask, structure=_HALO)
-            records.append(
-                ComponentRecord(
-                    id=comp_id,
-                    frozen=True,
-                    freeze_time=state.t,
-                    perimeter=m.perimeter,
-                    volume=m.volume,
-                    h_sq_integral=m.h_sq_integral,
-                    hawking=_hawking_of(m),
-                )
+        records.append(
+            ComponentRecord(
+                id=comp_id,
+                frozen=freeze,
+                freeze_time=state.t if freeze else None,
+                perimeter=m.perimeter,
+                volume=m.volume,
+                h_sq_integral=m.h_sq_integral,
+                hawking=_hawking_of(m),
             )
-        else:
-            records.append(
-                ComponentRecord(
-                    id=comp_id,
-                    frozen=False,
-                    freeze_time=None,
-                    perimeter=m.perimeter,
-                    volume=m.volume,
-                    h_sq_integral=m.h_sq_integral,
-                    hawking=_hawking_of(m),
-                )
-            )
+        )
     return replace(
         state,
         frozen_mask=frozen_mask,
@@ -341,19 +293,17 @@ def _edge_zero(a: np.ndarray) -> np.ndarray:
     return np.clip(theta, 0.0, 1.0)
 
 
-def reinitialize(state: LevelSetState) -> LevelSetState:
-    """Replace values by an approximate signed flat distance field.
+def reinitialize(u: np.ndarray, h: float, frozen_mask: np.ndarray) -> np.ndarray:
+    """An approximate signed flat distance field with the zero set of the
+    level-set values ``u`` (grid spacing ``h``), as a new array.
 
     Sub-cell seeds at sign changes, then Godunov relaxation outward from
     them on the nodes a band can read: those within ``WIDTH + 4`` cells
     of a seed by the node distance transform.  The relaxation runs to its
     fixed point; further out, a node takes its distance to the nearest
     seed's edge zero.  The zero set moves by less than half a cell, no
-    node changes sign, and frozen nodes are left untouched.
+    node changes sign, and nodes of ``frozen_mask`` keep their values.
     """
-    grid = state.grid
-    u = grid.values
-    h = grid.h
     inside = u < 0.0
     d = np.full(u.shape, np.inf)
     foot = np.zeros(u.shape, dtype=complex)  # rho + i z offset (cells) to a seed's zero
@@ -372,7 +322,7 @@ def reinitialize(state: LevelSetState) -> LevelSetState:
 
     seeds = np.isfinite(d)
     if not seeds.any():
-        return state  # no interface: nothing to rebuild against
+        return u.copy()  # no interface: nothing to rebuild against
 
     # Godunov eikonal relaxation outward from the seeds, one cell per
     # pass, to its fixed point on the nodes a band and its stencils can
@@ -417,16 +367,20 @@ def reinitialize(state: LevelSetState) -> LevelSetState:
     # an inside node's distance must stay strictly positive so no node
     # changes sign, even when a crossing sits on top of a node
     signed = np.where(inside, -np.maximum(d, np.finfo(float).tiny), d)
-    if state.frozen_mask.any():
-        signed = np.where(state.frozen_mask, u, signed)
-    return replace(state, grid=grid.replace_values(signed))
+    if frozen_mask.any():
+        signed = np.where(frozen_mask, u, signed)
+    return signed
 
 
 class _BandedStepper:
-    """Narrow-band form of :func:`evolve_step` for the run loop.
+    """The run loop's explicit step of du/dt = H_g |grad u| / w^2, on a
+    narrow band (Adalsteinsson & Sethian 1995).
 
-    The same speed kernel, applied only to nodes within a dozen cells of
-    the interface; everything further keeps its value until the next
+    H_g is the conformal mean curvature of the level sets (the
+    measurement's, in the cancelled form of :func:`_speed`), so the zero
+    set moves inward with normal speed H_g in the metric.  The kernel runs
+    only on unfrozen nodes within a dozen cells of the interface;
+    everything further keeps its value until the next
     distance rebuild, which in turn only rebuilds values a band can reach.
     Far values influence nothing measured — the stencils that matter live
     next to the zero set — and skipping them makes long runs an order of
@@ -549,8 +503,9 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     ``freeze_all_time``) or at ``t_max`` (then the trace is flagged
     incomplete).
 
-    Stepping uses the narrow-band stepper; the grid object held by the
-    returned samples is only refreshed at sweep and sample times.
+    The loop steps the working array ``u`` in place and wraps it in the
+    state's grid only for a sweep; a sample always follows a sweep at the
+    same step, so the masks it records are the current field's.
     """
     metric = config.metric
     m_thr = metric.mass if config.threshold_mass is None else config.threshold_mass
@@ -565,19 +520,23 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
         dt = config.sample_interval / math.ceil(config.sample_interval / bound)
     state = freeze_sweep(state, metric, m_thr)
     _sample(state, m_thr, config.record_masks)
-    if state.live_count == 0:
-        state.trace.freeze_all_time = 0.0
-        return state.trace
 
-    u = state.grid.values.copy()  # working field; the input grid is kept intact
-    stepper = _BandedStepper(metric, state.grid)
+    u = config.grid.values.copy()  # working field; the input grid is kept intact
+    stepper = _BandedStepper(metric, config.grid)
     arrival_flat = state.trace.arrival_time.ravel()
     next_sample = config.sample_interval
     step_idx = 0
     runs_prev = _axis_run_count(u)
     t = 0.0
     t_end = config.t_max - 1e-12 * max(config.t_max, 1.0)
-    while t < t_end:
+    while t < t_end and state.live_count:
+        # Rebuild only before a step, never between a step and its sweep:
+        # the fast-swept distance field has clean first derivatives but
+        # noisy second ones, so curvature must never be measured off a
+        # just-rebuilt field.
+        if config.reinit_cadence > 0 and step_idx > 0 and step_idx % config.reinit_cadence == 0:
+            u = reinitialize(u, config.grid.h, state.frozen_mask)
+            stepper.refresh(u, state.frozen_mask)
         band = stepper.step(u, state.frozen_mask, dt)
         step_idx += 1
         t = step_idx * dt
@@ -592,35 +551,22 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
         runs = _axis_run_count(u)
         sample_due = t >= next_sample - 0.5 * dt
         if sample_due or step_idx % config.sweep_cadence == 0 or runs != runs_prev:
-            state = replace(state, grid=state.grid.replace_values(u), t=t)
             frozen_before = state.frozen_count
-            state = freeze_sweep(state, metric, m_thr)
+            state = freeze_sweep(replace(state, grid=state.grid.replace_values(u), t=t), metric, m_thr)
             runs_prev = runs
             if state.frozen_count != frozen_before:
                 stepper.refresh(u, state.frozen_mask)
         if sample_due:
             _sample(state, m_thr, config.record_masks)
             next_sample += config.sample_interval
-        if state.live_count == 0:
-            if state.trace.samples[-1].t < t:
-                _sample(state, m_thr, config.record_masks)
-            state.trace.freeze_all_time = t
-            return state.trace
-        # Rebuild runs after any measurement at this step: the fast-swept
-        # distance field has clean first derivatives but noisy second ones,
-        # so curvature must never be read off a just-rebuilt field.
-        if config.reinit_cadence > 0 and step_idx % config.reinit_cadence == 0:
-            state = replace(state, grid=state.grid.replace_values(u), t=t)
-            state = reinitialize(state)
-            u = state.grid.values.copy()
-            stepper.refresh(u, state.frozen_mask)
-    # time limit: one final refresh + sample if the last one is stale
-    state = replace(state, grid=state.grid.replace_values(u), t=t)
-    state = freeze_sweep(state, metric, m_thr)
+    if state.live_count:
+        # time limit: a final sweep (one may already have run at this
+        # step; a repeated sweep changes nothing)
+        state = freeze_sweep(replace(state, grid=state.grid.replace_values(u), t=t), metric, m_thr)
     if state.trace.samples[-1].t < t:
         _sample(state, m_thr, config.record_masks)
-    if state.live_count == 0:
-        state.trace.freeze_all_time = t
-    else:
+    if state.live_count:
         state.trace.incomplete = True
+    else:
+        state.trace.freeze_all_time = t
     return state.trace

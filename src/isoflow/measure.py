@@ -144,10 +144,6 @@ class ComponentMeasure:
     h_sq_integral: float
     node_mask: np.ndarray
 
-    @property
-    def node_count(self) -> int:
-        return int(np.count_nonzero(self.node_mask))
-
 
 def label_regions(grid: AxiGrid) -> tuple[np.ndarray, int]:
     """4-connected labels of {values < 0}, numbered in scan order.

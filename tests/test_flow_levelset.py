@@ -10,7 +10,6 @@ from isoflow.flow_levelset import (
     FlowRunConfig,
     _BandedStepper,
     cfl_time_step,
-    evolve_step,
     freeze_sweep,
     initial_state,
     reinitialize,
@@ -88,40 +87,24 @@ def test_cfl_bound_flat():
 
 def test_step_rejects_unstable_dt():
     g = sphere_grid(0.5, 0.02)
-    state = initial_state(EUCLID, g)
+    dt = 10 * cfl_time_step(EUCLID, g)
     with pytest.raises(ValueError):
-        evolve_step(state, EUCLID, 10 * cfl_time_step(EUCLID, g))
+        run_modified_flow(FlowRunConfig(metric=EUCLID, grid=g, t_max=0.1, sample_interval=0.05, dt=dt))
 
 
 def test_fully_frozen_state_never_changes():
     g = sphere_grid(0.5, 0.02)
-    state = initial_state(EUCLID, g)
-    state.frozen_mask[:] = True
-    stepped = evolve_step(state, EUCLID, cfl_time_step(EUCLID, g))
-    assert np.array_equal(stepped.grid.values, g.values)
-    rebuilt = reinitialize(state)
-    assert np.array_equal(rebuilt.grid.values, g.values)
+    frozen = np.ones(g.values.shape, dtype=bool)
+    u = g.values.copy()
+    assert _BandedStepper(EUCLID, g).step(u, frozen, cfl_time_step(EUCLID, g)) is None
+    assert np.array_equal(u, g.values)
+    assert np.array_equal(reinitialize(u, g.h, frozen), g.values)
 
 
 def band_mask(stepper, shape):
     mask = np.zeros(shape, dtype=bool)
     mask.ravel()[stepper.stencil[0]] = True
     return mask
-
-
-@pytest.mark.parametrize("metric", [EUCLID, SCHW])
-def test_banded_step_matches_evolve_step_on_the_band(metric):
-    g = sphere_grid(2.5, 0.05, pad=0.6)
-    dt = cfl_time_step(metric, g)
-    u = g.values.copy()
-    stepper = _BandedStepper(metric, g)
-    stepper.step(u, np.zeros(u.shape, dtype=bool), dt)
-    full = evolve_step(initial_state(metric, g), metric, dt).grid.values
-    band = band_mask(stepper, u.shape)
-    assert band.any() and not band.all()
-    assert np.array_equal(u[~band], g.values[~band])
-    # one speed kernel on the same coefficients: bit for bit
-    assert np.array_equal(u[band], full[band])
 
 
 def reference_step(metric, grid, dt):
@@ -166,7 +149,7 @@ def test_banded_step_leaves_frozen_and_far_nodes_untouched():
     frozen = np.zeros(g.values.shape, dtype=bool)
     frozen[:, : g.n_z // 2] = True  # the lower half of the sphere
     u = g.values.copy()
-    _BandedStepper(SCHW, g).step(u, frozen, cfl_time_step(SCHW, g, frozen))
+    _BandedStepper(SCHW, g).step(u, frozen, cfl_time_step(SCHW, g))
     moved = u != g.values
     assert moved.any()
     assert not np.any(moved & frozen)
@@ -358,11 +341,10 @@ def test_reinitialize_preserves_interface_and_signs():
     g = sphere_grid(R0, h)
     # a deliberately steep, non-distance field with the same zero set
     steep = g.replace_values(np.sign(g.values) * np.abs(g.values) ** 0.5 * 3.0)
-    state = reinitialize(initial_state(EUCLID, steep))
-    v = state.grid.values
+    v = reinitialize(steep.values, h, np.zeros(steep.values.shape, dtype=bool))
     assert np.all((v < 0) == (steep.values < 0))
     # zero set still within half a cell of the true circle
-    for chain in interface_contour(state.grid):
+    for chain in interface_contour(steep.replace_values(v)):
         dist = np.abs(np.hypot(chain[:, 0], chain[:, 1]) - R0)
         assert dist.max() < h / 2
     # gradient close to one away from the interface
@@ -376,10 +358,27 @@ def test_reinitialize_preserves_interface_and_signs():
 def test_reinitialize_is_stable_on_distance_fields():
     R0, h = 0.5, 0.02
     g = sphere_grid(R0, h)
-    state = reinitialize(initial_state(EUCLID, g))
-    moved = np.abs(state.grid.values - g.values)
+    moved = np.abs(reinitialize(g.values, h, np.zeros(g.values.shape, dtype=bool)) - g.values)
     band = np.abs(g.values) < 3 * h
     assert moved[band].max() < h / 2
+
+
+def test_final_sample_is_not_read_off_a_rebuilt_field():
+    # a time-limited run whose last step is on the rebuild cadence ends
+    # with the same sample as a run without rebuilds: the loop rebuilds
+    # only when another step follows
+    g = sphere_grid(1.0, 0.05, pad=0.5)
+    dt = cfl_time_step(EUCLID, g)
+    finals = [
+        run_modified_flow(
+            FlowRunConfig(
+                metric=EUCLID, grid=g, t_max=40 * dt, sample_interval=80 * dt, dt=dt, reinit_cadence=cadence
+            )
+        ).samples[-1]
+        for cadence in (40, 0)
+    ]
+    assert finals[0].t == 40 * dt
+    assert finals[0] == finals[1]
 
 
 def test_freeze_sweep_idempotent_and_threshold_exact():

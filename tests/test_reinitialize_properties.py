@@ -8,9 +8,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoflow.flow_levelset import _BandedStepper, _edge_zero, initial_state, reinitialize
+from isoflow.flow_levelset import _BandedStepper, _edge_zero, reinitialize
 from isoflow.measure import AxiGrid
-from isoflow.metric import AmbientMetric
 
 H = 0.05
 EXTENT = 2.5
@@ -80,10 +79,8 @@ def ball_unions(draw):
 @given(ball_unions())
 def test_band_local_rebuild_matches_the_whole_grid_one_near_the_interface(case):
     grid, frozen = case
-    state = initial_state(AmbientMetric.euclidean(), grid)
-    state.frozen_mask[:] = frozen
     u = grid.values
-    rebuilt = reinitialize(state).grid.values
+    rebuilt = reinitialize(u, H, frozen)
     expected = reference_reinitialize(u, H, frozen)
     assert np.array_equal(rebuilt < 0.0, u < 0.0)
     assert np.array_equal(rebuilt[frozen], u[frozen])
