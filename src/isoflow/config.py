@@ -255,6 +255,8 @@ def _parse_scenario(obj, path: str, seen_names: set) -> Scenario:
                 raise ConfigError(f"{path}.grid.{key}: shape does not fit inside the grid")
     elif mode == "ode-flow":
         r0 = _number(_require(obj, "r0", path), f"{path}.r0", positive=True)
+        if r0 <= 0.5 * mass:
+            raise ConfigError(f"{path}.r0: must exceed the horizon radius m/2 = {0.5 * mass}")
         time = _parse_time(_require(obj, "time", path), f"{path}.time")
         for key in ("shape", "grid"):
             if key in obj:
@@ -273,6 +275,8 @@ def _parse_scenario(obj, path: str, seen_names: set) -> Scenario:
         for key in ("shape", "grid", "time", "r0", "r_values"):
             if key in obj:
                 raise ConfigError(f"{path}.{key}: not used by lemma-suite")
+        if mass == 0.0:
+            raise ConfigError(f"{path}.metric: the lemma suite needs a positive mass")
 
     return Scenario(
         name=name,

@@ -32,8 +32,9 @@ from .measure import (
     _stencil_indices,
     measure_components,
 )
+from .mass import hawking_mass
 from .metric import AmbientMetric
-from .profile import profile_volume_or_zero
+from .profile import convexity_threshold, profile_volume_or_zero
 
 # explicit-step stability margin: dt = CFL_SAFETY * h^2 * min(w^4)
 CFL_SAFETY = 0.2
@@ -211,14 +212,6 @@ def _match_ids(state: LevelSetState, measures: list[ComponentMeasure]) -> tuple[
     return assigned, new_map, next_id
 
 
-def _hawking_of(m: ComponentMeasure) -> float:
-    if m.perimeter <= 0.0:
-        return 0.0
-    return math.sqrt(m.perimeter / (16.0 * math.pi)) * (
-        1.0 - m.h_sq_integral / (16.0 * math.pi)
-    )
-
-
 def freeze_sweep(
     state: LevelSetState, metric: AmbientMetric, threshold_mass: float | None = None
 ) -> LevelSetState:
@@ -230,7 +223,7 @@ def freeze_sweep(
     sweep only refreshes measurements.
     """
     m_thr = metric.mass if threshold_mass is None else threshold_mass
-    threshold = 36.0 * math.pi * m_thr * m_thr
+    threshold = convexity_threshold(m_thr)
     measures = measure_components(metric, state.grid)
     assigned, new_map, next_id = _match_ids(state, measures)
     frozen_records = {c.id: c for c in state.components if c.frozen}
@@ -251,7 +244,7 @@ def freeze_sweep(
                 perimeter=m.perimeter,
                 volume=m.volume,
                 h_sq_integral=m.h_sq_integral,
-                hawking=_hawking_of(m),
+                hawking=hawking_mass(m.perimeter, m.h_sq_integral) if m.perimeter > 0.0 else 0.0,
             )
         )
     return replace(

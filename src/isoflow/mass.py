@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import AmbientMetric, enclosed_volume, sphere_area
-from .profile import SIX_SQRT_PI
+from .metric import AmbientMetric, _hawking_mass, enclosed_volume, sphere_area
+from .profile import convexity_threshold, mass_from_region
 
 # Largest rescaled overshoot (qlm(B_r) - m) * sqrt(area) over the
 # coordinate-ball family at unit mass, scanned densely over areas in
@@ -41,9 +41,9 @@ def quasilocal_mass(perimeter, volume):
     """(2/P)(V - P^{3/2}/(6 sqrt pi)); may be negative."""
     p = np.asarray(perimeter, dtype=float)
     v = np.asarray(volume, dtype=float)
-    if np.any(p <= 0) or not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))):
-        raise ValueError("perimeter must be positive and finite")
-    out = (2.0 / p) * (v - p**1.5 / SIX_SQRT_PI)
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))):
+        raise ValueError("perimeter and volume must be finite")
+    out = mass_from_region(p, v)  # raises on a perimeter <= 0
     return float(out) if np.isscalar(perimeter) or p.ndim == 0 else out
 
 
@@ -53,7 +53,7 @@ def hawking_mass(area, h_sq_integral):
     q = np.asarray(h_sq_integral, dtype=float)
     if np.any(a <= 0):
         raise ValueError("area must be positive")
-    out = np.sqrt(a / (16 * math.pi)) * (1.0 - q / (16 * math.pi))
+    out = _hawking_mass(a, q)
     return float(out) if np.isscalar(area) or a.ndim == 0 else out
 
 
@@ -116,7 +116,7 @@ def check_iso_adm_bound(summary: RegionSummary, m_adm: float, fit_constant: floa
     Requires perimeter >= 36 pi m_adm^2 (the bound's area hypothesis).
     """
     p = summary.perimeter
-    floor = 36 * math.pi * m_adm * m_adm
+    floor = convexity_threshold(m_adm)
     if p < floor * (1 - 1e-12):
         raise ValueError(f"perimeter {p} below the bound's minimum area {floor}")
     return m_adm + fit_constant / math.sqrt(p) - summary.qlm

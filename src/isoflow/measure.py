@@ -183,7 +183,7 @@ def _conformal_power(metric: AmbientMetric, rho, z, power: int, h: float):
     """w^power at points, radius floored at a fraction of a cell."""
     if metric.mass == 0.0:
         return np.ones_like(np.asarray(rho, dtype=float))
-    return (1.0 + metric.mass / (2.0 * _floored_radius(rho, z, h))) ** power
+    return metric.conformal_factor(_floored_radius(rho, z, h)) ** power
 
 
 def _normal_geometry(metric: AmbientMetric, rho, z, h: float):

@@ -70,12 +70,10 @@ class AmbientMetric:
 
 def _check_radius(metric: AmbientMetric, r):
     r = np.asarray(r, dtype=float)
-    rmin = metric.horizon_radius
-    # allow r == m/2 up to roundoff, reject anything genuinely inside
-    if np.any(r < rmin * (1.0 - 4e-16) - 0.0):
-        raise ValueError(f"radius inside the horizon: r < {rmin}")
-    if np.any(~np.isfinite(r)) or np.any(r < 0.0):
-        raise ValueError("radius must be finite and non-negative")
+    # finite and outside the horizon, allowing r == m/2 up to roundoff; the
+    # horizon radius is >= 0, so this also rejects negative radii
+    if not np.all((r >= metric.horizon_radius * (1.0 - 4e-16)) & (r < math.inf)):
+        raise ValueError(f"radius must be finite and >= horizon radius {metric.horizon_radius}")
     return r
 
 
@@ -85,18 +83,14 @@ def sphere_area(metric: AmbientMetric, r):
     A(r) = 4 pi r^2 (1 + m/2r)^4; equals 16 pi m^2 at the horizon.
     """
     r = _check_radius(metric, r)
-    w = 1.0 + metric.mass / (2.0 * r) if metric.mass else 1.0
-    return 4.0 * math.pi * r * r * w**4
+    return 4.0 * math.pi * r * r * metric.conformal_factor(r) ** 4
 
 
 def sphere_area_derivative(metric: AmbientMetric, r):
-    """dA/dr = 8 pi r (1 + m/2r)^3 (1 - m/2r); vanishes at the horizon."""
+    """dA/dr = 8 pi r w^3 (2 - w); vanishes at the horizon (w = 2)."""
     r = _check_radius(metric, r)
-    m = metric.mass
-    if m == 0.0:
-        return 8.0 * math.pi * r
-    a = m / (2.0 * r)
-    return 8.0 * math.pi * r * (1.0 + a) ** 3 * (1.0 - a)
+    w = metric.conformal_factor(r)
+    return 8.0 * math.pi * r * w**3 * (2.0 - w)
 
 
 def enclosed_volume(metric: AmbientMetric, r):
@@ -125,16 +119,13 @@ def enclosed_volume(metric: AmbientMetric, r):
 def sphere_mean_curvature(metric: AmbientMetric, r):
     """Mean curvature (outward normal) of the coordinate sphere of radius r.
 
-    H(r) = 2 (1 - m/2r) / (r (1 + m/2r)^3): positive outside the horizon,
-    zero on it, and 2/r in the Euclidean case.  Consistent with the first
-    variation of area, dA/dr = H * w^2 * A.
+    H(r) = 2 (2 - w) / (r w^3): positive outside the horizon, zero on it,
+    and 2/r in the Euclidean case.  Consistent with the first variation of
+    area, dA/dr = H * w^2 * A.
     """
     r = _check_radius(metric, r)
-    m = metric.mass
-    if m == 0.0:
-        return 2.0 / r
-    a = m / (2.0 * r)
-    return 2.0 * (1.0 - a) / (r * (1.0 + a) ** 3)
+    w = metric.conformal_factor(r)
+    return 2.0 * (2.0 - w) / (r * w**3)
 
 
 def sphere_hawking_mass(metric: AmbientMetric, r):
@@ -144,7 +135,12 @@ def sphere_hawking_mass(metric: AmbientMetric, r):
     """
     area = sphere_area(metric, r)
     h = sphere_mean_curvature(metric, r)
-    return np.sqrt(area / (16.0 * math.pi)) * (1.0 - area * h * h / (16.0 * math.pi))
+    return _hawking_mass(area, area * h * h)
+
+
+def _hawking_mass(area, h_sq_integral):
+    """sqrt(A/16pi) (1 - int H^2 / 16pi), the one Hawking-mass formula."""
+    return np.sqrt(area / (16.0 * math.pi)) * (1.0 - h_sq_integral / (16.0 * math.pi))
 
 
 @dataclass(frozen=True)

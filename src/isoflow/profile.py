@@ -107,17 +107,15 @@ def profile_volume_or_zero(m: float, area):
 
 
 def profile_slope(m: float, area):
-    """dV/dA along the profile: (1 + m/2r)^3 r / (2 (1 - m/2r)).
+    """dV/dA along the profile: w^3 r / (2 (2 - w)) at the radius r with area A.
 
     Blows up toward the horizon area and equals sqrt(A) / (4 sqrt(pi)) in
     the Euclidean case.
     """
     area = _check_area(m, area, strict=m > 0.0)
     r = radius_from_area(m, area)
-    if m == 0.0:
-        return 0.5 * r
-    a = m / (2.0 * r)
-    return (1.0 + a) ** 3 * r / (2.0 * (1.0 - a))
+    w = AmbientMetric(m).conformal_factor(r)
+    return w**3 * r / (2.0 * (2.0 - w))
 
 
 def profile_convexity_sign(m: float, area) -> int:
@@ -227,13 +225,13 @@ def profile_ratio_margin(m: float, area) -> float:
     return v - (2.0 / 3.0) * float(area) * float(profile_slope(m, area))
 
 
-def mass_from_region(area: float, volume: float) -> float:
+def mass_from_region(area, volume):
     """Mass estimate (2/A) (V - A^(3/2) / (6 sqrt(pi))) of a region.
 
-    May be negative; no floor is applied.  For the profile itself the
-    estimate converges to m with an O(A^(-1/2)) error.
+    Elementwise on arrays.  May be negative; no floor is applied.  For the
+    profile itself the estimate converges to m with an O(A^(-1/2)) error.
     """
-    if area <= 0.0:
+    if np.any(np.asarray(area) <= 0.0):
         raise ValueError("area must be positive")
     return (2.0 / area) * (volume - area**1.5 / SIX_SQRT_PI)
 

@@ -121,6 +121,27 @@ def test_sphere_outside_the_grid_is_rejected(tmp_path, capsys, field):
     assert "bad config" in err and field in err
 
 
+def test_ode_sphere_on_the_horizon_is_rejected(tmp_path, capsys):
+    # r0 = m/2 has zero enclosed volume, which the drift verdict divides by
+    sc = ode_scenario()
+    sc["r0"] = 0.5
+    with pytest.raises(ConfigError, match=r"scenarios\[0\]\.r0"):
+        parse_plan(json.dumps({"scenarios": [sc]}))
+    assert main(["run", write_plan(tmp_path, [sc]), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and "scenarios[0].r0" in err
+
+
+def test_lemma_suite_needs_a_positive_mass(tmp_path, capsys):
+    # the suite's checks are relative to the threshold area 36 pi m^2
+    sc = {"name": "lemmas", "mode": "lemma-suite", "metric": {"kind": "euclidean"}}
+    with pytest.raises(ConfigError, match=r"scenarios\[0\]\.metric"):
+        parse_plan(json.dumps({"scenarios": [sc]}))
+    assert main(["run", write_plan(tmp_path, [sc]), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and "scenarios[0].metric" in err
+
+
 # ---------------------------------------------------------------------------
 # exit code 0 paths and artifact layout
 

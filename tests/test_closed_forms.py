@@ -1,0 +1,203 @@
+"""Closed forms: which radii they take, and their values to the last bit.
+
+Every public radius-taking closed form in :mod:`isoflow.metric` shares one
+radius check, so each must reject NaN, +-inf, negative and inside-horizon
+radii (as scalars, or as one bad entry in an array) and accept the horizon
+radius m/2 itself.  The float.hex table pins the area, curvature and profile
+closed forms at a few (m, r) pairs, recorded before they were rewritten on
+the one conformal factor w = 1 + m/(2r).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isoflow.metric import (
+    AmbientMetric,
+    enclosed_volume,
+    sphere_area,
+    sphere_area_derivative,
+    sphere_geometry,
+    sphere_hawking_mass,
+    sphere_mean_curvature,
+)
+from isoflow.profile import profile_slope, profile_volume, radius_from_area
+
+PROPERTY = settings(max_examples=200, deadline=None)
+
+RADIUS_FORMS = (
+    sphere_area,
+    sphere_area_derivative,
+    enclosed_volume,
+    sphere_mean_curvature,
+    sphere_hawking_mass,
+    sphere_geometry,
+)
+MASSES = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(1e-6, 1e3)
+
+
+@st.composite
+def bad_radii(draw):
+    """(m, r) with r NaN, +-inf, negative or inside the horizon."""
+    m = draw(MASSES)
+    candidates = [
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.floats(max_value=-5e-324, allow_nan=False),
+    ]
+    if m > 0.0:
+        candidates.append(st.floats(0.0, 0.5 * m * (1.0 - 1e-15)))
+    return m, draw(st.one_of(candidates))
+
+
+def _accepts(form, metric, r):
+    with np.errstate(divide="ignore", invalid="ignore"):  # H = 2/r at r = 0
+        form(metric, r)
+
+
+@PROPERTY
+@given(bad_radii(), st.integers(0, 3), st.sampled_from(RADIUS_FORMS))
+def test_every_radius_form_rejects_bad_radii(case, slot, form):
+    m, bad = case
+    metric = AmbientMetric(m)
+    with pytest.raises(ValueError):
+        form(metric, bad)
+    # one bad entry among good ones; sphere_geometry takes one radius
+    radii = [0.5 * m, 0.5 * m + 1.0, 3.0 * (m + 1.0), 0.5 * m]
+    radii[slot] = bad
+    with pytest.raises(ValueError):
+        form(metric, np.array(bad if form is sphere_geometry else radii))
+
+
+@PROPERTY
+@given(MASSES, st.sampled_from(RADIUS_FORMS))
+def test_every_radius_form_accepts_the_horizon(m, form):
+    metric = AmbientMetric(m)
+    _accepts(form, metric, 0.5 * m)
+    radii = [0.5 * m, 0.5 * m + 1.0, 0.5 * m]
+    _accepts(form, metric, np.array(0.5 * m if form is sphere_geometry else radii))
+
+
+# Recorded before the closed forms were rewritten on w: the (1 - m/2r)
+# factor is now 2 - w, which rounds differently from 1 - a.  The entries
+# in MOVED differ from the recording by 1 ulp; every other value, and
+# every value at m = 0, is bit-identical.
+PINS = {
+    (0.0, 0.3): {
+        "sphere_area": "0x1.21877845a0bfdp+0",
+        "sphere_area_derivative": "0x1.e28c731eb6950p+2",
+        "sphere_mean_curvature": "0x1.aaaaaaaaaaaabp+2",
+        "enclosed_volume": "0x1.cf3f26d5cdff9p-4",
+        "radius_from_area": "0x1.3333333333333p-2",
+        "profile_volume": "0x1.cf3f26d5cdffcp-4",
+        "profile_slope": "0x1.3333333333333p-3",
+    },
+    (0.0, 1.0): {
+        "sphere_area": "0x1.921fb54442d18p+3",
+        "sphere_area_derivative": "0x1.921fb54442d18p+4",
+        "sphere_mean_curvature": "0x1.0000000000000p+1",
+        "enclosed_volume": "0x1.0c152382d7365p+2",
+        "radius_from_area": "0x1.0000000000000p+0",
+        "profile_volume": "0x1.0c152382d7366p+2",
+        "profile_slope": "0x1.0000000000000p-1",
+    },
+    (0.0, 7.25): {
+        "sphere_area": "0x1.4a428a9f4fe09p+9",
+        "sphere_area_derivative": "0x1.6c6cbc45dc8dep+7",
+        "sphere_mean_curvature": "0x1.1a7b9611a7b96p-2",
+        "enclosed_volume": "0x1.8f1067808084ap+10",
+        "radius_from_area": "0x1.d000000000000p+2",
+        "profile_volume": "0x1.8f1067808084bp+10",
+        "profile_slope": "0x1.d000000000000p+1",
+    },
+    (0.5, 0.25): {
+        "sphere_area": "0x1.921fb54442d18p+3",
+        "sphere_area_derivative": "0x0.0p+0",
+        "sphere_mean_curvature": "0x0.0p+0",
+        "enclosed_volume": "0x0.0p+0",
+        "radius_from_area": "0x1.0000000000000p-2",
+        "profile_volume": "0x0.0p+0",
+    },
+    (0.5, 0.9): {
+        "sphere_area": "0x1.b225797dfdff6p+4",
+        "sphere_area_derivative": "0x1.10a6fe62e9b7ep+5",
+        "sphere_mean_curvature": "0x1.89e0e6f0d46cep-1",
+        "enclosed_volume": "0x1.974b012ec8d2ap+4",
+        "radius_from_area": "0x1.cccccccccccccp-1",
+        "profile_volume": "0x1.974b012ec8d28p+4",
+        "profile_slope": "0x1.4cc5cc5cc5cc4p+0",
+    },
+    (1.0, 0.5): {
+        "sphere_area": "0x1.921fb54442d18p+5",
+        "sphere_area_derivative": "0x0.0p+0",
+        "sphere_mean_curvature": "0x0.0p+0",
+        "enclosed_volume": "0x0.0p+0",
+        "radius_from_area": "0x1.0000000000000p-1",
+        "profile_volume": "0x0.0p+0",
+    },
+    (1.0, 1.8660254037844386): {
+        "sphere_area": "0x1.c463abeccb2bcp+6",
+        "sphere_area_derivative": "0x1.17f08303d6645p+6",
+        "sphere_mean_curvature": "0x1.8a2345cc04424p-2",
+        "enclosed_volume": "0x1.aeff12f50cabap+7",
+        "radius_from_area": "0x1.ddb3d742c2658p+0",
+        "profile_volume": "0x1.aeff12f50cabep+7",
+        "profile_slope": "0x1.4c8dc2e42397fp+1",
+    },
+    (1.0, 4.0): {
+        "sphere_area": "0x1.420ff52553a3ep+8",
+        "sphere_area_derivative": "0x1.f4fc60e4bafeep+6",
+        "sphere_mean_curvature": "0x1.3aa50c4a727afp-2",
+        "enclosed_volume": "0x1.9a3d46771f77ap+9",
+        "radius_from_area": "0x1.0000000000000p+2",
+        "profile_volume": "0x1.9a3d46771f77ap+9",
+        "profile_slope": "0x1.a092492492492p+1",
+    },
+    (2.0, 25.0): {
+        "sphere_area": "0x1.1f2061937c54cp+13",
+        "sphere_area_derivative": "0x1.534040e0ac1bap+9",
+        "sphere_mean_curvature": "0x1.17a771605d37dp-4",
+        "enclosed_volume": "0x1.713d9278b95d4p+16",
+        "radius_from_area": "0x1.9000000000001p+4",
+        "profile_volume": "0x1.713d9278b95d7p+16",
+        "profile_slope": "0x1.d4b17e4b17e4dp+3",
+    },
+}
+MOVED = {
+    ((0.5, 0.9), "sphere_area_derivative"),
+    ((0.5, 0.9), "sphere_mean_curvature"),
+    ((0.5, 0.9), "profile_slope"),
+    ((1.0, 1.8660254037844386), "sphere_area_derivative"),
+    ((1.0, 1.8660254037844386), "sphere_mean_curvature"),
+}
+
+
+def _evaluate(m: float, r: float, name: str) -> float:
+    metric = AmbientMetric(m)
+    area = float.fromhex(PINS[(m, r)]["sphere_area"])
+    forms = {
+        "sphere_area": lambda: sphere_area(metric, r),
+        "sphere_area_derivative": lambda: sphere_area_derivative(metric, r),
+        "sphere_mean_curvature": lambda: sphere_mean_curvature(metric, r),
+        "enclosed_volume": lambda: enclosed_volume(metric, r),
+        "radius_from_area": lambda: radius_from_area(m, area),
+        "profile_volume": lambda: profile_volume(m, area),
+        "profile_slope": lambda: profile_slope(m, area),
+    }
+    return float(forms[name]())
+
+
+@pytest.mark.parametrize("key", list(PINS), ids=[f"m{m}-r{r}" for m, r in PINS])
+def test_closed_forms_match_the_recorded_bits(key):
+    m, r = key
+    for name, recorded in PINS[key].items():
+        want = float.fromhex(recorded)
+        got = _evaluate(m, r, name)
+        if m == 0.0 or (key, name) not in MOVED:
+            assert got.hex() == recorded, name
+        else:
+            assert abs(got - want) <= 4 * np.spacing(want), name
