@@ -69,10 +69,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         results = run_plan(plan, _out_root(args.out))
-    except (ConfigError, ValueError) as e:
+    except ConfigError as e:
         # Late validation: an override can make a grid invalid or push dt
         # past the stability bound, and a hand-written dt can fail to
-        # divide the sample interval.  All of these are config mistakes.
+        # divide the sample interval.  Each raises ConfigError where it is
+        # found; any other error is a fault of the run, not of the config.
         print(f"isoflow: bad config: {e}", file=sys.stderr)
         return 2
 

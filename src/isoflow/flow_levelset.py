@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import ndimage
 
+from .config import ConfigError
 from .measure import (
     _GRAD_EPS,
     AxiGrid,
@@ -507,7 +508,7 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     if config.dt is not None:
         dt = config.dt
         if dt > bound * (1.0 + 1e-9):
-            raise ValueError(f"dt={dt} exceeds the stability bound {bound}")
+            raise ConfigError(f"dt={dt} exceeds the stability bound {bound}")
     else:
         # snap the step so the sample interval is an exact multiple of it
         dt = config.sample_interval / math.ceil(config.sample_interval / bound)
@@ -515,7 +516,8 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     _sample(state, m_thr, config.record_masks)
 
     u = config.grid.values.copy()  # working field; the input grid is kept intact
-    stepper = _BandedStepper(metric, config.grid)
+    # the stepper's whole-grid tables are wasted on a run the first sweep ends
+    stepper = _BandedStepper(metric, config.grid) if state.live_count else None
     arrival_flat = state.trace.arrival_time.ravel()
     next_sample = config.sample_interval
     step_idx = 0

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import AmbientMetric, _hawking_mass, enclosed_volume, sphere_area
+from .metric import AmbientMetric, _as_float, _hawking_mass, enclosed_volume, sphere_area
 from .profile import convexity_threshold, mass_from_region
 
 # Largest rescaled overshoot (qlm(B_r) - m) * sqrt(area) over the
@@ -38,23 +38,29 @@ ISO_ADM_FIT_C = 13.496
 
 
 def quasilocal_mass(perimeter, volume):
-    """(2/P)(V - P^{3/2}/(6 sqrt pi)); may be negative."""
-    p = np.asarray(perimeter, dtype=float)
-    v = np.asarray(volume, dtype=float)
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))):
+    """(2/P)(V - P^{3/2}/(6 sqrt pi)); may be negative.
+
+    Scalars in give an np.float64 out, arrays an array.
+    """
+    p, v = _as_float(perimeter), _as_float(volume)
+    if isinstance(p, float) and isinstance(v, float):
+        finite = math.isfinite(p) and math.isfinite(v)
+    else:
+        finite = np.all(np.isfinite(p)) and np.all(np.isfinite(v))
+    if not finite:
         raise ValueError("perimeter and volume must be finite")
-    out = mass_from_region(p, v)  # raises on a perimeter <= 0
-    return float(out) if np.isscalar(perimeter) or p.ndim == 0 else out
+    return mass_from_region(p, v)  # raises on a perimeter <= 0
 
 
 def hawking_mass(area, h_sq_integral):
-    """sqrt(area/16 pi) * (1 - integral(H^2)/16 pi)."""
-    a = np.asarray(area, dtype=float)
-    q = np.asarray(h_sq_integral, dtype=float)
-    if np.any(a <= 0):
+    """sqrt(area/16 pi) * (1 - integral(H^2)/16 pi).
+
+    Scalars in give an np.float64 out, arrays an array.
+    """
+    a = _as_float(area)
+    if (a <= 0.0 if isinstance(a, float) else np.any(a <= 0.0)):
         raise ValueError("area must be positive")
-    out = _hawking_mass(a, q)
-    return float(out) if np.isscalar(area) or a.ndim == 0 else out
+    return _hawking_mass(a, _as_float(h_sq_integral))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,16 @@ areas, w^6 for volumes.  Centered coordinate spheres have closed-form area,
 enclosed volume, mean curvature and Hawking mass, collected here.  Enclosed
 volume is measured from the horizon outward; the region behind the horizon
 contributes nothing.
+
+Every radius-taking form accepts a scalar or an array.  A scalar (Python
+``float`` or ``int``, or ``np.float64``) comes out as an ``np.float64``; an
+array comes out as an array of the same shape.  One radius check serves
+both: a scalar is compared as a plain float, an array elementwise, and the
+formula bodies are shared.  Scalars are computed as ``np.float64`` rather
+than ``float`` so division keeps numpy's semantics (under ``np.errstate``,
+2/r is inf at r = 0 instead of raising), and each power takes the same
+routine for both kinds, so a scalar and a one-element array agree to the
+bit.
 """
 
 from __future__ import annotations
@@ -35,6 +45,25 @@ __all__ = [
 _BINOM6 = (1, 6, 15, 20, 15, 6, 1)
 
 
+def _as_float(x):
+    """One scalar (np.float64 subclasses float) as np.float64, else a float array."""
+    return np.float64(x) if isinstance(x, (float, int)) else np.asarray(x, dtype=float)
+
+
+def _pow(x, p):
+    """x**p by the C library's pow, for a scalar and an array alike.
+
+    ``**`` on an np.float64 calls the C pow, but on an array it may take
+    numpy's SIMD power, which differs in the last bit, and a cancellation
+    (the Hawking mass far out) magnifies that bit.  np.float_power calls the
+    C pow per element, so both kinds agree exactly.  Powers of w use it;
+    powers of a radius or an area use np.power, numpy's own, for both kinds.
+    Each route gives the values that tests/test_closed_forms.py and the
+    oracle samples in tests/data record.
+    """
+    return x**p if isinstance(x, float) else np.float_power(x, p)
+
+
 @dataclass(frozen=True)
 class AmbientMetric:
     """Conformally flat model metric of mass ``m >= 0``."""
@@ -55,9 +84,10 @@ class AmbientMetric:
 
     def conformal_factor(self, r):
         """w = 1 + m/(2r); the flat-to-g length density is w^2."""
+        r = _as_float(r)
         if self.mass == 0.0:
-            return np.ones_like(np.asarray(r, dtype=float))
-        return 1.0 + self.mass / (2.0 * np.asarray(r, dtype=float))
+            return np.float64(1.0) if r.ndim == 0 else np.ones_like(r)
+        return 1.0 + self.mass / (2.0 * r)
 
     @classmethod
     def euclidean(cls) -> "AmbientMetric":
@@ -69,10 +99,12 @@ class AmbientMetric:
 
 
 def _check_radius(metric: AmbientMetric, r):
-    r = np.asarray(r, dtype=float)
     # finite and outside the horizon, allowing r == m/2 up to roundoff; the
     # horizon radius is >= 0, so this also rejects negative radii
-    if not np.all((r >= metric.horizon_radius * (1.0 - 4e-16)) & (r < math.inf)):
+    lo = metric.horizon_radius * (1.0 - 4e-16)
+    r = _as_float(r)
+    ok = lo <= r < math.inf if isinstance(r, float) else np.all((r >= lo) & (r < math.inf))
+    if not ok:
         raise ValueError(f"radius must be finite and >= horizon radius {metric.horizon_radius}")
     return r
 
@@ -83,14 +115,14 @@ def sphere_area(metric: AmbientMetric, r):
     A(r) = 4 pi r^2 (1 + m/2r)^4; equals 16 pi m^2 at the horizon.
     """
     r = _check_radius(metric, r)
-    return 4.0 * math.pi * r * r * metric.conformal_factor(r) ** 4
+    return 4.0 * math.pi * r * r * _pow(metric.conformal_factor(r), 4)
 
 
 def sphere_area_derivative(metric: AmbientMetric, r):
     """dA/dr = 8 pi r w^3 (2 - w); vanishes at the horizon (w = 2)."""
     r = _check_radius(metric, r)
     w = metric.conformal_factor(r)
-    return 8.0 * math.pi * r * w**3 * (2.0 - w)
+    return 8.0 * math.pi * r * _pow(w, 3) * (2.0 - w)
 
 
 def enclosed_volume(metric: AmbientMetric, r):
@@ -102,17 +134,18 @@ def enclosed_volume(metric: AmbientMetric, r):
     """
     r = _check_radius(metric, r)
     m = metric.mass
+    # np.power, not _pow: see _pow; the radial flow's swept volume starts here
     if m == 0.0:
-        return (4.0 / 3.0) * math.pi * r**3
+        return (4.0 / 3.0) * math.pi * np.power(r, 3)
     a = 0.5 * m
-    total = np.zeros_like(r)
+    total = 0.0
     for k, c in enumerate(_BINOM6):
         coeff = c * a**k
         if k == 3:
             total = total + coeff * np.log(r / a)
         else:
-            p = 3 - k
-            total = total + coeff * (r**p - a**p) / p
+            p = 3.0 - k
+            total = total + coeff * (np.power(r, p) - a**p) / p
     return 4.0 * math.pi * total
 
 
@@ -125,7 +158,7 @@ def sphere_mean_curvature(metric: AmbientMetric, r):
     """
     r = _check_radius(metric, r)
     w = metric.conformal_factor(r)
-    return 2.0 * (2.0 - w) / (r * w**3)
+    return 2.0 * (2.0 - w) / (r * _pow(w, 3))
 
 
 def sphere_hawking_mass(metric: AmbientMetric, r):

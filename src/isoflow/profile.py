@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .metric import AmbientMetric, enclosed_volume, sphere_area
+from .metric import AmbientMetric, _as_float, _pow, enclosed_volume, sphere_area
 
 __all__ = [
     "SIX_SQRT_PI",
@@ -59,14 +59,17 @@ def convexity_threshold_radius(m: float) -> float:
 
 
 def _check_area(m: float, area, *, strict: bool = False):
-    area = np.asarray(area, dtype=float)
+    # one scalar is checked as a float and returned as np.float64, as the
+    # radius check in metric does
+    area = _as_float(area)
     amin = horizon_area(m)
     slack = 4e-16 * max(amin, 1.0)
-    if strict:
-        if np.any(area <= amin + slack):
-            raise ValueError(f"area must exceed the horizon area {amin}")
-    elif np.any(area < amin - slack):
-        raise ValueError(f"area below the horizon area {amin}")
+    low = area <= amin + slack if strict else area < amin - slack
+    if (low if isinstance(area, float) else np.any(low)):
+        raise ValueError(
+            f"area must exceed the horizon area {amin}" if strict
+            else f"area below the horizon area {amin}"
+        )
     return area
 
 
@@ -88,9 +91,8 @@ def radius_from_area(m: float, area):
 
 def profile_volume(m: float, area):
     """Profile value: volume of the centered ball with boundary area A."""
-    if m == 0.0:
-        area = _check_area(m, area)
-        return np.asarray(area, dtype=float) ** 1.5 / SIX_SQRT_PI
+    if m == 0.0:  # np.power for a power of an area, as metric._pow says
+        return np.power(_check_area(m, area), 1.5) / SIX_SQRT_PI
     r = radius_from_area(m, area)
     return enclosed_volume(AmbientMetric(m), r)
 
@@ -115,7 +117,7 @@ def profile_slope(m: float, area):
     area = _check_area(m, area, strict=m > 0.0)
     r = radius_from_area(m, area)
     w = AmbientMetric(m).conformal_factor(r)
-    return w**3 * r / (2.0 * (2.0 - w))
+    return _pow(w, 3) * r / (2.0 * (2.0 - w))
 
 
 def profile_convexity_sign(m: float, area) -> int:
@@ -231,9 +233,10 @@ def mass_from_region(area, volume):
     Elementwise on arrays.  May be negative; no floor is applied.  For the
     profile itself the estimate converges to m with an O(A^(-1/2)) error.
     """
-    if np.any(np.asarray(area) <= 0.0):
+    area = _as_float(area)
+    if (area <= 0.0 if isinstance(area, float) else np.any(area <= 0.0)):
         raise ValueError("area must be positive")
-    return (2.0 / area) * (volume - area**1.5 / SIX_SQRT_PI)
+    return (2.0 / area) * (volume - np.power(area, 1.5) / SIX_SQRT_PI)
 
 
 @dataclass(frozen=True)

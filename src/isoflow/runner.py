@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import RunPlan, Scenario
+from .config import ConfigError, RunPlan, Scenario
 from .flow_levelset import FlowRunConfig, FlowTrace, run_modified_flow
 from .flow_ode import run_symmetric_flow
 from .mass import ISO_ADM_FIT_C, RegionSummary
@@ -122,7 +122,7 @@ def _run_ode_flow(sc: Scenario, out_dir: str) -> ScenarioResult:
     dt = t.dt if t.dt is not None else _ode_auto_dt(t.sample_interval)
     every = int(round(t.sample_interval / dt))
     if every < 1 or abs(every * dt - t.sample_interval) > 1e-9 * t.sample_interval:
-        raise ValueError("sample_interval must be a multiple of dt")
+        raise ConfigError("sample_interval must be a multiple of dt")
     states = run_symmetric_flow(metric, sc.r0, dt, t.t_max, sample_every=every)
 
     trace_rows = [TRACE_HEADER]
@@ -191,7 +191,10 @@ def _levelset_verdicts(sc: Scenario, trace: FlowTrace, h: float, m_thr: float) -
 def _run_levelset_flow(sc: Scenario, out_dir: str) -> ScenarioResult:
     metric = AmbientMetric(mass=sc.mass)
     g = sc.grid
-    grid = AxiGrid.sample(g.h, g.rho_max, g.z_min, g.z_max, sc.shape.signed_distance)
+    try:
+        grid = AxiGrid.sample(g.h, g.rho_max, g.z_min, g.z_max, sc.shape.signed_distance)
+    except ValueError as e:  # an --h override can leave too few nodes
+        raise ConfigError(f"{sc.name}: {e} at h = {g.h}") from e
     t = sc.time
     cfg = FlowRunConfig(
         metric=metric,

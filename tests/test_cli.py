@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+import isoflow.flow_levelset as flow_levelset_mod
 import isoflow.runner as runner_mod
 from isoflow.cli import main
 from isoflow.config import ConfigError, parse_plan
@@ -99,6 +100,25 @@ def test_ode_dt_must_divide_sample_interval(tmp_path, capsys):
     sc["time"]["dt"] = 0.3  # 0.5 / 0.3 is not an integer
     assert main(["run", write_plan(tmp_path, [sc]), "--out", str(tmp_path / "out")]) == 2
     assert "sample_interval" in capsys.readouterr().err
+
+
+def test_h_override_too_coarse_for_the_grid(tmp_path, capsys):
+    # h = 1 leaves two nodes across the 1.3-wide grid; the parsed h was fine
+    plan = write_plan(tmp_path, [small_levelset_scenario()])
+    assert main(["run", plan, "--out", str(tmp_path / "out"), "--h", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and "h = 1.0" in err
+
+
+def test_a_value_error_mid_run_is_not_a_config_error(tmp_path, monkeypatch, capsys):
+    def broken_speed(*args):
+        raise ValueError("fault inside the step")
+
+    monkeypatch.setattr(flow_levelset_mod, "_speed", broken_speed)
+    plan = write_plan(tmp_path, [small_levelset_scenario()])
+    with pytest.raises(ValueError, match="fault inside the step"):
+        main(["run", plan, "--out", str(tmp_path / "out")])
+    assert "bad config" not in capsys.readouterr().err
 
 
 def test_dumbbell_fits_a_grid_narrower_than_its_length():

@@ -3,9 +3,12 @@
 Every public radius-taking closed form in :mod:`isoflow.metric` shares one
 radius check, so each must reject NaN, +-inf, negative and inside-horizon
 radii (as scalars, or as one bad entry in an array) and accept the horizon
-radius m/2 itself.  The float.hex table pins the area, curvature and profile
-closed forms at a few (m, r) pairs, recorded before they were rewritten on
-the one conformal factor w = 1 + m/(2r).
+radius m/2 itself.  A scalar radius, area, perimeter or volume (float, int,
+np.float64 or 0-d array) must give an np.float64 equal to what a one-element
+array gives, and must raise exactly where that array raises.  The float.hex
+table pins the area, curvature and profile closed forms at a few (m, r)
+pairs, recorded before they were rewritten on the one conformal factor
+w = 1 + m/(2r).
 """
 
 import math
@@ -26,6 +29,7 @@ from isoflow.metric import (
     sphere_hawking_mass,
     sphere_mean_curvature,
 )
+from isoflow.mass import hawking_mass, quasilocal_mass
 from isoflow.profile import profile_slope, profile_volume, radius_from_area
 
 PROPERTY = settings(max_examples=200, deadline=None)
@@ -80,6 +84,69 @@ def test_every_radius_form_accepts_the_horizon(m, form):
     _accepts(form, metric, 0.5 * m)
     radii = [0.5 * m, 0.5 * m + 1.0, 0.5 * m]
     _accepts(form, metric, np.array(0.5 * m if form is sphere_geometry else radii))
+
+
+# name -> form(m, *args); sphere_geometry is left out: it takes one radius
+# and returns Python floats
+SCALAR_FORMS = {
+    "sphere_area": lambda m, r: sphere_area(AmbientMetric(m), r),
+    "sphere_area_derivative": lambda m, r: sphere_area_derivative(AmbientMetric(m), r),
+    "enclosed_volume": lambda m, r: enclosed_volume(AmbientMetric(m), r),
+    "sphere_mean_curvature": lambda m, r: sphere_mean_curvature(AmbientMetric(m), r),
+    "sphere_hawking_mass": lambda m, r: sphere_hawking_mass(AmbientMetric(m), r),
+    "radius_from_area": radius_from_area,
+    "profile_volume": profile_volume,
+    "profile_slope": profile_slope,
+    "quasilocal_mass": lambda m, p, v: quasilocal_mass(p, v),
+    "hawking_mass": lambda m, a, q: hawking_mass(a, q),
+}
+SCALAR_KINDS = (float, int, np.float64, np.asarray)
+
+
+def scalar_inputs(m):
+    """Any float, plus radii and areas at and just outside the horizon.
+
+    Most draws are moderate positive values: there a last-bit difference
+    between the two paths is not lost to overflow, and the cancellations
+    near the horizon and far out magnify it.
+    """
+    eps = st.floats(0.0, 1e-3)
+    return st.one_of(
+        st.floats(),
+        st.integers(-3, 10**6).map(float),
+        st.floats(0.0, 1e4),
+        st.floats(0.0, 1e4),
+        eps.map(lambda e: 0.5 * m * (1.0 + e)),
+        eps.map(lambda e: 16.0 * math.pi * m * m * (1.0 + e)),
+    )
+
+
+def _outcome(form, m, args):
+    with np.errstate(all="ignore"):  # H = 2/r at r = 0, overflow at 1e308
+        try:
+            return form(m, *args)
+        except ValueError:
+            return ValueError
+
+
+@settings(max_examples=1000, deadline=None)
+@given(MASSES, st.sampled_from(sorted(SCALAR_FORMS)), st.data())
+def test_scalar_input_matches_a_one_element_array(m, name, data):
+    form = SCALAR_FORMS[name]
+    arity = form.__code__.co_argcount - 1
+    args = [data.draw(scalar_inputs(m), label=f"arg{i}") for i in range(arity)]
+    want = _outcome(form, m, [np.array([x]) for x in args])
+    for kind in SCALAR_KINDS:
+        if kind is int and not all(math.isfinite(x) and x == int(x) for x in args):
+            continue
+        got = _outcome(form, m, [kind(x) for x in args])
+        if want is ValueError:
+            assert got is ValueError, kind
+            continue
+        assert type(got) is np.float64, kind
+        (expected,) = want
+        if not (got == expected or (np.isnan(got) and np.isnan(expected))):
+            assert abs(got - expected) <= 2 * np.spacing(abs(expected)), kind
 
 
 # Recorded before the closed forms were rewritten on w: the (1 - m/2r)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+import isoflow.flow_levelset as flow_levelset_mod
+from isoflow.config import ConfigError
 from isoflow.flow_levelset import (
     FlowRunConfig,
     _BandedStepper,
@@ -88,7 +90,7 @@ def test_cfl_bound_flat():
 def test_step_rejects_unstable_dt():
     g = sphere_grid(0.5, 0.02)
     dt = 10 * cfl_time_step(EUCLID, g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="stability bound"):
         run_modified_flow(FlowRunConfig(metric=EUCLID, grid=g, t_max=0.1, sample_interval=0.05, dt=dt))
 
 
@@ -274,6 +276,19 @@ def test_small_sphere_frozen_at_first_sweep():
     (rec,) = trace.samples[0].components
     assert rec.frozen and rec.freeze_time == 0.0
     assert rec.perimeter < 36.0 * math.pi
+
+
+def test_run_frozen_at_the_first_sweep_builds_no_stepper(monkeypatch):
+    def no_stepper(*args):
+        raise AssertionError("stepper built for a run with nothing to step")
+
+    monkeypatch.setattr(flow_levelset_mod, "_BandedStepper", no_stepper)
+    r = radius_from_area(1.0, 30.0 * math.pi)  # area below threshold
+    g = sphere_grid(r, 0.05, pad=0.6)
+    trace = run_modified_flow(
+        FlowRunConfig(metric=SCHW, grid=g, t_max=0.5, sample_interval=0.05)
+    )
+    assert trace.freeze_all_time == 0.0
 
 
 def test_dumbbell_freezes_only_after_disconnection(dumbbell_run):

@@ -8,9 +8,12 @@ Tests verify:
 - dA/dt differencing matches -H^2 A
 - Hawking mass is conserved along the flow
 - horizon start is stationary; bad inputs are rejected
+- every sample of a fixed run matches its recorded bits
 """
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -132,3 +135,25 @@ def test_sampling_keeps_endpoints():
     assert states[0].t == 0.0
     assert states[-1].t == pytest.approx(0.1, rel=1e-12)
     assert isinstance(states[0], SymmetricFlowState)
+
+
+# float.hex of every sample of run_symmetric_flow(AmbientMetric(m), 4.0,
+# 0.01, 9.5, sample_every=10) at m = 0.5, 1 and 2, recorded before the
+# closed forms took scalars as np.float64 instead of 0-d arrays.
+ORACLE_SAMPLES = os.path.join(os.path.dirname(__file__), "data", "oracle_samples.json")
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+def test_oracle_samples_match_the_recorded_bits(m):
+    with open(ORACLE_SAMPLES, encoding="utf-8") as f:
+        recorded = json.load(f)[str(m)]
+    states = run_symmetric_flow(AmbientMetric(m), 4.0, 0.01, 9.5, sample_every=10)
+    assert len(states) == len(recorded["t"])
+    # the integrated columns never touch enclosed_volume: bit-exact
+    for name in ("t", "r", "area", "swept_volume"):
+        assert [getattr(s, name).hex() for s in states] == recorded[name], name
+    # enclosed_volume may round differently: 4 ulp, and 1e-12 on the defect
+    for s, vol, defect in zip(states, recorded["volume"], recorded["profile_defect"]):
+        want = float.fromhex(vol)
+        assert abs(s.volume - want) <= 4 * np.spacing(want), s.t
+        assert abs(s.profile_defect - float.fromhex(defect)) <= 1e-12, s.t
