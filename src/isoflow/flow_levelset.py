@@ -35,7 +35,7 @@ from .measure import (
 )
 from .mass import hawking_mass
 from .metric import AmbientMetric
-from .profile import convexity_threshold, profile_volume_or_zero
+from .profile import convexity_threshold, isoperimetric_ratio, profile_volume_or_zero
 
 # explicit-step stability margin: dt = CFL_SAFETY * h^2 * min(w^4)
 CFL_SAFETY = 0.2
@@ -118,8 +118,6 @@ def cfl_time_step(metric: AmbientMetric, grid: AxiGrid) -> float:
     """Largest stable explicit step: CFL_SAFETY * h^2 * min over the grid
     of w^4 (the effective diffusivity is w^-4)."""
     h = grid.h
-    if metric.mass == 0.0:
-        return CFL_SAFETY * h * h
     w4 = _conformal_power(metric, grid.rho[:, None], grid.z[None, :], 4, h)
     return CFL_SAFETY * h * h * float(w4.min())
 
@@ -146,11 +144,9 @@ def _speed_coefficients(metric: AmbientMetric, h: float, z_min: float, shape) ->
     z = (z_min + np.arange(shape[1]) * h)[None, :]
     # (1/rho) u_r: a / (2 h rho) off the axis; on it a = 0 and the limit u_rr is C_rr's
     c_a = np.where(rho > 0, 1.0 / (2.0 * h * np.where(rho > 0, rho, 1.0)), 0.0)
-    c_b, w4 = np.zeros_like(z), 1.0
-    if metric.mass != 0.0:
-        # 4 d(ln w)/d(nu) |grad u| = 4 dlnw_dr (rho u_r + z u_z) / r
-        (z, r, dlnw_dr), w = _normal_geometry(metric, rho, z, h)
-        c_a, c_b, w4 = c_a + 2.0 * dlnw_dr * rho / (h * r), 2.0 * dlnw_dr * z / (h * r), w**4
+    # 4 d(ln w)/d(nu) |grad u| = 4 dlnw_dr (rho u_r + z u_z) / r, a zero at m = 0
+    (z, r, dlnw_dr), w = _normal_geometry(metric, rho, z, h)
+    c_a, c_b, w4 = c_a + 2.0 * dlnw_dr * rho / (h * r), 2.0 * dlnw_dr * z / (h * r), w**4
     k = 1.0 / (h * h * w4)
     fields = (k, c_a / w4, c_b / w4, np.where(rho > 0, 0.0, k))
     return np.stack([np.broadcast_to(f, shape) for f in fields]).reshape(4, -1)
@@ -432,10 +428,7 @@ def _axis_run_count(u: np.ndarray) -> int:
     """Number of negative runs along the axis column — a free proxy for
     component count changes (axisymmetric pinches happen on the axis)."""
     inside = u[0, :] < 0
-    if not inside.any():
-        return 0
-    starts = int(inside[0]) + int(np.count_nonzero(inside[1:] & ~inside[:-1]))
-    return starts
+    return int(inside[0]) + int(np.count_nonzero(inside[1:] & ~inside[:-1]))
 
 
 @dataclass(frozen=True)
@@ -467,14 +460,13 @@ def _totals(records: list[ComponentRecord]) -> tuple[float, float]:
 def _sample(state: LevelSetState, m_profile: float, record_masks: bool) -> None:
     area, volume = _totals(state.components)
     gap = profile_volume_or_zero(m_profile, area) - volume
-    ratio = area**1.5 / volume if volume > 0.0 else math.inf
     state.trace.samples.append(
         TraceSample(
             t=state.t,
             area=area,
             volume=volume,
             profile_gap=float(gap),
-            ratio=ratio,
+            ratio=isoperimetric_ratio(area, volume),
             n_components=len(state.components),
             n_frozen=state.frozen_count,
             components=list(state.components),

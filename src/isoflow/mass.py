@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metric import AmbientMetric, _as_float, _hawking_mass, enclosed_volume, sphere_area
-from .profile import convexity_threshold, mass_from_region
+from .profile import convexity_threshold, isoperimetric_ratio, mass_from_region
 
 # Largest rescaled overshoot (qlm(B_r) - m) * sqrt(area) over the
 # coordinate-ball family at unit mass, scanned densely over areas in
@@ -79,9 +79,7 @@ class RegionSummary:
     @property
     def ratio(self) -> float:
         """Isoperimetric ratio perimeter^{3/2}/volume (inf for zero volume)."""
-        if self.volume == 0.0:
-            return math.inf
-        return self.perimeter**1.5 / self.volume
+        return isoperimetric_ratio(self.perimeter, self.volume)
 
     @property
     def qlm(self) -> float:

@@ -24,7 +24,8 @@ owner's chords.
 Conventions that matter:
 
 - components are 4-connected sets of negative nodes, labeled in scan
-  order of their first node;
+  order of their first node (``ndimage.label`` keeps the smaller
+  provisional label at every merge);
 - saddle cells are disambiguated by the sign of the cell-center mean:
   negative connects the two inside corners (each takes the wall chord on
   its side and half the hexagonal band's volume), otherwise they stay
@@ -94,14 +95,6 @@ class AxiGrid:
         return self.values.shape[1]
 
     @property
-    def rho_max(self) -> float:
-        return (self.n_rho - 1) * self.h
-
-    @property
-    def z_max(self) -> float:
-        return self.z_min + (self.n_z - 1) * self.h
-
-    @property
     def rho(self) -> np.ndarray:
         return np.arange(self.n_rho) * self.h
 
@@ -146,23 +139,11 @@ class ComponentMeasure:
 
 
 def label_regions(grid: AxiGrid) -> tuple[np.ndarray, int]:
-    """4-connected labels of {values < 0}, numbered in scan order.
+    """4-connected labels of {values < 0}, in scan order of first nodes.
 
     Returns (labels, count); labels[i, j] == 0 marks outside nodes.
     """
-    inside = grid.values < 0
-    raw, n = ndimage.label(inside, structure=_FOUR_CONNECTED)
-    if n == 0:
-        return raw, 0
-    # renumber so that label order follows the first (scan-order) node
-    flat = raw.ravel()
-    first = np.full(n + 1, flat.size, dtype=np.int64)
-    idx = np.nonzero(flat)[0]
-    np.minimum.at(first, flat[idx], idx)
-    order = np.argsort(first[1:], kind="stable")
-    remap = np.zeros(n + 1, dtype=raw.dtype)
-    remap[1 + order] = np.arange(1, n + 1)
-    return remap[raw], n
+    return ndimage.label(grid.values < 0, structure=_FOUR_CONNECTED)
 
 
 def extract_components(grid: AxiGrid) -> list[Component]:
@@ -180,15 +161,14 @@ def _floored_radius(rho, z, h: float):
 
 
 def _conformal_power(metric: AmbientMetric, rho, z, power: int, h: float):
-    """w^power at points, radius floored at a fraction of a cell."""
-    if metric.mass == 0.0:
-        return np.ones_like(np.asarray(rho, dtype=float))
+    """w^power at points, radius floored at a fraction of a cell.  At m = 0
+    these are exact ones, so every metric takes the same weighted path."""
     return metric.conformal_factor(_floored_radius(rho, z, h)) ** power
 
 
 def _normal_geometry(metric: AmbientMetric, rho, z, h: float):
-    """What the stencil's conformal normal term reads at points with mass
-    m > 0: ((z, floored r, d ln w / dr), w)."""
+    """What the stencil's conformal normal term reads at points, for every
+    m: ((z, floored r, d ln w / dr), w); at m = 0 d ln w / dr is a zero."""
     r = _floored_radius(rho, z, h)
     w = _conformal_power(metric, rho, z, 1, h)
     return (z, r, -metric.mass / (2.0 * r**2 * w)), w
@@ -212,11 +192,8 @@ def _cell_geometry(metric: AmbientMetric, h: float, z_min: float, shape: tuple[i
     rho_c = (np.arange(n_rho - 1) + 0.5)[:, None] * h
     z_c = (z_min + (np.arange(n_z - 1) + 0.5) * h)[None, :]
     contrib = 2.0 * math.pi * rho_c * h * h * np.ones((1, n_z - 1))
-    if metric.mass == 0.0:
-        horizon = np.zeros((n_rho - 1, n_z - 1), dtype=bool)
-    else:
-        horizon = np.hypot(rho_c, z_c) < metric.horizon_radius
-        contrib = np.where(horizon, 0.0, contrib * _conformal_power(metric, rho_c, z_c, 6, h))
+    horizon = np.hypot(rho_c, z_c) < metric.horizon_radius
+    contrib = np.where(horizon, 0.0, contrib * _conformal_power(metric, rho_c, z_c, 6, h))
     horizon.flags.writeable = False
     contrib.flags.writeable = False
     return horizon, contrib
@@ -356,12 +333,10 @@ def _sweep(metric: AmbientMetric, grid: AxiGrid, labels: np.ndarray, n_comp: int
         cy6 = cy6 + (y0 + y1) * cross
     area = 0.5 * area2
     moment = np.where(area < 0, -moment6 / 6.0, moment6 / 6.0)  # int xi dA, cell units
-    w6 = 1.0
-    if metric.mass != 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):  # empty pieces are dropped
-            cx = moment6 / (6.0 * area)
-            cy = cy6 / (6.0 * area)
-        w6 = _conformal_power(metric, (ci + cx) * h, grid.z_min + (cj + cy) * h, 6, h)
+    with np.errstate(divide="ignore", invalid="ignore"):  # empty pieces are dropped
+        cx = moment6 / (6.0 * area)
+        cy = cy6 / (6.0 * area)
+    w6 = _conformal_power(metric, (ci + cx) * h, grid.z_min + (cj + cy) * h, 6, h)
     # int rho dA over the piece = h^3 (i * area + moment)
     rho_moment = h**3 * (ci * np.abs(area) + moment)
     volume = _WEIGHT[entry, slot] * 2.0 * math.pi * rho_moment * w6
@@ -501,9 +476,9 @@ def _curvature_stencil(c, rp, rm, zp, zm, pp, pm, mp, mm, h, rho, off_axis, norm
 
     The arguments are the centre value, its rho+/rho-/z+/z- neighbours and
     the four diagonal ones ((rho+, z+), (rho+, z-), (rho-, z+), (rho-, z-)),
-    any shape.  Returns (flat axisymmetric curvature, regularized gradient
-    norm, conformal normal term d(ln w)/d(nu)); the last is None when
-    ``normal_geometry`` (from :func:`_normal_geometry`) is None.
+    any shape; ``normal_geometry`` is :func:`_normal_geometry`'s first
+    item.  Returns (flat axisymmetric curvature, regularized gradient norm,
+    conformal normal term d(ln w)/d(nu)).
     """
     u_r = (rp - rm) / (2 * h)
     u_z = (zp - zm) / (2 * h)
@@ -514,8 +489,6 @@ def _curvature_stencil(c, rp, rm, zp, zm, pp, pm, mp, mm, h, rho, off_axis, norm
     kappa = (u_rr * u_z**2 - 2 * u_r * u_z * u_rz + u_zz * u_r**2) / grad**3
     # on the axis (1/rho) u_r / |grad u| takes its limit u_rr / |grad u|
     axi = np.where(off_axis, u_r / np.where(off_axis, rho * grad, 1.0), u_rr / grad)
-    if normal_geometry is None:
-        return kappa + axi, grad, None
     z, r, dlnw_dr = normal_geometry
     return kappa + axi, grad, dlnw_dr * (rho * u_r + z * u_z) / (r * grad)
 
@@ -540,12 +513,10 @@ def _curvature_at(metric: AmbientMetric, grid: AxiGrid, ni, nj) -> np.ndarray:
     """Mean curvature at nodes (ni, nj), as :func:`mean_curvature_field`."""
     h = grid.h
     rho = ni * h
-    geometry = w = None
-    if metric.mass != 0.0:
-        geometry, w = _normal_geometry(metric, rho, grid.z_min + nj * h, h)
+    geometry, w = _normal_geometry(metric, rho, grid.z_min + nj * h, h)
     near = np.take(grid.values, _stencil_indices(ni, nj, grid.values.shape))
     h_flat, _, normal = _curvature_stencil(*near, h, rho, ni > 0, geometry)
-    return h_flat if normal is None else (h_flat + 4.0 * normal) / w**2
+    return (h_flat + 4.0 * normal) / w**2
 
 
 def _curvature_in_cells(metric: AmbientMetric, grid: AxiGrid, i, j, fx, fy) -> np.ndarray:

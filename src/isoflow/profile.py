@@ -38,6 +38,7 @@ __all__ = [
     "profile_superadditivity_gap",
     "profile_ratio_margin",
     "mass_from_region",
+    "isoperimetric_ratio",
     "profile_point",
 ]
 
@@ -237,6 +238,11 @@ def mass_from_region(area, volume):
     if (area <= 0.0 if isinstance(area, float) else np.any(area <= 0.0)):
         raise ValueError("area must be positive")
     return (2.0 / area) * (volume - np.power(area, 1.5) / SIX_SQRT_PI)
+
+
+def isoperimetric_ratio(area: float, volume: float) -> float:
+    """A^(3/2) / V of a region; inf when V <= 0."""
+    return area**1.5 / volume if volume > 0.0 else math.inf
 
 
 @dataclass(frozen=True)

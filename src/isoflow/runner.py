@@ -27,6 +27,7 @@ from .metric import AmbientMetric, sphere_hawking_mass
 from .profile import (
     convexity_threshold,
     convexity_threshold_radius,
+    isoperimetric_ratio,
     locate_convexity_threshold,
     mass_from_region,
     profile_ratio_margin,
@@ -129,9 +130,8 @@ def _run_ode_flow(sc: Scenario, out_dir: str) -> ScenarioResult:
     comp_rows = [COMPONENTS_HEADER]
     for s in states:
         area, vol, q = s.area, s.swept_volume, s.profile_defect
-        ratio = area**1.5 / vol if vol > 0 else math.inf
         trace_rows.append(
-            f"{fmt(s.t)},{fmt(area)},{fmt(vol)},{fmt(q)},{fmt(ratio)},1,0"
+            f"{fmt(s.t)},{fmt(area)},{fmt(vol)},{fmt(q)},{fmt(isoperimetric_ratio(area, vol))},1,0"
         )
         comp_rows.append(
             f"{fmt(s.t)},1,0,{fmt(math.nan)},{fmt(area)},{fmt(vol)},{fmt(s.hawking_mass)}"
@@ -148,7 +148,7 @@ def _run_ode_flow(sc: Scenario, out_dir: str) -> ScenarioResult:
     # ratio-control conclusion binds: the isoperimetric ratio must not
     # climb above its initial value beyond the stated slack.
     if states[0].profile_defect <= 0.0:
-        ratios = [s.area**1.5 / s.swept_volume for s in states if s.swept_volume > 0]
+        ratios = [isoperimetric_ratio(s.area, s.swept_volume) for s in states if s.swept_volume > 0]
         rise = max(ratios) / ratios[0] - 1.0
         verdicts.append(Verdict("cor75", 0.03 - rise))
     _write_lines(os.path.join(out_dir, "verdicts.txt"), [v.line() for v in verdicts])

@@ -116,16 +116,14 @@ def reference_step(metric, grid, dt):
     up = np.pad(grid.values, ((1, 1), (1, 1)), mode="edge")
     up[0, :] = up[2, :]  # mirror ghost at rho = -h
     rho = grid.rho[:, None]
-    geometry = w = None
-    if metric.mass != 0.0:
-        geometry, w = _normal_geometry(metric, rho, grid.z[None, :], h)
+    geometry, w = _normal_geometry(metric, rho, grid.z[None, :], h)
     h_flat, grad, normal = _curvature_stencil(
         up[1:-1, 1:-1], up[2:, 1:-1], up[:-2, 1:-1], up[1:-1, 2:], up[1:-1, :-2],
         up[2:, 2:], up[2:, :-2], up[:-2, 2:], up[:-2, :-2],
         h, rho, rho > 0, geometry,
     )
     speed = h_flat * grad
-    if normal is not None:
+    if metric.mass != 0.0:
         speed = (h_flat + 4.0 * normal) / w**2 * grad / w**2
     return grid.values + dt * speed
 

@@ -98,6 +98,20 @@ def test_label_ids_follow_first_scan_node():
     assert firsts == sorted(firsts)
 
 
+def test_u_shape_merged_late_keeps_its_first_label():
+    # the scan meets the U's left arm, then the blob, then the right arm,
+    # whose provisional label only merges with the left one on row 3
+    u_shape = np.zeros((6, 9), dtype=bool)
+    u_shape[1:4, 1] = u_shape[1:4, 6] = u_shape[3, 1:7] = True
+    blob = np.zeros_like(u_shape)
+    blob[1, 3:5] = True
+    values = np.where(u_shape | blob, -1.0, 1.0)
+    labels, n = label_regions(AxiGrid(h=1.0, z_min=0.0, values=values))
+    assert n == 2
+    assert np.all(labels[u_shape] == 1)
+    assert np.all(labels[blob] == 2)
+
+
 def test_regions_shallower_than_one_cell_are_dropped():
     # two 2 x 2 blocks of inside nodes: the first's deepest node lies just
     # above -h, the second's sits at exactly -h
