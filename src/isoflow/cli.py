@@ -57,23 +57,18 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "suite":
-        plan = _built_in_suite()
-    else:
-        try:
-            plan = load_plan(args.config)
-            plan = apply_overrides(plan, args.h, args.dt)
-        except ConfigError as e:
-            print(f"isoflow: bad config: {e}", file=sys.stderr)
-            return 2
-
     try:
+        if args.command == "suite":
+            plan = _built_in_suite()
+        else:
+            plan = apply_overrides(load_plan(args.config), args.h, args.dt)
         results = run_plan(plan, _out_root(args.out))
     except ConfigError as e:
-        # Late validation: an override can make a grid invalid or push dt
-        # past the stability bound, and a hand-written dt can fail to
-        # divide the sample interval.  Each raises ConfigError where it is
-        # found; any other error is a fault of the run, not of the config.
+        # Besides parse errors, the mistakes found only once a run starts:
+        # an override can make a grid invalid or push dt past the stability
+        # bound, and a hand-written dt can fail to divide the sample
+        # interval.  Each raises ConfigError where it is found; any other
+        # error is a fault of the run, not of the config.
         print(f"isoflow: bad config: {e}", file=sys.stderr)
         return 2
 

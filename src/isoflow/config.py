@@ -1,8 +1,11 @@
 """Scenario configuration: JSON file -> validated scenario objects.
 
 A config file holds one object with a "scenarios" array.  Every entry
-names a run mode and the physical setup it needs; unknown keys are
-rejected so typos fail loudly instead of silently running defaults.
+names a run mode and the physical setup it needs.  :data:`MODE_FIELDS`
+lists the fields each mode reads, besides the "name", "mode" and
+"metric" every mode reads, and :data:`SHAPE_FIELDS` the fields each
+shape kind reads.  Any other field is rejected by name, so typos and
+misplaced fields fail loudly instead of silently running defaults.
 Parse problems raise :class:`ConfigError` carrying the best available
 position information: line/column for syntax errors, a dotted field
 path for semantic ones.
@@ -16,9 +19,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-MODES = ("lemma-suite", "ode-flow", "levelset-flow", "mass-table")
+# scenario fields each mode reads, besides name, mode and metric
+MODE_FIELDS = {
+    "lemma-suite": (),
+    "ode-flow": ("r0", "time"),
+    "levelset-flow": ("shape", "grid", "time", "threshold_mass", "q_slack"),
+    "mass-table": ("r_values",),
+}
+# fields each shape kind reads, besides kind
+SHAPE_FIELDS = {
+    "sphere": ("r0",),
+    "dumbbell": ("ball_radius", "separation", "neck_radius"),
+    "oval": ("a", "b"),
+}
+# time fields; the radial oracle has no sweeps or rebuilds, so ode-flow
+# reads only the first three
+TIME_FIELDS = ("t_max", "sample_interval", "dt", "sweep_cadence", "reinit_cadence")
+MODES = tuple(MODE_FIELDS)
 METRIC_KINDS = ("euclidean", "schwarzschild")
-SHAPE_KINDS = ("sphere", "dumbbell", "oval")
+SHAPE_KINDS = tuple(SHAPE_FIELDS)
+_COMMON_FIELDS = ("name", "mode", "metric")
 
 
 class ConfigError(ValueError):
@@ -129,15 +149,21 @@ def _integer(value, path: str, *, minimum=0) -> int:
     return value
 
 
-def _reject_unknown(obj: dict, allowed: set, path: str):
-    extra = set(obj) - allowed
+def _reject_unknown(obj, allowed, path: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object")
+    extra = set(obj) - set(allowed)
     if extra:
         raise ConfigError(f"{path}: unknown field(s) {sorted(extra)}")
 
 
+def _reject_unread(obj: dict, read, path: str, mode: str) -> None:
+    for key in obj:
+        if key not in read:
+            raise ConfigError(f"{path}.{key}: not used by {mode}")
+
+
 def _parse_metric(obj, path: str) -> float:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
     _reject_unknown(obj, {"kind", "mass"}, path)
     kind = obj.get("kind", "schwarzschild")
     if kind not in METRIC_KINDS:
@@ -151,33 +177,23 @@ def _parse_metric(obj, path: str) -> float:
 
 
 def _parse_shape(obj, path: str) -> ShapeSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    # a missing or unknown kind is reported before any other field
+    allowed = ("kind", *SHAPE_FIELDS[kind]) if kind in SHAPE_KINDS else obj
+    _reject_unknown(obj, allowed, path)
     kind = _require(obj, "kind", path)
-    if kind == "sphere":
-        _reject_unknown(obj, {"kind", "r0"}, path)
-        return ShapeSpec(kind="sphere", r0=_number(_require(obj, "r0", path), f"{path}.r0", positive=True))
-    if kind == "dumbbell":
-        _reject_unknown(obj, {"kind", "ball_radius", "separation", "neck_radius"}, path)
-        ball = _number(_require(obj, "ball_radius", path), f"{path}.ball_radius", positive=True)
-        sep = _number(_require(obj, "separation", path), f"{path}.separation", positive=True)
-        neck = _number(_require(obj, "neck_radius", path), f"{path}.neck_radius", positive=True)
-        if neck >= ball:
-            raise ConfigError(f"{path}.neck_radius: must be thinner than the balls")
-        return ShapeSpec(kind="dumbbell", ball_radius=ball, separation=sep, neck_radius=neck)
-    if kind == "oval":
-        _reject_unknown(obj, {"kind", "a", "b"}, path)
-        return ShapeSpec(
-            kind="oval",
-            a=_number(_require(obj, "a", path), f"{path}.a", positive=True),
-            b=_number(_require(obj, "b", path), f"{path}.b", positive=True),
-        )
-    raise ConfigError(f"{path}.kind: expected one of {SHAPE_KINDS}, got {kind!r}")
+    if kind not in SHAPE_KINDS:
+        raise ConfigError(f"{path}.kind: expected one of {SHAPE_KINDS}, got {kind!r}")
+    sizes = {
+        key: _number(_require(obj, key, path), f"{path}.{key}", positive=True)
+        for key in SHAPE_FIELDS[kind]
+    }
+    if kind == "dumbbell" and sizes["neck_radius"] >= sizes["ball_radius"]:
+        raise ConfigError(f"{path}.neck_radius: must be thinner than the balls")
+    return ShapeSpec(kind=kind, **sizes)
 
 
 def _parse_grid(obj, path: str) -> GridSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
     _reject_unknown(obj, {"h", "rho_max", "z_min", "z_max"}, path)
     h = _number(_require(obj, "h", path), f"{path}.h", positive=True)
     rho_max = _number(_require(obj, "rho_max", path), f"{path}.rho_max", positive=True)
@@ -188,11 +204,10 @@ def _parse_grid(obj, path: str) -> GridSpec:
     return GridSpec(h=h, rho_max=rho_max, z_min=z_min, z_max=z_max)
 
 
-def _parse_time(obj, path: str) -> TimeSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    allowed = {"t_max", "sample_interval", "dt", "sweep_cadence", "reinit_cadence"}
-    _reject_unknown(obj, allowed, path)
+def _parse_time(obj, path: str, mode: str) -> TimeSpec:
+    _reject_unknown(obj, TIME_FIELDS, path)
+    if mode == "ode-flow":
+        _reject_unread(obj, TIME_FIELDS[:3], path, mode)
     t_max = _number(_require(obj, "t_max", path), f"{path}.t_max", positive=True)
     interval = _number(
         _require(obj, "sample_interval", path), f"{path}.sample_interval", positive=True
@@ -210,13 +225,7 @@ def _parse_time(obj, path: str) -> TimeSpec:
 
 
 def _parse_scenario(obj, path: str, seen_names: set) -> Scenario:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    allowed = {
-        "name", "mode", "metric", "shape", "grid", "time",
-        "threshold_mass", "r0", "q_slack", "r_values",
-    }
-    _reject_unknown(obj, allowed, path)
+    _reject_unknown(obj, set(_COMMON_FIELDS).union(*MODE_FIELDS.values()), path)
     name = _require(obj, "name", path)
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{path}.name: expected a nonempty string")
@@ -229,22 +238,19 @@ def _parse_scenario(obj, path: str, seen_names: set) -> Scenario:
     if mode not in MODES:
         raise ConfigError(f"{path}.mode: expected one of {MODES}, got {mode!r}")
     mass = _parse_metric(_require(obj, "metric", path), f"{path}.metric")
+    _reject_unread(obj, _COMMON_FIELDS + MODE_FIELDS[mode], path, mode)
 
-    shape = grid = None
-    time = TimeSpec()
-    threshold = obj.get("threshold_mass")
-    if threshold is not None:
-        threshold = _number(threshold, f"{path}.threshold_mass", minimum=0.0)
-    r0 = 0.0
-    q_slack = obj.get("q_slack")
-    if q_slack is not None:
-        q_slack = _number(q_slack, f"{path}.q_slack", positive=True)
-    r_values: tuple[float, ...] = ()
-
+    read: dict = {}
     if mode == "levelset-flow":
+        threshold = obj.get("threshold_mass")
+        if threshold is not None:
+            threshold = _number(threshold, f"{path}.threshold_mass", minimum=0.0)
+        q_slack = obj.get("q_slack")
+        if q_slack is not None:
+            q_slack = _number(q_slack, f"{path}.q_slack", positive=True)
         shape = _parse_shape(_require(obj, "shape", path), f"{path}.shape")
         grid = _parse_grid(_require(obj, "grid", path), f"{path}.grid")
-        time = _parse_time(_require(obj, "time", path), f"{path}.time")
+        time = _parse_time(_require(obj, "time", path), f"{path}.time", mode)
         rho_extent, z_extent = shape.extents()
         for key, room, extent in (
             ("rho_max", grid.rho_max, rho_extent),
@@ -253,14 +259,12 @@ def _parse_scenario(obj, path: str, seen_names: set) -> Scenario:
         ):
             if extent >= room:
                 raise ConfigError(f"{path}.grid.{key}: shape does not fit inside the grid")
+        read = dict(shape=shape, grid=grid, time=time, threshold_mass=threshold, q_slack=q_slack)
     elif mode == "ode-flow":
         r0 = _number(_require(obj, "r0", path), f"{path}.r0", positive=True)
         if r0 <= 0.5 * mass:
             raise ConfigError(f"{path}.r0: must exceed the horizon radius m/2 = {0.5 * mass}")
-        time = _parse_time(_require(obj, "time", path), f"{path}.time")
-        for key in ("shape", "grid"):
-            if key in obj:
-                raise ConfigError(f"{path}.{key}: not used by ode-flow")
+        read = dict(r0=r0, time=_parse_time(_require(obj, "time", path), f"{path}.time", mode))
     elif mode == "mass-table":
         raw = _require(obj, "r_values", path)
         if not isinstance(raw, list) or not raw:
@@ -270,26 +274,10 @@ def _parse_scenario(obj, path: str, seen_names: set) -> Scenario:
         )
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ConfigError(f"{path}.r_values: must be strictly increasing")
-        r_values = vals
-    else:  # lemma-suite: only the metric matters
-        for key in ("shape", "grid", "time", "r0", "r_values"):
-            if key in obj:
-                raise ConfigError(f"{path}.{key}: not used by lemma-suite")
-        if mass == 0.0:
-            raise ConfigError(f"{path}.metric: the lemma suite needs a positive mass")
-
-    return Scenario(
-        name=name,
-        mode=mode,
-        mass=mass,
-        shape=shape,
-        grid=grid,
-        time=time,
-        threshold_mass=threshold,
-        r0=r0,
-        q_slack=q_slack,
-        r_values=r_values,
-    )
+        read = dict(r_values=vals)
+    elif mass == 0.0:  # lemma-suite: only the metric matters
+        raise ConfigError(f"{path}.metric: the lemma suite needs a positive mass")
+    return Scenario(name=name, mode=mode, mass=mass, **read)
 
 
 def parse_plan(text: str) -> RunPlan:
@@ -300,8 +288,6 @@ def parse_plan(text: str) -> RunPlan:
         raise ConfigError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
     except (ValueError, RecursionError) as e:  # an over-long integer, or nesting too deep
         raise ConfigError(f"unreadable document: {e}") from e
-    if not isinstance(doc, dict):
-        raise ConfigError("top level: expected an object")
     _reject_unknown(doc, {"scenarios"}, "top level")
     raw = _require(doc, "scenarios", "top level")
     if not isinstance(raw, list):

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ConfigError, RunPlan, Scenario
-from .flow_levelset import FlowRunConfig, FlowTrace, run_modified_flow
+from .config import MODE_FIELDS, ConfigError, RunPlan, Scenario
+from .flow_levelset import ComponentRecord, FlowRunConfig, TraceSample, run_modified_flow
 from .flow_ode import run_symmetric_flow
 from .mass import ISO_ADM_FIT_C, RegionSummary
 from .measure import AxiGrid
@@ -70,14 +70,54 @@ class ScenarioResult:
         return self.blowup_last_good is None and all(v.passed for v in self.verdicts)
 
 
+class _BlowUp(Exception):
+    """A run produced non-finite samples; carries the latest finite sample's
+    time (NaN when there is none)."""
+
+    def __init__(self, last_good: float):
+        super().__init__(last_good)
+        self.last_good = last_good
+
+
 def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for line in lines:
             f.write(line + "\n")
 
 
-def _lemma_suite_verdicts(mass: float) -> list[Verdict]:
+def _write_flow(out_dir: str, samples: list[TraceSample]) -> None:
+    trace_rows = [TRACE_HEADER]
+    comp_rows = [COMPONENTS_HEADER]
+    for s in samples:
+        trace_rows.append(
+            f"{fmt(s.t)},{fmt(s.area)},{fmt(s.volume)},{fmt(s.profile_gap)},"
+            f"{fmt(s.ratio)},{s.n_components},{s.n_frozen}"
+        )
+        for c in s.components:
+            ft = math.nan if c.freeze_time is None else c.freeze_time
+            comp_rows.append(
+                f"{fmt(s.t)},{c.id},{int(c.frozen)},{fmt(ft)},"
+                f"{fmt(c.perimeter)},{fmt(c.volume)},{fmt(c.hawking)}"
+            )
+    _write_lines(os.path.join(out_dir, "trace.csv"), trace_rows)
+    _write_lines(os.path.join(out_dir, "components.csv"), comp_rows)
+
+
+def _cor75(samples: list[TraceSample]) -> list[Verdict]:
+    """Ratio control binds only when the run starts at or below the
+    profile: the isoperimetric ratio must not climb above its first finite
+    value beyond the stated slack."""
+    if samples[0].profile_gap > 0.0:
+        return []
+    ratios = [s.ratio for s in samples if math.isfinite(s.ratio)]
+    if not ratios or ratios[0] <= 0:
+        return []
+    return [Verdict("cor75", 0.03 - (max(ratios) / ratios[0] - 1.0))]
+
+
+def _run_lemma_suite(sc: Scenario, out_dir: str) -> list[Verdict]:
     """Closed-form profile checks at a given mass (scales from m = 1)."""
+    mass = sc.mass
     m3 = mass**3
     margin = profile_ratio_margin(mass, convexity_threshold(mass))
     verdicts = [Verdict("lemma53@36pi", 0.05 * m3 - abs(margin - 19.6 * m3))]
@@ -97,18 +137,12 @@ def _lemma_suite_verdicts(mass: float) -> list[Verdict]:
     ]
     verdicts.append(Verdict("lemma31-decay", 2.0 - max(scaled) / min(scaled)))
 
+    # every radius lies outside the horizon m/2
     metric = AmbientMetric(mass=mass)
-    radii = np.geomspace(0.6 * mass if mass > 0 else 0.5, 50.0 * max(mass, 1.0), 17)
-    radii = radii[radii > metric.horizon_radius]
+    radii = np.geomspace(0.6 * mass, 50.0 * max(mass, 1.0), 17)
     haw = np.array([sphere_hawking_mass(metric, float(r)) for r in radii])
     verdicts.append(Verdict("def34-hawking", 1e-10 - float(np.max(np.abs(haw - mass)))))
     return verdicts
-
-
-def _run_lemma_suite(sc: Scenario, out_dir: str) -> ScenarioResult:
-    verdicts = _lemma_suite_verdicts(sc.mass)
-    _write_lines(os.path.join(out_dir, "verdicts.txt"), [v.line() for v in verdicts])
-    return ScenarioResult(name=sc.name, verdicts=tuple(verdicts))
 
 
 def _ode_auto_dt(sample_interval: float) -> float:
@@ -117,7 +151,7 @@ def _ode_auto_dt(sample_interval: float) -> float:
     return sample_interval / max(200, math.ceil(sample_interval / 1e-3))
 
 
-def _run_ode_flow(sc: Scenario, out_dir: str) -> ScenarioResult:
+def _run_ode_flow(sc: Scenario, out_dir: str) -> list[Verdict]:
     metric = AmbientMetric(mass=sc.mass)
     t = sc.time
     dt = t.dt if t.dt is not None else _ode_auto_dt(t.sample_interval)
@@ -125,70 +159,28 @@ def _run_ode_flow(sc: Scenario, out_dir: str) -> ScenarioResult:
     if every < 1 or abs(every * dt - t.sample_interval) > 1e-9 * t.sample_interval:
         raise ConfigError("sample_interval must be a multiple of dt")
     states = run_symmetric_flow(metric, sc.r0, dt, t.t_max, sample_every=every)
-
-    trace_rows = [TRACE_HEADER]
-    comp_rows = [COMPONENTS_HEADER]
-    for s in states:
-        area, vol, q = s.area, s.swept_volume, s.profile_defect
-        trace_rows.append(
-            f"{fmt(s.t)},{fmt(area)},{fmt(vol)},{fmt(q)},{fmt(isoperimetric_ratio(area, vol))},1,0"
+    # the sphere is one component that never freezes; its volume is the
+    # integrated (swept) one and its gap the profile defect
+    samples = [
+        TraceSample(
+            s.t, s.area, s.swept_volume, s.profile_defect,
+            isoperimetric_ratio(s.area, s.swept_volume), 1, 0,
+            [ComponentRecord(1, False, None, s.area, s.swept_volume, math.nan, s.hawking_mass)],
         )
-        comp_rows.append(
-            f"{fmt(s.t)},1,0,{fmt(math.nan)},{fmt(area)},{fmt(vol)},{fmt(s.hawking_mass)}"
-        )
-    _write_lines(os.path.join(out_dir, "trace.csv"), trace_rows)
-    _write_lines(os.path.join(out_dir, "components.csv"), comp_rows)
+        for s in states
+    ]
+    _write_flow(out_dir, samples)
 
-    drift = max(abs(s.profile_defect - states[0].profile_defect) for s in states)
-    rel_drift = drift / states[0].volume
-    verdicts = [Verdict("prop36", 1e-8 - rel_drift)]
-    haw_err = max(abs(s.hawking_mass - sc.mass) for s in states)
-    verdicts.append(Verdict("def34-hawking", 1e-10 * max(1.0, sc.mass) - haw_err))
-    # Centered spheres start exactly on the profile (defect 0), so the
-    # ratio-control conclusion binds: the isoperimetric ratio must not
-    # climb above its initial value beyond the stated slack.
-    if states[0].profile_defect <= 0.0:
-        ratios = [isoperimetric_ratio(s.area, s.swept_volume) for s in states if s.swept_volume > 0]
-        rise = max(ratios) / ratios[0] - 1.0
-        verdicts.append(Verdict("cor75", 0.03 - rise))
-    _write_lines(os.path.join(out_dir, "verdicts.txt"), [v.line() for v in verdicts])
-    return ScenarioResult(name=sc.name, verdicts=tuple(verdicts))
+    drift = max(abs(s.profile_gap - samples[0].profile_gap) for s in samples)
+    haw_err = max(abs(s.components[0].hawking - sc.mass) for s in samples)
+    return [
+        Verdict("prop36", 1e-8 - drift / states[0].volume),
+        Verdict("def34-hawking", 1e-10 * max(1.0, sc.mass) - haw_err),
+        *_cor75(samples),
+    ]
 
 
-def _levelset_verdicts(sc: Scenario, trace: FlowTrace, h: float, m_thr: float) -> list[Verdict]:
-    samples = trace.samples
-    q = np.array([s.profile_gap for s in samples])
-    verdicts = []
-
-    # monotone decrease of the profile-gap up to a grid-resolution slack
-    q_slack = sc.q_slack if sc.q_slack is not None else h
-    worst_rise = float(np.max(np.diff(q))) if len(q) > 1 else 0.0
-    verdicts.append(Verdict("prop74", q_slack - max(worst_rise, 0.0)))
-
-    # ratio control only binds when the run starts at or below the profile
-    if q[0] <= 0.0:
-        ratios = np.array([s.ratio for s in samples])
-        finite = ratios[np.isfinite(ratios)]
-        if finite.size and finite[0] > 0:
-            verdicts.append(Verdict("cor75", 0.03 - (float(finite.max()) / float(finite[0]) - 1.0)))
-
-    if m_thr > 0.0:
-        threshold = convexity_threshold(m_thr)
-        frozen = {}
-        for s in samples:
-            for c in s.components:
-                if c.frozen:
-                    frozen[c.id] = c
-        worst_p = max((c.perimeter for c in frozen.values()), default=0.0)
-        verdicts.append(Verdict("lemma82-perimeter", 1.05 - worst_p / threshold))
-        if trace.freeze_all_time is not None:
-            verdicts.append(Verdict("lemma72-termination", sc.time.t_max - trace.freeze_all_time))
-        else:
-            verdicts.append(Verdict("lemma72-termination", -math.inf))
-    return verdicts
-
-
-def _run_levelset_flow(sc: Scenario, out_dir: str) -> ScenarioResult:
+def _run_levelset_flow(sc: Scenario, out_dir: str) -> list[Verdict]:
     metric = AmbientMetric(mass=sc.mass)
     g = sc.grid
     try:
@@ -207,45 +199,31 @@ def _run_levelset_flow(sc: Scenario, out_dir: str) -> ScenarioResult:
         reinit_cadence=t.reinit_cadence,
     )
     trace = run_modified_flow(cfg)
+    samples = trace.samples
+    _write_flow(out_dir, samples)
+    good = [s.t for s in samples if all(map(math.isfinite, (s.t, s.area, s.volume, s.profile_gap)))]
+    if len(good) < len(samples):
+        raise _BlowUp(good[-1] if good else math.nan)
 
-    trace_rows = [TRACE_HEADER]
-    comp_rows = [COMPONENTS_HEADER]
-    last_good: float | None = None
-    blew_up = False
-    for s in trace.samples:
-        fields = (s.t, s.area, s.volume, s.profile_gap)
-        if all(math.isfinite(x) for x in fields):
-            last_good = s.t
-        else:
-            blew_up = True
-        trace_rows.append(
-            f"{fmt(s.t)},{fmt(s.area)},{fmt(s.volume)},{fmt(s.profile_gap)},"
-            f"{fmt(s.ratio)},{s.n_components},{s.n_frozen}"
-        )
-        for c in s.components:
-            ft = math.nan if c.freeze_time is None else c.freeze_time
-            comp_rows.append(
-                f"{fmt(s.t)},{c.id},{int(c.frozen)},{fmt(ft)},"
-                f"{fmt(c.perimeter)},{fmt(c.volume)},{fmt(c.hawking)}"
-            )
-    _write_lines(os.path.join(out_dir, "trace.csv"), trace_rows)
-    _write_lines(os.path.join(out_dir, "components.csv"), comp_rows)
-
-    if blew_up:
-        _write_lines(os.path.join(out_dir, "verdicts.txt"), ["FAIL blow-up slack=-inf"])
-        return ScenarioResult(
-            name=sc.name,
-            verdicts=(),
-            blowup_last_good=last_good if last_good is not None else math.nan,
-        )
+    # monotone decrease of the profile-gap up to a grid-resolution slack
+    q = np.array([s.profile_gap for s in samples])
+    q_slack = sc.q_slack if sc.q_slack is not None else g.h
+    worst_rise = float(np.max(np.diff(q))) if len(q) > 1 else 0.0
+    verdicts = [Verdict("prop74", q_slack - max(worst_rise, 0.0)), *_cor75(samples)]
 
     m_thr = sc.mass if sc.threshold_mass is None else sc.threshold_mass
-    verdicts = _levelset_verdicts(sc, trace, g.h, m_thr)
-    _write_lines(os.path.join(out_dir, "verdicts.txt"), [v.line() for v in verdicts])
-    return ScenarioResult(name=sc.name, verdicts=tuple(verdicts))
+    if m_thr > 0.0:
+        frozen = {c.id: c for s in samples for c in s.components if c.frozen}
+        worst_p = max((c.perimeter for c in frozen.values()), default=0.0)
+        verdicts.append(Verdict("lemma82-perimeter", 1.05 - worst_p / convexity_threshold(m_thr)))
+        done = trace.freeze_all_time
+        verdicts.append(
+            Verdict("lemma72-termination", -math.inf if done is None else t.t_max - done)
+        )
+    return verdicts
 
 
-def _run_mass_table(sc: Scenario, out_dir: str) -> ScenarioResult:
+def _run_mass_table(sc: Scenario, out_dir: str) -> list[Verdict]:
     metric = AmbientMetric(mass=sc.mass)
     rows = [MASS_TABLE_HEADER]
     worst_gap = -math.inf
@@ -271,8 +249,7 @@ def _run_mass_table(sc: Scenario, out_dir: str) -> ScenarioResult:
         # the fitted constant is frozen at unit mass and scales exactly as m^2
         verdicts.append(Verdict("thm14", ISO_ADM_FIT_C * sc.mass**2 - worst_gap))
     verdicts.append(Verdict("def34-hawking", 1e-10 * max(1.0, sc.mass) - worst_haw))
-    _write_lines(os.path.join(out_dir, "verdicts.txt"), [v.line() for v in verdicts])
-    return ScenarioResult(name=sc.name, verdicts=tuple(verdicts))
+    return verdicts
 
 
 _MODE_RUNNERS = {
@@ -291,7 +268,7 @@ def apply_overrides(plan: RunPlan, h: float | None, dt: float | None) -> RunPlan
     for sc in plan.scenarios:
         if h is not None and sc.grid is not None:
             sc = replace(sc, grid=replace(sc.grid, h=h))
-        if dt is not None and sc.mode in ("ode-flow", "levelset-flow"):
+        if dt is not None and "time" in MODE_FIELDS[sc.mode]:
             sc = replace(sc, time=replace(sc.time, dt=dt))
         out.append(sc)
     return RunPlan(scenarios=tuple(out))
@@ -306,5 +283,11 @@ def run_plan(plan: RunPlan, out_root: str) -> list[ScenarioResult]:
     for sc in plan.scenarios:
         out_dir = os.path.join(out_root, sc.name)
         os.makedirs(out_dir, exist_ok=True)
-        results.append(_MODE_RUNNERS[sc.mode](sc, out_dir))
+        last_good = None
+        try:
+            verdicts = _MODE_RUNNERS[sc.mode](sc, out_dir)
+        except _BlowUp as e:
+            verdicts, last_good = [Verdict("blow-up", -math.inf)], e.last_good
+        _write_lines(os.path.join(out_dir, "verdicts.txt"), [v.line() for v in verdicts])
+        results.append(ScenarioResult(sc.name, tuple(verdicts), last_good))
     return results

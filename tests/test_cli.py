@@ -1,5 +1,6 @@
 """CLI contract: exit codes, artifact layout, determinism, overrides."""
 
+import hashlib
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from isoflow.flow_levelset import ComponentRecord, FlowTrace, TraceSample
 TRACE_HEADER = "t,A_total,V_total,Q,ratio,n_components,n_frozen"
 COMPONENTS_HEADER = "t,id,frozen,freeze_time,perimeter,volume,hawking"
 VERDICT_RE = re.compile(r"^(PASS|FAIL) [a-z0-9@.-]+ slack=-?(\d|inf)")
+ARTIFACTS = os.path.join(os.path.dirname(__file__), "data", "cli_artifacts.json")
 
 
 def write_plan(tmp_path, scenarios, name="plan.json"):
@@ -42,6 +44,15 @@ def small_levelset_scenario(name="ball"):
         "shape": {"kind": "sphere", "r0": 1.0},
         "grid": {"h": 0.05, "rho_max": 1.3, "z_min": -1.3, "z_max": 1.3},
         "time": {"t_max": 0.1, "sample_interval": 0.05},
+    }
+
+
+def mass_table_scenario(name="table-m1"):
+    return {
+        "name": name,
+        "mode": "mass-table",
+        "metric": {"kind": "schwarzschild", "mass": 1.0},
+        "r_values": [0.6, 1.5, 4.0, 10.0, 40.0],
     }
 
 
@@ -162,6 +173,54 @@ def test_lemma_suite_needs_a_positive_mass(tmp_path, capsys):
     assert "bad config" in err and "scenarios[0].metric" in err
 
 
+def full_scenarios():
+    """One scenario per mode, carrying every field that mode reads."""
+    levelset = small_levelset_scenario()
+    levelset["time"].update(dt=1e-4, sweep_cadence=5, reinit_cadence=100)
+    levelset.update(threshold_mass=1.0, q_slack=0.05)
+    ode = ode_scenario()
+    ode["time"]["dt"] = 0.01
+    suite = {"name": "lemmas", "mode": "lemma-suite", "metric": {"kind": "schwarzschild", "mass": 1.0}}
+    return {
+        "lemma-suite": suite,
+        "ode-flow": ode,
+        "levelset-flow": levelset,
+        "mass-table": mass_table_scenario(),
+    }
+
+
+def unread_fields():
+    """(mode, dotted field, value) for every field a mode does not read."""
+    full = full_scenarios()
+    donors = {k: v for sc in full.values() for k, v in sc.items() if k not in ("name", "mode", "metric")}
+    cases = [
+        (mode, key, value)
+        for mode, sc in full.items()
+        for key, value in donors.items()
+        if key not in sc
+    ]
+    cases += [("ode-flow", "time.sweep_cadence", 5), ("ode-flow", "time.reinit_cadence", 100)]
+    return [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in cases]
+
+
+@pytest.mark.parametrize("mode", sorted(full_scenarios()))
+def test_every_field_a_mode_reads_parses(mode):
+    (parsed,) = parse_plan(json.dumps({"scenarios": [full_scenarios()[mode]]})).scenarios
+    assert parsed.mode == mode
+
+
+@pytest.mark.parametrize("mode,field,value", unread_fields())
+def test_a_field_the_mode_does_not_read_is_rejected_by_name(mode, field, value):
+    sc = full_scenarios()[mode]
+    *parents, key = field.split(".")
+    target = sc
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    with pytest.raises(ConfigError, match=re.escape(f"scenarios[0].{field}: not used by {mode}")):
+        parse_plan(json.dumps({"scenarios": [sc]}))
+
+
 # ---------------------------------------------------------------------------
 # exit code 0 paths and artifact layout
 
@@ -236,6 +295,30 @@ def test_scenario_outputs_are_isolated(tmp_path):
     assert (out / "second" / "trace.csv").exists()
 
 
+def artifact_digests(tmp_path):
+    """sha256 of every file ``isoflow run`` (one scenario per mode that
+    writes flow or table files) and ``isoflow suite`` write, keyed
+    ``run/<scenario>/<file>`` and ``suite/<scenario>/<file>``."""
+    plan = write_plan(tmp_path, [ode_scenario(), small_levelset_scenario(), mass_table_scenario()])
+    roots = {"run": str(tmp_path / "run"), "suite": str(tmp_path / "suite")}
+    assert main(["run", plan, "--out", roots["run"]]) == 0
+    assert main(["suite", "--out", roots["suite"]]) == 0
+    return {
+        f"{cmd}/{rel.replace(os.sep, '/')}": hashlib.sha256(blob).hexdigest()
+        for cmd, root in roots.items()
+        for rel, blob in sorted(tree_bytes(root).items())
+    }
+
+
+def test_artifacts_match_the_recorded_bytes(tmp_path, capsys):
+    # recorded in tests/data/cli_artifacts.json; any change to a written
+    # byte, file name or file count shows here
+    with open(ARTIFACTS, encoding="utf-8") as f:
+        recorded = json.load(f)
+    assert artifact_digests(tmp_path) == recorded
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # output-root resolution and overrides
 
@@ -304,3 +387,21 @@ def test_blowup_exits_3_with_last_good_time(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "blow-up" in err
     assert "t=0" in err
+
+
+def test_blowup_writes_its_verdict_and_reports_the_latest_finite_sample(tmp_path, monkeypatch, capsys):
+    def sample(t, area):
+        return TraceSample(
+            t=t, area=area, volume=4.0, profile_gap=0.5, ratio=10.0,
+            n_components=1, n_frozen=0,
+            components=[ComponentRecord(1, False, math.nan, area, 4.0, 0.0, 16.0)],
+        )
+
+    # finite, non-finite, finite again: the last good time is the latest finite one
+    broken = FlowTrace(samples=[sample(0.0, 12.0), sample(0.05, math.nan), sample(0.1, 11.0)])
+    monkeypatch.setattr(runner_mod, "run_modified_flow", lambda config: broken)
+    out = tmp_path / "out"
+    assert main(["run", write_plan(tmp_path, [small_levelset_scenario()]), "--out", str(out)]) == 3
+    assert "last good sample t=0.10000000000000001" in capsys.readouterr().err
+    assert (out / "ball" / "verdicts.txt").read_text(encoding="utf-8") == "FAIL blow-up slack=-inf\n"
+    assert len((out / "ball" / "trace.csv").read_text(encoding="utf-8").splitlines()) == 4
