@@ -269,8 +269,9 @@ def _parse_scenario(obj, path: str, seen_names: set) -> Scenario:
         raw = _require(obj, "r_values", path)
         if not isinstance(raw, list) or not raw:
             raise ConfigError(f"{path}.r_values: expected a nonempty array")
+        # the closed forms take radii from the horizon m/2 outward
         vals = tuple(
-            _number(v, f"{path}.r_values[{i}]", positive=True) for i, v in enumerate(raw)
+            _number(v, f"{path}.r_values[{i}]", positive=True, minimum=0.5 * mass) for i, v in enumerate(raw)
         )
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ConfigError(f"{path}.r_values: must be strictly increasing")

@@ -152,7 +152,7 @@ def _speed_coefficients(metric: AmbientMetric, h: float, z_min: float, shape) ->
     return np.stack([np.broadcast_to(f, shape) for f in fields]).reshape(4, -1)
 
 
-def _speed(near: np.ndarray, coef: np.ndarray, h: float) -> np.ndarray:
+def _speed(near: np.ndarray, coef: np.ndarray, h: float, work: np.ndarray) -> np.ndarray:
     """The flow speed H_g |grad u| / w^2 from nine-point stencil values
     ``near`` (in :func:`~isoflow.measure._curvature_stencil`'s argument
     order) and :func:`_speed_coefficients` gathered at the same nodes.
@@ -166,14 +166,44 @@ def _speed(near: np.ndarray, coef: np.ndarray, h: float) -> np.ndarray:
     algebraically equal to ((H + 4 d(ln w)/d(nu)) / w^2) |grad u| / w^2
     from the measurement stencil: the |grad u| factors of the curvature
     cancel, so no square root and no division by rho runs per step.
+
+    Every intermediate lands in a row of ``work``, a (9, nodes) float
+    buffer, and the speed is returned in one of them; nothing is
+    allocated.  The operations run in the order of the plain expression
+    above (2c once, read twice), so the result has its bits.
     """
     c, rp, rm, zp, zm, pp, pm, mp, mm = near
     k, c_a, c_b, c_rr = coef
-    a, b = rp - rm, zp - zm
-    a_rr = rp + rm - 2.0 * c
-    aa, bb = a * a, b * b
-    num = a_rr * bb - 0.5 * a * b * (pp - pm - mp + mm) + (zp + zm - 2.0 * c) * aa
-    return k * num / (aa + bb + 4.0 * h * h * _GRAD_EPS**2) + c_a * a + c_b * b + c_rr * a_rr
+    a, b, c2, a_rr, aa, bb, num, t, a_rz = work
+    np.subtract(rp, rm, out=a)
+    np.subtract(zp, zm, out=b)
+    np.multiply(c, 2.0, out=c2)
+    np.add(rp, rm, out=a_rr)
+    a_rr -= c2
+    np.multiply(a, a, out=aa)
+    np.multiply(b, b, out=bb)
+    # num = A_rr b^2 - ((0.5 a) b) A_rz + A_zz a^2
+    np.multiply(a_rr, bb, out=num)
+    np.subtract(pp, pm, out=a_rz)
+    a_rz -= mp
+    a_rz += mm
+    np.multiply(a, 0.5, out=t)
+    t *= b
+    t *= a_rz
+    num -= t
+    np.add(zp, zm, out=t)
+    t -= c2
+    t *= aa
+    num += t
+    # K num / (a^2 + b^2 + 4 h^2 eps^2) + C_a a + C_b b + C_rr A_rr
+    num *= k
+    np.add(aa, bb, out=t)
+    t += 4.0 * h * h * _GRAD_EPS**2
+    num /= t
+    for c_x, x in ((c_a, a), (c_b, b), (c_rr, a_rr)):
+        np.multiply(c_x, x, out=t)
+        num += t
+    return num
 
 
 def _match_ids(state: LevelSetState, measures: list[ComponentMeasure]) -> tuple[list[int], np.ndarray, int]:
@@ -253,24 +283,31 @@ def freeze_sweep(
     )
 
 
-def _edge_zero(a: np.ndarray) -> np.ndarray:
-    """Zero position (in [0, 1]) along every first-axis edge of ``a``.
+def _edge_curvature(a: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The second difference along the first axis of ``a`` (at least three
+    rows, as on every grid), averaged over the two ends of each edge
+    (i, j)-(i + 1, j); an end node on the border takes its inner
+    neighbour's."""
 
-    Quadratic interpolation through the endpoints with the averaged
-    second difference as curvature; falls back to the linear root where
-    the quadratic is degenerate.  Only meaningful on sign-changing
-    edges; elsewhere the value is arbitrary but finite.
+    def second_difference(k):
+        k = np.clip(k, 1, a.shape[0] - 2)
+        return a[k + 1, j] - 2.0 * a[k, j] + a[k - 1, j]
+
+    return 0.5 * (second_difference(i) + second_difference(i + 1))
+
+
+def _edge_zero(lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Zero position (in [0, 1]) along edges with end values ``lo``, ``hi``
+    and averaged second difference ``q`` (:func:`_edge_curvature`).
+
+    Quadratic interpolation through the endpoints with ``q`` as curvature;
+    falls back to the linear root where the quadratic is degenerate.  Only
+    meaningful on sign-changing edges; elsewhere the value is arbitrary
+    but finite.
     """
-    lo, hi = a[:-1, :], a[1:, :]
     diff = hi - lo
     safe = np.where(diff != 0.0, diff, 1.0)
     linear = np.clip(-lo / safe, 0.0, 1.0)
-    # second differences at the edge endpoints, averaged
-    d2 = np.zeros_like(a)
-    d2[1:-1, :] = a[2:, :] - 2.0 * a[1:-1, :] + a[:-2, :]
-    d2[0, :] = d2[1, :]
-    d2[-1, :] = d2[-2, :]
-    q = 0.5 * (d2[:-1, :] + d2[1:, :])
     # f(t) = lo + (hi-lo) t + (q/2) t (t-1);  roots of (q/2)t^2 + bt + lo
     b = diff - 0.5 * q
     disc = b * b - 2.0 * q * lo
@@ -292,7 +329,12 @@ def reinitialize(u: np.ndarray, h: float, frozen_mask: np.ndarray) -> np.ndarray
     of a seed by the node distance transform.  The relaxation runs to its
     fixed point; further out, a node takes its distance to the nearest
     seed's edge zero.  The zero set moves by less than half a cell, no
-    node changes sign, and nodes of ``frozen_mask`` keep their values.
+    node changes sign (by ``< 0``), and nodes of ``frozen_mask`` keep their
+    values.
+
+    Edge zeros are taken on the crossing edges only, and seeded by
+    scatter.  The relaxation's passes run in buffers allocated once per
+    call, through ``out=`` in the order of the plain expressions.
     """
     inside = u < 0.0
     d = np.full(u.shape, np.inf)
@@ -300,15 +342,18 @@ def reinitialize(u: np.ndarray, h: float, frozen_mask: np.ndarray) -> np.ndarray
 
     # sub-cell seeds on every sign-changing edge; the zero is located by
     # a quadratic fit along the edge (linear roots are biased by the
-    # field's curvature, and that bias accumulates over many rebuilds)
+    # field's curvature, and that bias accumulates over many rebuilds).
+    # A node is the low end of at most one edge per axis, so each scatter
+    # writes a node once; a later seed wins only when strictly closer.
     for a, da, fa, unit in ((u, d, foot, 1.0), (u.T, d.T, foot.T, 1j)):  # writes land in d, foot
-        crossing = (a[:-1, :] < 0.0) != (a[1:, :] < 0.0)
-        if crossing.any():
-            theta = _edge_zero(a)
-            for end, offset, dist in ((np.s_[:-1], theta, theta * h), (np.s_[1:], theta - 1.0, (1.0 - theta) * h)):
-                closer = crossing & (dist < da[end])
-                da[end] = np.where(closer, dist, da[end])
-                fa[end] = np.where(closer, offset * unit, fa[end])
+        ei, ej = np.nonzero((a[:-1, :] < 0.0) != (a[1:, :] < 0.0))
+        if ei.size:
+            theta = _edge_zero(a[ei, ej], a[ei + 1, ej], _edge_curvature(a, ei, ej))
+            for ni, offset, dist in ((ei, theta, theta * h), (ei + 1, theta - 1.0, (1.0 - theta) * h)):
+                closer = dist < da[ni, ej]
+                ci, cj = ni[closer], ej[closer]
+                da[ci, cj] = dist[closer]
+                fa[ci, cj] = offset[closer] * unit
 
     seeds = np.isfinite(d)
     if not seeds.any():
@@ -333,17 +378,34 @@ def reinitialize(u: np.ndarray, h: float, frozen_mask: np.ndarray) -> np.ndarray
         np.where(jj < m - 1, node + 1, unknown),
     ])
     d_flat = np.append(np.where(seeds, d, big), big)
+    near = np.empty(neighbours.shape)
+    a, b, lo, s, upd, current = np.empty((6, node.size))
+    mask = np.empty(node.size, dtype=bool)
     while True:
-        near = np.take(d_flat, neighbours)
-        a = np.minimum(near[0], near[1])
-        b = np.minimum(near[2], near[3])
-        lo = np.minimum(a, b)
-        quad = 0.5 * (a + b + np.sqrt(np.maximum(2 * h * h - (a - b) ** 2, 0.0)))
-        upd = np.where(np.abs(a - b) >= h, lo + h, quad)
-        current = d_flat[node]
-        if not (upd < current).any():
+        # the indices are in range, so "wrap" only skips take's buffered copy
+        np.take(d_flat, neighbours, out=near, mode="wrap")
+        np.minimum(near[0], near[1], out=a)
+        np.minimum(near[2], near[3], out=b)
+        np.minimum(a, b, out=lo)
+        # upd = lo + h where |a - b| >= h, else
+        # 0.5 * (a + b + sqrt(max(2 h^2 - (a - b)^2, 0)))
+        np.subtract(a, b, out=s)
+        np.abs(s, out=s)
+        np.greater_equal(s, h, out=mask)
+        np.square(s, out=s)  # |a - b|^2 has the bits of (a - b)^2
+        np.subtract(2 * h * h, s, out=s)
+        np.maximum(s, 0.0, out=s)
+        np.sqrt(s, out=s)
+        np.add(a, b, out=upd)
+        upd += s
+        upd *= 0.5
+        lo += h
+        np.copyto(upd, lo, where=mask)
+        np.take(d_flat, node, out=current, mode="wrap")
+        if not np.less(upd, current, out=mask).any():
             break  # a fixed point: further passes change nothing
-        d_flat[node] = np.minimum(current, upd)
+        np.minimum(current, upd, out=current)
+        d_flat[node] = current
     d = d_flat[:-1].reshape(u.shape)
 
     # past the reach (only the gradient matters there): the distance to
@@ -379,8 +441,11 @@ class _BandedStepper:
     The flat indices into ``u.ravel()`` of each node's nine-point stencil
     and the speed coefficients depend only on node position, so the
     stepper builds them for the whole grid once.  The band only changes
-    at a refresh, which gathers both for the band's nodes.  A step is then
-    one gather, the kernel's arithmetic and one scatter.
+    at a refresh, which gathers both for the band's nodes and allocates
+    the step's two (9, band size) buffers: the gathered stencil values
+    and :func:`_speed`'s work rows.  A step is then one gather into the
+    first, the kernel's arithmetic in the second and one scatter, and
+    allocates no array.
     """
 
     WIDTH = 12.0  # band half-width in cells
@@ -396,31 +461,43 @@ class _BandedStepper:
         # (9, band size) flat stencil indices; row 0 is the band node itself
         self.stencil: np.ndarray | None = None
         self.coef: np.ndarray | None = None  # (4, band size), aligned with stencil[0]
+        self.near: np.ndarray | None = None  # (9, band size) stencil values
+        self.work: np.ndarray | None = None  # (9, band size) _speed's rows
         self._age = self.REBUILD
 
     def refresh(self, u: np.ndarray, frozen_mask: np.ndarray) -> None:
+        if not u.flags.c_contiguous:
+            raise ValueError("the stepped field must be a C-contiguous array")
         band = np.abs(u) < self.WIDTH * self.h
         if frozen_mask.any():
             band &= ~frozen_mask
         centre = np.flatnonzero(band)
         self.stencil = np.take(self.grid_stencil, centre, axis=1)
         self.coef = np.take(self.grid_coef, centre, axis=1)
+        self.near = np.empty(self.stencil.shape)
+        self.work = np.empty(self.stencil.shape)
         self._age = 0
 
     def step(self, u: np.ndarray, frozen_mask: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray] | None:
         """Advance ``u`` in place by one banded explicit step.
 
         Returns the band values before and after the step (aligned with
-        ``stencil[0]``), or None when the band is empty.
+        ``stencil[0]``), or None when the band is empty.  Both are views
+        of the stepper's buffers, valid until the next step.
         """
         if self._age >= self.REBUILD or self.stencil is None:
             self.refresh(u, frozen_mask)
         self._age += 1
         if self.stencil.shape[1] == 0:
             return None
-        near = np.take(u, self.stencil)
-        u_new = near[0] + dt * _speed(near, self.coef, self.h)
-        np.put(u, self.stencil[0], u_new)
+        # the indices are in range, so "wrap" only skips take's buffered copy
+        near = np.take(u, self.stencil, out=self.near, mode="wrap")
+        u_new = _speed(near, self.coef, self.h, self.work)
+        u_new *= dt
+        u_new += near[0]
+        # u is C-contiguous (refresh checks it: the loop's copy or a
+        # rebuild's fresh array), so reshape is a view and this writes u
+        u.reshape(-1)[self.stencil[0]] = u_new
         return near[0], u_new
 
 
@@ -513,7 +590,7 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     arrival_flat = state.trace.arrival_time.ravel()
     next_sample = config.sample_interval
     step_idx = 0
-    runs_prev = _axis_run_count(u)
+    runs = runs_prev = _axis_run_count(u)
     t = 0.0
     t_end = config.t_max - 1e-12 * max(config.t_max, 1.0)
     while t < t_end and state.live_count:
@@ -529,13 +606,17 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
         t = step_idx * dt
         if band is not None:
             band_prev, band_vals = band
-            # a node can only reach 0 in the step that takes it from
-            # negative; the gather below runs only when one did
-            flip = (band_vals >= 0.0) & (band_prev < 0.0)
-            if flip.any():
-                flat = stepper.stencil[0][flip]
-                arrival_flat[flat[np.isinf(arrival_flat[flat])]] = t
-        runs = _axis_run_count(u)
+            # Only band nodes move in a step, and a rebuild keeps every
+            # node's sign, so arrivals and the axis runs can change only
+            # when some band node's "< 0" did; otherwise runs stays put.
+            if ((band_prev < 0.0) != (band_vals < 0.0)).any():
+                # a node can only reach 0 in the step that takes it from
+                # negative; the gather below runs only when one did
+                flip = (band_vals >= 0.0) & (band_prev < 0.0)
+                if flip.any():
+                    flat = stepper.stencil[0][flip]
+                    arrival_flat[flat[np.isinf(arrival_flat[flat])]] = t
+                runs = _axis_run_count(u)
         sample_due = t >= next_sample - 0.5 * dt
         if sample_due or step_idx % config.sweep_cadence == 0 or runs != runs_prev:
             frozen_before = state.frozen_count

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .metric import AmbientMetric, _as_float, _pow, enclosed_volume, sphere_area
 
@@ -151,6 +150,8 @@ def locate_convexity_threshold(m: float) -> tuple[float, float]:
     """
     if m == 0.0:
         return 0.0, 0.0
+    from scipy.optimize import brentq  # most of the package's import time; only this reads it
+
     expr = lambda r: 1.0 - 2.0 * m / r + m * m / (4.0 * r * r)
     r_root = brentq(expr, 0.5 * m * (1.0 + 1e-12), 10.0 * m, xtol=1e-15 * m, rtol=8.9e-16)
     return float(r_root), float(sphere_area(AmbientMetric(m), r_root))

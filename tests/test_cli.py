@@ -163,6 +163,17 @@ def test_ode_sphere_on_the_horizon_is_rejected(tmp_path, capsys):
     assert "bad config" in err and "scenarios[0].r0" in err
 
 
+def test_mass_table_radius_inside_the_horizon_is_rejected(tmp_path, capsys):
+    # the closed forms reject r < m/2 mid-run; the parser names the entry
+    sc = mass_table_scenario()
+    sc["r_values"] = [0.1, 0.6]
+    with pytest.raises(ConfigError, match=r"scenarios\[0\]\.r_values\[0\]"):
+        parse_plan(json.dumps({"scenarios": [sc]}))
+    assert main(["run", write_plan(tmp_path, [sc]), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and "scenarios[0].r_values[0]" in err
+
+
 def test_lemma_suite_needs_a_positive_mass(tmp_path, capsys):
     # the suite's checks are relative to the threshold area 36 pi m^2
     sc = {"name": "lemmas", "mode": "lemma-suite", "metric": {"kind": "euclidean"}}

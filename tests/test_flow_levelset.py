@@ -1,6 +1,7 @@
 """Level-set flow: tracking oracles, freezing semantics, reinit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,7 @@ def test_band_refresh_after_freeze_drops_the_frozen_halo():
     stepper = _BandedStepper(EUCLID, g)
     stepper.refresh(u, np.zeros(u.shape, dtype=bool))
     before = stepper.stencil[0].copy()
+    assert stepper.near.shape == stepper.work.shape == (9, before.size)
     state = freeze_sweep(initial_state(EUCLID, g), EUCLID, math.sqrt(16.0 / (36.0 * math.pi)))
     assert state.frozen_count == 1
     stepper.refresh(u, state.frozen_mask)
@@ -175,11 +177,39 @@ def test_band_refresh_after_freeze_drops_the_frozen_halo():
     expected = (np.abs(u) < _BandedStepper.WIDTH * h) & ~state.frozen_mask
     assert np.array_equal(centre, np.flatnonzero(expected))
     assert centre.size < before.size
-    assert stepper.stencil.shape == (9, centre.size)
+    assert stepper.stencil.shape == stepper.near.shape == stepper.work.shape == (9, centre.size)
     assert np.array_equal(stepper.coef, stepper.grid_coef[:, centre])
     # off the axis and the edges, row 1 is the rho + h neighbour
     inner = (centre // g.n_z > 0) & (centre // g.n_z < g.n_rho - 1)
     assert np.array_equal(stepper.stencil[1][inner], centre[inner] + g.n_z)
+
+
+def test_steps_between_refreshes_allocate_no_band_sized_array():
+    # the perfbench sphere-freeze grid: a band of 2,933 nodes
+    g = AxiGrid.sample(0.088, 4.4, -4.4, 4.4, lambda rho, z: np.hypot(rho, z) - 4.0)
+    u = g.values.copy()
+    frozen = np.zeros(u.shape, dtype=bool)
+    dt = cfl_time_step(SCHW, g)
+    stepper = _BandedStepper(SCHW, g)
+    stepper.refresh(u, frozen)
+    steps = 6
+    assert steps < _BandedStepper.REBUILD  # no refresh runs among them
+    tracemalloc.start()
+    try:
+        for _ in range(steps):
+            stepper.step(u, frozen, dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stepper.stencil.shape[1] * np.dtype(float).itemsize
+    assert not np.array_equal(u, g.values)
+
+
+def test_a_field_the_step_cannot_write_through_is_rejected():
+    g = sphere_grid(0.5, 0.02)
+    strided = np.asfortranarray(g.values)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _BandedStepper(EUCLID, g).step(strided, np.zeros(strided.shape, dtype=bool), cfl_time_step(EUCLID, g))
 
 
 def test_euclidean_sphere_tracks_exact_radius(euclid_sphere_run):

@@ -9,6 +9,9 @@ read off from (area, volume) pairs.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -245,3 +248,19 @@ def test_profile_point_bundle():
     assert p.convex == 0
     assert p.r == pytest.approx(convexity_threshold_radius(1.0), rel=1e-12)
     assert p.volume == pytest.approx(float(profile_volume(1.0, p.area)), rel=1e-14)
+
+
+def test_importing_the_runner_leaves_the_root_finder_unloaded():
+    # scipy.optimize is most of the package's import time, and only
+    # locate_convexity_threshold reads it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, isoflow.runner; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "False"

@@ -8,13 +8,37 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoflow.flow_levelset import _BandedStepper, _edge_zero, reinitialize
+from isoflow.flow_levelset import _BandedStepper, _edge_curvature, _edge_zero, reinitialize
 from isoflow.measure import AxiGrid
 
 H = 0.05
 EXTENT = 2.5
 # what a band and its stencils read after a rebuild, with a cell to spare
 NEAR = (_BandedStepper.WIDTH + 2) * H
+
+
+def whole_edge_zero(a):
+    """Zero position (in [0, 1]) along every first-axis edge of ``a``: the
+    quadratic through the endpoints with the averaged second difference as
+    curvature, or the linear root where that is degenerate."""
+    lo, hi = a[:-1, :], a[1:, :]
+    diff = hi - lo
+    safe = np.where(diff != 0.0, diff, 1.0)
+    linear = np.clip(-lo / safe, 0.0, 1.0)
+    d2 = np.zeros_like(a)
+    d2[1:-1, :] = a[2:, :] - 2.0 * a[1:-1, :] + a[:-2, :]
+    d2[0, :] = d2[1, :]
+    d2[-1, :] = d2[-2, :]
+    q = 0.5 * (d2[:-1, :] + d2[1:, :])
+    b = diff - 0.5 * q
+    disc = b * b - 2.0 * q * lo
+    usable = (np.abs(q) > 1e-14 * np.maximum(np.abs(b), 1.0)) & (disc >= 0.0)
+    sq = np.sqrt(np.where(usable, disc, 0.0))
+    denom = b + np.where(b >= 0.0, sq, -sq)
+    denom = np.where(np.abs(denom) > 1e-300, denom, 1.0)
+    root = -2.0 * lo / denom
+    theta = np.where(usable & (root >= 0.0) & (root <= 1.0), root, linear)
+    return np.clip(theta, 0.0, 1.0)
 
 
 def reference_reinitialize(u, h, frozen_mask):
@@ -27,7 +51,7 @@ def reference_reinitialize(u, h, frozen_mask):
         da = d if axis == 0 else d.T
         crossing = (a[:-1, :] < 0.0) != (a[1:, :] < 0.0)
         if crossing.any():
-            theta = _edge_zero(a)
+            theta = whole_edge_zero(a)
             da[:-1, :] = np.minimum(da[:-1, :], np.where(crossing, theta * h, np.inf))
             da[1:, :] = np.minimum(da[1:, :], np.where(crossing, (1.0 - theta) * h, np.inf))
     seeds = np.isfinite(d)
@@ -87,3 +111,18 @@ def test_band_local_rebuild_matches_the_whole_grid_one_near_the_interface(case):
     near = np.abs(expected) < NEAR
     assert near.any()
     assert np.array_equal(rebuilt[near], expected[near])
+
+
+@settings(max_examples=50, deadline=None)
+@given(ball_unions(), st.integers(3, 6))
+def test_crossing_edge_roots_equal_the_whole_edge_ones(case, rows):
+    grid, _ = case
+    # the full grid, its transpose, and a thin strip whose border nodes
+    # take their inner neighbour's second difference
+    crossings = 0
+    for a in (grid.values, grid.values.T, grid.values[:rows]):
+        ei, ej = np.nonzero((a[:-1, :] < 0.0) != (a[1:, :] < 0.0))
+        roots = _edge_zero(a[ei, ej], a[ei + 1, ej], _edge_curvature(a, ei, ej))
+        assert roots.tobytes() == whole_edge_zero(a)[ei, ej].tobytes()
+        crossings += ei.size
+    assert crossings > 0
