@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import ndimage
 
-from .config import ConfigError
+from .config import ConfigError, _integer, _number
 from .measure import (
     _GRAD_EPS,
     AxiGrid,
@@ -80,15 +80,6 @@ class FlowTrace:
     freeze_all_time: float | None = None
     incomplete: bool = False
     arrival_time: np.ndarray | None = None
-    inside_masks: list[np.ndarray] | None = None
-
-    @property
-    def areas(self) -> np.ndarray:
-        return np.array([s.area for s in self.samples])
-
-    @property
-    def profile_gaps(self) -> np.ndarray:
-        return np.array([s.profile_gap for s in self.samples])
 
 
 @dataclass
@@ -102,8 +93,8 @@ class LevelSetState:
     trace: FlowTrace
     # node -> component id at the last sweep (0 = outside); used to keep
     # labels stable across sweeps by maximal overlap
-    id_map: np.ndarray = None
-    next_id: int = 1
+    id_map: np.ndarray
+    next_id: int
 
     @property
     def live_count(self) -> int:
@@ -525,7 +516,6 @@ class FlowRunConfig:
     # must come well before the distortion does; each rebuild moves the
     # interface by only ~1e-7 relative.
     reinit_cadence: int = 100
-    record_masks: bool = False  # keep inside masks per sample (tests)
 
 
 def _totals(records: list[ComponentRecord]) -> tuple[float, float]:
@@ -534,7 +524,7 @@ def _totals(records: list[ComponentRecord]) -> tuple[float, float]:
     return area, volume
 
 
-def _sample(state: LevelSetState, m_profile: float, record_masks: bool) -> None:
+def _sample(state: LevelSetState, m_profile: float) -> None:
     area, volume = _totals(state.components)
     gap = profile_volume_or_zero(m_profile, area) - volume
     state.trace.samples.append(
@@ -549,10 +539,6 @@ def _sample(state: LevelSetState, m_profile: float, record_masks: bool) -> None:
             components=list(state.components),
         )
     )
-    if record_masks:
-        if state.trace.inside_masks is None:
-            state.trace.inside_masks = []
-        state.trace.inside_masks.append(state.grid.values < 0.0)
 
 
 def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
@@ -566,23 +552,30 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     ``freeze_all_time``) or at ``t_max`` (then the trace is flagged
     incomplete).
 
+    Time settings a config file's ``time`` object would reject, and a
+    ``dt`` above the stability bound, raise :class:`~isoflow.config.ConfigError`.
+
     The loop steps the working array ``u`` in place and wraps it in the
     state's grid only for a sweep; a sample always follows a sweep at the
-    same step, so the masks it records are the current field's.
+    same step, so the state's grid is the current field at every sample.
     """
+    _number(config.t_max, "t_max", positive=True)
+    _number(config.sample_interval, "sample_interval", positive=True)
+    _integer(config.sweep_cadence, "sweep_cadence", minimum=1)
+    _integer(config.reinit_cadence, "reinit_cadence", minimum=0)
     metric = config.metric
     m_thr = metric.mass if config.threshold_mass is None else config.threshold_mass
     state = initial_state(metric, config.grid)
     bound = cfl_time_step(metric, config.grid)
     if config.dt is not None:
-        dt = config.dt
+        dt = _number(config.dt, "dt", positive=True)
         if dt > bound * (1.0 + 1e-9):
             raise ConfigError(f"dt={dt} exceeds the stability bound {bound}")
     else:
         # snap the step so the sample interval is an exact multiple of it
         dt = config.sample_interval / math.ceil(config.sample_interval / bound)
     state = freeze_sweep(state, metric, m_thr)
-    _sample(state, m_thr, config.record_masks)
+    _sample(state, m_thr)
 
     u = config.grid.values.copy()  # working field; the input grid is kept intact
     # the stepper's whole-grid tables are wasted on a run the first sweep ends
@@ -625,14 +618,14 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
             if state.frozen_count != frozen_before:
                 stepper.refresh(u, state.frozen_mask)
         if sample_due:
-            _sample(state, m_thr, config.record_masks)
+            _sample(state, m_thr)
             next_sample += config.sample_interval
     if state.live_count:
         # time limit: a final sweep (one may already have run at this
         # step; a repeated sweep changes nothing)
         state = freeze_sweep(replace(state, grid=state.grid.replace_values(u), t=t), metric, m_thr)
     if state.trace.samples[-1].t < t:
-        _sample(state, m_thr, config.record_masks)
+        _sample(state, m_thr)
     if state.live_count:
         state.trace.incomplete = True
     else:

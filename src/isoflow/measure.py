@@ -2,12 +2,11 @@
 
 A region of the 3-d model space is represented by level-set samples on
 a uniform (rho, z) half-plane lattice (negative inside).  This module
-extracts its connected components, traces the zero contour by marching
-squares, and evaluates metric-weighted surface area ("perimeter" of the
-revolved interface), enclosed volume, and the interface integral of the
-squared mean curvature.
+labels its connected components and gives each its metric-weighted
+surface area ("perimeter" of the revolved interface), enclosed volume,
+and the interface integral of the squared mean curvature.
 
-Component measures and contours read one marching-squares pass
+:func:`measure_components` reads one marching-squares pass
 (:func:`_sweep`) over the cells whose corners change sign.  A cell's
 case number has one bit per inside corner: 00 -> 1, 10 -> 2, 01 -> 4,
 11 -> 8 (corner names are the cell-local (rho, z) offsets).  A case
@@ -116,18 +115,6 @@ class AxiGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class Component:
-    """Geometry-free component: a label and its set of nodes."""
-
-    id: int
-    node_mask: np.ndarray
-
-    @property
-    def node_count(self) -> int:
-        return int(np.count_nonzero(self.node_mask))
-
-
-@dataclass(frozen=True, eq=False)
 class ComponentMeasure:
     """Metric measurements of one component."""
 
@@ -144,11 +131,6 @@ def label_regions(grid: AxiGrid) -> tuple[np.ndarray, int]:
     Returns (labels, count); labels[i, j] == 0 marks outside nodes.
     """
     return ndimage.label(grid.values < 0, structure=_FOUR_CONNECTED)
-
-
-def extract_components(grid: AxiGrid) -> list[Component]:
-    labels, n = label_regions(grid)
-    return [Component(id=k, node_mask=labels == k) for k in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -259,20 +241,16 @@ class _Sweep:
     """Flat arrays from one marching-squares pass, one entry per chord.
 
     Chord k lies in cell (i[k], j[k]) from local point a[k] to b[k] (cell
-    units, (xi, eta) in [0, 1]^2), crossing grid edges key_a[k] and
-    key_b[k], and belongs to component owner[k] together with the metric
-    volume[k] of the sub-cell piece on its inside.  Edge keys number the
-    rho-edges (i, j) -> i n_z + j first, then the z-edges, offset by the
-    node count.  full_volume[k] is the volume of component k's fully
-    inside cells.
+    units, (xi, eta) in [0, 1]^2) and belongs to component owner[k]
+    together with the metric volume[k] of the sub-cell piece on its
+    inside.  full_volume[k] is the volume of component k's fully inside
+    cells.
     """
 
     i: np.ndarray
     j: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    key_a: np.ndarray
-    key_b: np.ndarray
     owner: np.ndarray
     volume: np.ndarray
     full_volume: np.ndarray
@@ -283,7 +261,7 @@ def _sweep(metric: AmbientMetric, grid: AxiGrid, labels: np.ndarray, n_comp: int
     mixed cell in scan order (a saddle's two in the table's corner order),
     and the full-cell volume of each label."""
     u = grid.values
-    h, n_z = grid.h, grid.n_z
+    h = grid.h
     inside = u < 0
     case = inside[:-1, :-1] + 2 * inside[1:, :-1] + 4 * inside[:-1, 1:] + 8 * inside[1:, 1:]
     horizon, contrib = _cell_geometry(metric, h, grid.z_min, u.shape)
@@ -294,8 +272,8 @@ def _sweep(metric: AmbientMetric, grid: AxiGrid, labels: np.ndarray, n_comp: int
     saddle = (case == 6) | (case == 9)
     case = np.where(saddle & (0.25 * (v00 + v10 + v01 + v11) < 0.0), case + _CONNECTED, case)
 
-    # local coordinates and edge keys of the eight walk positions; edges
-    # the contour does not cross are never read
+    # local coordinates of the eight walk positions; edges the contour
+    # does not cross are never read
     pts = np.zeros((ii.size, 8, 2))
     pts[:, 2:5, 0] = 1.0  # 10, E, 11
     pts[:, 4:7, 1] = 1.0  # 11, N, 01
@@ -304,11 +282,6 @@ def _sweep(metric: AmbientMetric, grid: AxiGrid, labels: np.ndarray, n_comp: int
         pts[:, 3, 1] = v10 / (v10 - v11)  # E
         pts[:, 5, 0] = v01 / (v01 - v11)  # N
         pts[:, 7, 1] = v00 / (v00 - v01)  # W
-    keys = np.zeros((ii.size, 8), dtype=np.int64)
-    keys[:, 1] = ii * n_z + jj  # S
-    keys[:, 5] = keys[:, 1] + 1  # N
-    keys[:, 7] = u.size + keys[:, 1]  # W
-    keys[:, 3] = keys[:, 7] + n_z  # E
     corner_labels = np.stack(
         [labels[ii, jj], labels[ii + 1, jj], labels[ii, jj + 1], labels[ii + 1, jj + 1]], axis=1
     )
@@ -347,8 +320,6 @@ def _sweep(metric: AmbientMetric, grid: AxiGrid, labels: np.ndarray, n_comp: int
         j=cj,
         a=pts[cell, ends[:, 0]],
         b=pts[cell, ends[:, 1]],
-        key_a=keys[cell, ends[:, 0]],
-        key_b=keys[cell, ends[:, 1]],
         owner=corner_labels[cell, _OWNER[entry, slot]],
         volume=volume,
         full_volume=full_volume,
@@ -369,90 +340,6 @@ def _owner_fsums(owner: np.ndarray, values: np.ndarray, n_comp: int) -> list[flo
     bounds = np.searchsorted(owner[order], np.arange(n_comp + 2)).tolist()
     grouped = values[order].tolist()
     return [math.fsum(grouped[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def _chain_chords(sweep: _Sweep, grid: AxiGrid, indices: list[int]) -> list[np.ndarray]:
-    """Join chords into polylines; closed loops repeat the first point.
-
-    Chains terminate only at axis edges (degree-1 keys).  Walk order is
-    deterministic: open chains first (sorted by their end key), then
-    remaining loops in chord order.
-    """
-    h, z0 = grid.h, grid.z_min
-
-    def global_points(p):
-        return np.column_stack([(sweep.i + p[:, 0]) * h, z0 + (sweep.j + p[:, 1]) * h]).tolist()
-
-    start, end = global_points(sweep.a), global_points(sweep.b)
-    key_a, key_b = sweep.key_a.tolist(), sweep.key_b.tolist()
-    by_key: dict[int, list[int]] = {}
-    for k in indices:
-        for key in (key_a[k], key_b[k]):
-            by_key.setdefault(key, []).append(k)
-    used = set()
-    chains = []
-
-    def walk(k, key):
-        pts = []
-        while True:
-            used.add(k)
-            if key == key_a[k]:
-                enter, exit_pt, exit_key = start[k], end[k], key_b[k]
-            else:
-                enter, exit_pt, exit_key = end[k], start[k], key_a[k]
-            if not pts:
-                pts.append(enter)
-            pts.append(exit_pt)
-            nxt = [s for s in by_key.get(exit_key, ()) if s not in used]
-            if not nxt:
-                return pts
-            k, key = nxt[0], exit_key
-
-    for key in sorted(k for k, members in by_key.items() if len(members) == 1):
-        if by_key[key][0] not in used:
-            chains.append(np.array(walk(by_key[key][0], key)))
-    for k in indices:
-        if k not in used:
-            pts = walk(k, key_a[k])
-            pts.append(pts[0])  # closed loop
-            chains.append(np.array(pts))
-    return chains
-
-
-def interface_contour(grid: AxiGrid, component: Component | None = None) -> list[np.ndarray]:
-    """Zero-contour polylines, optionally restricted to one component.
-
-    Each polyline is an (n, 2) array of (rho, z) points; closed curves
-    repeat their first point, open ones start and end on the axis.
-    """
-    labels, n = label_regions(grid)
-    if n == 0:
-        return []
-    sweep = _sweep(AmbientMetric.euclidean(), grid, labels, n)
-    if component is None:
-        indices = np.arange(sweep.owner.size)
-    else:
-        indices = np.flatnonzero(sweep.owner == component.id)
-    return _chain_chords(sweep, grid, indices.tolist())
-
-
-def g_perimeter(metric: AmbientMetric, polyline: np.ndarray, h: float | None = None) -> float:
-    """Area of the surface swept by revolving a polyline about the axis.
-
-    Sum over consecutive point pairs of 2 pi rho_mid * length * w^4 at
-    the midpoint.  ``h`` only sets the radius floor for the conformal
-    factor; it defaults to the shortest nonzero segment length.
-    """
-    pts = np.asarray(polyline, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        return 0.0
-    d = np.diff(pts, axis=0)
-    seg_len = np.hypot(d[:, 0], d[:, 1])
-    mid = 0.5 * (pts[:-1] + pts[1:])
-    if h is None:
-        positive = seg_len[seg_len > 0]
-        h = float(positive.min()) if positive.size else 1.0
-    return math.fsum(_area_element(metric, mid[:, 0], mid[:, 1], seg_len, h))
 
 
 # ---------------------------------------------------------------------------
@@ -532,39 +419,8 @@ def _curvature_in_cells(metric: AmbientMetric, grid: AxiGrid, i, j, fx, fy) -> n
     return f00 * (1 - fx) * (1 - fy) + f10 * fx * (1 - fy) + f01 * (1 - fx) * fy + f11 * fx * fy
 
 
-def interface_H_sq(metric: AmbientMetric, grid: AxiGrid, polyline: np.ndarray) -> float:
-    """Integral of H^2 over the revolved polyline interface.
-
-    H is the node mean-curvature field sampled bilinearly at segment
-    midpoints; the area element matches :func:`g_perimeter`.
-    """
-    pts = np.asarray(polyline, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        return 0.0
-    d = np.diff(pts, axis=0)
-    length = np.hypot(d[:, 0], d[:, 1])
-    mid = (0.5 * (pts[:-1] + pts[1:]))[length > 0.0]
-    length = length[length > 0.0]
-    x = mid[:, 0] / grid.h
-    y = (mid[:, 1] - grid.z_min) / grid.h
-    i = np.clip(np.floor(x).astype(np.int64), 0, grid.n_rho - 2)
-    j = np.clip(np.floor(y).astype(np.int64), 0, grid.n_z - 2)
-    h_mid = _curvature_in_cells(metric, grid, i, j, x - i, y - j)
-    return math.fsum(h_mid * h_mid * _area_element(metric, mid[:, 0], mid[:, 1], length, grid.h))
-
-
 # ---------------------------------------------------------------------------
-# per-component readers of the sweep
-
-
-def g_volume(metric: AmbientMetric, grid: AxiGrid, component: Component) -> float:
-    """Metric volume of one component's region."""
-    labels, n = label_regions(grid)
-    if n == 0:
-        return 0.0
-    sweep = _sweep(metric, grid, labels, n)
-    pieces = sweep.volume[sweep.owner == component.id]
-    return float(sweep.full_volume[component.id]) + math.fsum(pieces.tolist())
+# the one reader of the sweep
 
 
 def measure_components(metric: AmbientMetric, grid: AxiGrid) -> list[ComponentMeasure]:

@@ -19,9 +19,10 @@ from isoflow.flow_levelset import (
     run_modified_flow,
 )
 from isoflow.flow_ode import run_symmetric_flow
-from isoflow.measure import AxiGrid, _curvature_stencil, _normal_geometry, interface_contour
+from isoflow.measure import AxiGrid, _curvature_stencil, _normal_geometry
 from isoflow.metric import AmbientMetric, enclosed_volume, sphere_area
 from isoflow.profile import radius_from_area
+from measure_oracles import interface_contour
 
 EUCLID = AmbientMetric.euclidean()
 SCHW = AmbientMetric(mass=1.0)
@@ -39,12 +40,20 @@ def euclid_sphere_run():
     R0, h = 0.5, 0.01
     g = sphere_grid(R0, h)
     t_max = (R0**2 - (10 * h) ** 2) / 4.0
-    trace = run_modified_flow(
-        FlowRunConfig(
-            metric=EUCLID, grid=g, t_max=t_max, sample_interval=0.0025, record_masks=True
+    # the inside mask of the field at every sample
+    masks = []
+    sample = flow_levelset_mod._sample
+
+    def recording_sample(state, m_profile):
+        sample(state, m_profile)
+        masks.append(state.grid.values < 0.0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow_levelset_mod, "_sample", recording_sample)
+        trace = run_modified_flow(
+            FlowRunConfig(metric=EUCLID, grid=g, t_max=t_max, sample_interval=0.0025)
         )
-    )
-    return R0, h, trace
+    return R0, h, trace, masks
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +86,6 @@ def dumbbell_run():
             t_max=0.4,
             sample_interval=0.005,
             threshold_mass=threshold_mass,
-            record_masks=True,
         )
     )
     return h, threshold_mass, trace
@@ -93,6 +101,17 @@ def test_step_rejects_unstable_dt():
     dt = 10 * cfl_time_step(EUCLID, g)
     with pytest.raises(ConfigError, match="stability bound"):
         run_modified_flow(FlowRunConfig(metric=EUCLID, grid=g, t_max=0.1, sample_interval=0.05, dt=dt))
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("sweep_cadence", 0), ("sample_interval", 0.0), ("sample_interval", -0.01), ("t_max", math.nan), ("reinit_cadence", -1)],
+)
+def test_run_rejects_time_settings_the_parser_rejects(name, value):
+    # the library entry point keeps a config file's time rules
+    times = {"t_max": 0.01, "sample_interval": 0.005, name: value}
+    with pytest.raises(ConfigError, match=name):
+        run_modified_flow(FlowRunConfig(metric=EUCLID, grid=sphere_grid(0.5, 0.02), **times))
 
 
 def test_fully_frozen_state_never_changes():
@@ -213,7 +232,7 @@ def test_a_field_the_step_cannot_write_through_is_rejected():
 
 
 def test_euclidean_sphere_tracks_exact_radius(euclid_sphere_run):
-    R0, h, trace = euclid_sphere_run
+    R0, h, trace, _ = euclid_sphere_run
     worst = 0.0
     for s in trace.samples:
         R_exact = math.sqrt(max(R0**2 - 4 * s.t, 0.0))
@@ -225,21 +244,20 @@ def test_euclidean_sphere_tracks_exact_radius(euclid_sphere_run):
 
 
 def test_total_area_non_increasing(euclid_sphere_run):
-    _, _, trace = euclid_sphere_run
-    areas = trace.areas
+    _, _, trace, _ = euclid_sphere_run
+    areas = np.array([s.area for s in trace.samples])
     assert np.all(np.diff(areas) <= 1e-12 * areas[0])
 
 
 def test_zero_threshold_never_freezes(euclid_sphere_run):
-    _, _, trace = euclid_sphere_run
+    _, _, trace, _ = euclid_sphere_run
     assert trace.freeze_all_time is None
     assert trace.incomplete  # ran to t_max with a live component
     assert all(s.n_frozen == 0 for s in trace.samples)
 
 
 def test_nesting_of_sampled_regions(euclid_sphere_run):
-    _, _, trace = euclid_sphere_run
-    masks = trace.inside_masks
+    _, _, trace, masks = euclid_sphere_run
     assert masks is not None and len(masks) == len(trace.samples)
     for earlier, later in zip(masks, masks[1:]):
         allowed = ndimage.binary_dilation(earlier, structure=np.ones((3, 3), dtype=bool))
@@ -247,7 +265,7 @@ def test_nesting_of_sampled_regions(euclid_sphere_run):
 
 
 def test_arrival_times_match_shrinking_sphere(euclid_sphere_run):
-    R0, h, trace = euclid_sphere_run
+    R0, h, trace, _ = euclid_sphere_run
     arr = trace.arrival_time
     g = sphere_grid(R0, h)
     rho = g.rho[:, None]
@@ -266,8 +284,8 @@ def test_arrival_times_match_shrinking_sphere(euclid_sphere_run):
 
 def test_euclidean_profile_gap_stays_put(euclid_sphere_run):
     # spheres are the equality case: phi_0(A) - V stays near zero
-    _, _, trace = euclid_sphere_run
-    gaps = trace.profile_gaps
+    _, _, trace, _ = euclid_sphere_run
+    gaps = np.array([s.profile_gap for s in trace.samples])
     assert abs(gaps[0]) < 1e-3
     assert np.max(gaps) - np.min(gaps) < 1e-3
 
@@ -374,7 +392,7 @@ def test_frozen_count_monotone(dumbbell_run):
 
 def test_profile_gap_non_increasing_through_pinch(dumbbell_run):
     h, _, trace = dumbbell_run
-    gaps = trace.profile_gaps
+    gaps = np.array([s.profile_gap for s in trace.samples])
     # discrete slack: measured max uptick ~1e-3 at h=0.05
     assert np.all(np.diff(gaps) <= 5e-3)
 

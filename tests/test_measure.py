@@ -12,17 +12,8 @@ from isoflow.metric import (
     sphere_area,
     sphere_mean_curvature,
 )
-from isoflow.measure import (
-    AxiGrid,
-    extract_components,
-    g_perimeter,
-    g_volume,
-    interface_contour,
-    interface_H_sq,
-    label_regions,
-    mean_curvature_field,
-    measure_components,
-)
+from isoflow.measure import AxiGrid, label_regions, mean_curvature_field, measure_components
+from measure_oracles import extract_components, g_perimeter, g_volume, interface_contour, interface_H_sq
 
 EUCLID = AmbientMetric.euclidean()
 SCHW = AmbientMetric(mass=1.0)
@@ -30,6 +21,17 @@ SCHW = AmbientMetric(mass=1.0)
 
 def ball(R, zc=0.0):
     return lambda rho, z: np.hypot(rho, z - zc) - R
+
+
+def two_balls(rho, z):
+    return np.minimum(np.hypot(rho, z - 1.3) - 0.7, np.hypot(rho, z + 1.3) - 0.7)
+
+
+def dumbbell(rho, z):
+    d1 = np.hypot(rho, z - 1.5) - 1.0
+    d2 = np.hypot(rho, z + 1.5) - 1.0
+    neck = np.maximum(rho - 0.35, np.abs(z) - 1.6)
+    return np.minimum(np.minimum(d1, d2), neck)
 
 
 def test_empty_grid_has_no_components():
@@ -62,10 +64,7 @@ def test_ball_is_single_component():
 
 
 def test_two_balls_are_two_components_in_scan_order():
-    def two(rho, z):
-        return np.minimum(np.hypot(rho, z - 1.3) - 0.7, np.hypot(rho, z + 1.3) - 0.7)
-
-    g = AxiGrid.sample(0.05, 2.4, -2.6, 2.6, two)
+    g = AxiGrid.sample(0.05, 2.4, -2.6, 2.6, two_balls)
     comps = extract_components(g)
     assert len(comps) == 2
     # ids follow the scan order (rho-major) of each component's first node
@@ -246,10 +245,7 @@ def test_g_perimeter_polyline_oracle():
 def test_component_sums_equal_isolated_measures_exactly():
     # disjoint union: each component's measures must equal the measures
     # of the same ball alone on the same grid, bit for bit
-    def two(rho, z):
-        return np.minimum(np.hypot(rho, z - 1.3) - 0.7, np.hypot(rho, z + 1.3) - 0.7)
-
-    g = AxiGrid.sample(0.05, 2.4, -2.6, 2.6, two)
+    g = AxiGrid.sample(0.05, 2.4, -2.6, 2.6, two_balls)
     both = measure_components(EUCLID, g)
     assert len(both) == 2
     g_lo = AxiGrid.sample(0.05, 2.4, -2.6, 2.6, ball(0.7, -1.3))
@@ -266,13 +262,6 @@ def test_component_sums_equal_isolated_measures_exactly():
 
 def test_z_translation_by_whole_cells_is_exact():
     h = 0.05
-
-    def dumbbell(rho, z):
-        d1 = np.hypot(rho, z - 1.5) - 1.0
-        d2 = np.hypot(rho, z + 1.5) - 1.0
-        neck = np.maximum(rho - 0.35, np.abs(z) - 1.6)
-        return np.minimum(np.minimum(d1, d2), neck)
-
     g1 = AxiGrid.sample(h, 3.0, -3.2, 3.2, dumbbell)
     m1 = measure_components(EUCLID, g1)
     g2 = g1.replace_values(np.roll(g1.values, 13, axis=1))
@@ -344,10 +333,6 @@ def test_g_volume_matches_component_measures(case, plateau):
         assert g_volume(EUCLID, g, c) == m.volume
 
 
-def two_balls(rho, z):
-    return np.minimum(np.hypot(rho, z - 1.3) - 0.7, np.hypot(rho, z + 1.3) - 0.7)
-
-
 def test_contour_of_one_component():
     g = AxiGrid.sample(0.05, 2.4, -2.6, 2.6, two_balls)
     per_component = [interface_contour(g, c) for c in extract_components(g)]
@@ -366,13 +351,6 @@ def test_contour_of_one_component():
 # regression against the per-cell sweep that the case-table pass replaced
 # (commit 2e36562): one (perimeter, volume, h_sq_integral) per component as
 # float.hex, and a sha256 of the contour chains
-
-
-def dumbbell(rho, z):
-    d1 = np.hypot(rho, z - 1.5) - 1.0
-    d2 = np.hypot(rho, z + 1.5) - 1.0
-    neck = np.maximum(rho - 0.35, np.abs(z) - 1.6)
-    return np.minimum(np.minimum(d1, d2), neck)
 
 
 REFERENCE_GRIDS = {

@@ -7,8 +7,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoflow.measure import AxiGrid, extract_components, g_volume, label_regions, measure_components
+from isoflow.measure import AxiGrid, label_regions, measure_components
 from isoflow.metric import AmbientMetric
+from measure_oracles import extract_components, g_volume
 
 H = 0.1
 # every ball ends this many cells short of the next one, so the corners
