@@ -29,6 +29,7 @@ from .measure import (
     AxiGrid,
     ComponentMeasure,
     _conformal_power,
+    _deep_labels,
     _normal_geometry,
     _stencil_indices,
     measure_components,
@@ -39,6 +40,12 @@ from .profile import convexity_threshold, isoperimetric_ratio, profile_volume_or
 
 # explicit-step stability margin: dt = CFL_SAFETY * h^2 * min(w^4)
 CFL_SAFETY = 0.2
+
+# Under the flow a component's area falls at dA/dt = -int H^2 dA
+# (Huisken 1984).  A cadence sweep is skipped while every live record's
+# area, falling at KAPPA times its last measured int H^2 since that
+# sweep, stays above the freeze threshold.
+KAPPA = 2.0
 
 _HALO = np.ones((3, 3), dtype=bool)
 
@@ -432,11 +439,11 @@ class _BandedStepper:
     The flat indices into ``u.ravel()`` of each node's nine-point stencil
     and the speed coefficients depend only on node position, so the
     stepper builds them for the whole grid once.  The band only changes
-    at a refresh, which gathers both for the band's nodes and allocates
-    the step's two (9, band size) buffers: the gathered stencil values
-    and :func:`_speed`'s work rows.  A step is then one gather into the
-    first, the kernel's arithmetic in the second and one scatter, and
-    allocates no array.
+    at a refresh (:meth:`refresh`), which gathers both for the band's
+    nodes and sizes the step's two (9, band size) buffers: the gathered
+    stencil values and :func:`_speed`'s work rows.  A step is then one
+    gather into the first, the kernel's arithmetic in the second and one
+    scatter, and allocates no array.
     """
 
     WIDTH = 12.0  # band half-width in cells
@@ -449,6 +456,7 @@ class _BandedStepper:
         # (4, nodes) speed coefficients, for every node of the grid
         self.grid_stencil = _stencil_indices(*np.divmod(np.arange(grid.values.size), shape[1]), shape)
         self.grid_coef = _speed_coefficients(metric, grid.h, grid.z_min, shape)
+        self._band: np.ndarray | None = None  # the last refresh's node mask
         # (9, band size) flat stencil indices; row 0 is the band node itself
         self.stencil: np.ndarray | None = None
         self.coef: np.ndarray | None = None  # (4, band size), aligned with stencil[0]
@@ -457,17 +465,30 @@ class _BandedStepper:
         self._age = self.REBUILD
 
     def refresh(self, u: np.ndarray, frozen_mask: np.ndarray) -> None:
+        """Take the band anew: the unfrozen nodes with |u| below ``WIDTH``
+        cells.  The next refresh comes ``REBUILD`` steps later.
+
+        A band equal to the last one keeps its tables and buffers, the
+        same objects; a changed band gathers new tables, and allocates
+        new step buffers only when its size changed.
+        """
         if not u.flags.c_contiguous:
             raise ValueError("the stepped field must be a C-contiguous array")
-        band = np.abs(u) < self.WIDTH * self.h
+        width = self.WIDTH * self.h
+        band = u < width  # |u| < width, without a float temporary
+        band &= u > -width
         if frozen_mask.any():
             band &= ~frozen_mask
+        self._age = 0
+        if self._band is not None and np.array_equal(band, self._band):
+            return
+        self._band = band
         centre = np.flatnonzero(band)
         self.stencil = np.take(self.grid_stencil, centre, axis=1)
         self.coef = np.take(self.grid_coef, centre, axis=1)
-        self.near = np.empty(self.stencil.shape)
-        self.work = np.empty(self.stencil.shape)
-        self._age = 0
+        if self.near is None or self.near.shape != self.stencil.shape:
+            self.near = np.empty(self.stencil.shape)
+            self.work = np.empty(self.stencil.shape)
 
     def step(self, u: np.ndarray, frozen_mask: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray] | None:
         """Advance ``u`` in place by one banded explicit step.
@@ -492,6 +513,26 @@ class _BandedStepper:
         return near[0], u_new
 
 
+def _sweep_can_change(state: LevelSetState, u: np.ndarray, m_thr: float, t: float) -> bool:
+    """Whether a freeze sweep of the field ``u`` at time ``t`` could freeze
+    a component or change the component count; when it cannot, the loop
+    leaves the state as the last sweep left it.
+
+    It can when, with ``m_thr`` > 0, some live record's perimeter P and
+    int H^2 from the last sweep give P - KAPPA int H^2 (t - state.t) at or
+    below 36 pi m_thr^2, or when one labelling of ``u`` counts another
+    number of measured components than the state holds.
+    """
+    if m_thr > 0.0:
+        threshold = convexity_threshold(m_thr)
+        elapsed = t - state.t
+        for c in state.components:
+            if not c.frozen and c.perimeter - KAPPA * c.h_sq_integral * elapsed <= threshold:
+                return True
+    _, deep = _deep_labels(state.grid.replace_values(u))
+    return np.count_nonzero(deep) != len(state.components)
+
+
 def _axis_run_count(u: np.ndarray) -> int:
     """Number of negative runs along the axis column — a free proxy for
     component count changes (axisymmetric pinches happen on the axis)."""
@@ -509,7 +550,7 @@ class FlowRunConfig:
     sample_interval: float
     threshold_mass: float | None = None  # default: the metric's mass
     dt: float | None = None  # default: the CFL bound
-    sweep_cadence: int = 5  # freeze sweeps every k steps
+    sweep_cadence: int = 5  # a freeze check every k steps
     # rebuild the distance field every k steps (0 disables).  The
     # curvature stencils are near-exact on a fresh distance field but
     # pick up a systematic speed bias as the field distorts, so rebuilds
@@ -545,15 +586,19 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     """Run the component-freezing flow and return its sampled trace.
 
     Steps explicitly at the CFL bound (or the configured dt), sweeps for
-    freezable components every few steps and whenever the axis pinch
+    freezable components at every sample and whenever the axis pinch
     count changes, rebuilds the distance field on a fixed cadence, and
-    samples totals on the configured interval.
+    samples totals on the configured interval.  Every ``sweep_cadence``
+    steps a freeze check (:func:`_sweep_can_change`) runs the sweep only
+    when it could freeze a component or change the component count, so
+    a run's trace is the one a sweep at every such step would give.
     The run ends when every component is frozen or gone (that time is
     ``freeze_all_time``) or at ``t_max`` (then the trace is flagged
     incomplete).
 
-    Time settings a config file's ``time`` object would reject, and a
-    ``dt`` above the stability bound, raise :class:`~isoflow.config.ConfigError`.
+    Time settings a config file's ``time`` object would reject, a
+    ``threshold_mass`` it would reject, and a ``dt`` above the stability
+    bound raise :class:`~isoflow.config.ConfigError`.
 
     The loop steps the working array ``u`` in place and wraps it in the
     state's grid only for a sweep; a sample always follows a sweep at the
@@ -564,7 +609,9 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     _integer(config.sweep_cadence, "sweep_cadence", minimum=1)
     _integer(config.reinit_cadence, "reinit_cadence", minimum=0)
     metric = config.metric
-    m_thr = metric.mass if config.threshold_mass is None else config.threshold_mass
+    m_thr = metric.mass
+    if config.threshold_mass is not None:
+        m_thr = _number(config.threshold_mass, "threshold_mass", minimum=0.0)
     state = initial_state(metric, config.grid)
     bound = cfl_time_step(metric, config.grid)
     if config.dt is not None:
@@ -611,7 +658,9 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
                     arrival_flat[flat[np.isinf(arrival_flat[flat])]] = t
                 runs = _axis_run_count(u)
         sample_due = t >= next_sample - 0.5 * dt
-        if sample_due or step_idx % config.sweep_cadence == 0 or runs != runs_prev:
+        if sample_due or runs != runs_prev or (
+            step_idx % config.sweep_cadence == 0 and _sweep_can_change(state, u, m_thr, t)
+        ):
             frozen_before = state.frozen_count
             state = freeze_sweep(replace(state, grid=state.grid.replace_values(u), t=t), metric, m_thr)
             runs_prev = runs

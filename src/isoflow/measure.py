@@ -133,6 +133,23 @@ def label_regions(grid: AxiGrid) -> tuple[np.ndarray, int]:
     return ndimage.label(grid.values < 0, structure=_FOUR_CONNECTED)
 
 
+def _deep_labels(grid: AxiGrid) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`label_regions`' labels, and ``deep[k]``: whether label k has
+    a node at least one cell deep, which makes it a measured component.
+
+    Regions with no node even one cell deep are below measurement
+    resolution (e.g. the sliver a collapsing neck leaves behind for a
+    step or two).  Reporting them would hand a zero-perimeter
+    "component" to the freezing logic, which would then pin a phantom
+    region forever; left alone, the flow evaporates them immediately.
+    ``deep[0]`` (outside) is False.
+    """
+    labels, n = label_regions(grid)
+    deep = np.zeros(n + 1, dtype=bool)
+    deep[labels[grid.values <= -grid.h]] = True
+    return labels, deep
+
+
 # ---------------------------------------------------------------------------
 # conformal weights
 
@@ -424,23 +441,18 @@ def _curvature_in_cells(metric: AmbientMetric, grid: AxiGrid, i, j, fx, fy) -> n
 
 
 def measure_components(metric: AmbientMetric, grid: AxiGrid) -> list[ComponentMeasure]:
-    """Perimeter, volume, and H^2 integral of every component.
+    """Perimeter, volume, and H^2 integral of every component that
+    :func:`_deep_labels` counts.
 
     One sweep serves all components; totals over the returned list equal
     whole-region measurements exactly, because every chord and every
     sub-cell piece belongs to exactly one component.
     """
-    labels, n = label_regions(grid)
+    labels, deep = _deep_labels(grid)
+    n = deep.size - 1
     if n == 0:
         return []
-    # Regions with no node even one cell deep are below measurement
-    # resolution (e.g. the sliver a collapsing neck leaves behind for a
-    # step or two).  Reporting them would hand a zero-perimeter
-    # "component" to the freezing logic, which would then pin a phantom
-    # region forever; left alone, the flow evaporates them immediately.
     h = grid.h
-    deep = np.zeros(n + 1, dtype=bool)
-    deep[labels[grid.values <= -h]] = True
     sweep = _sweep(metric, grid, labels, n)
     xm = 0.5 * (sweep.a[:, 0] + sweep.b[:, 0])
     ym = 0.5 * (sweep.a[:, 1] + sweep.b[:, 1])

@@ -1,0 +1,82 @@
+"""The band refresh: an unchanged band keeps its tables, a changed one
+gathers the tables a fresh stepper would."""
+
+import tracemalloc
+
+import numpy as np
+
+from isoflow.flow_levelset import _BandedStepper, cfl_time_step
+from isoflow.measure import AxiGrid
+from isoflow.metric import AmbientMetric
+
+SCHW = AmbientMetric(mass=1.0)
+
+
+def sphere_freeze_grid(r0=4.0):
+    # the perfbench sphere-freeze grid: a band of 2,933 nodes at r0 = 4
+    return AxiGrid.sample(0.088, 4.4, -4.4, 4.4, lambda rho, z: np.hypot(rho, z) - r0)
+
+
+# a sphere whose band keeps its nodes through the first dozen steps
+STILL_BAND_R0 = 3.5
+
+
+def tables(stepper):
+    return stepper.stencil, stepper.coef, stepper.near, stepper.work
+
+
+def test_an_unchanged_band_keeps_its_tables_and_buffers():
+    g = sphere_freeze_grid(STILL_BAND_R0)
+    u = g.values.copy()
+    frozen = np.zeros(u.shape, dtype=bool)
+    stepper = _BandedStepper(SCHW, g)
+    stepper.refresh(u, frozen)
+    before = tables(stepper)
+    stepper.step(u, frozen, cfl_time_step(SCHW, g))
+    stepper.refresh(u, frozen)
+    assert all(a is b for a, b in zip(tables(stepper), before))
+
+
+def test_a_changed_band_gathers_a_fresh_steppers_tables():
+    g = sphere_freeze_grid()
+    frozen = np.zeros(g.values.shape, dtype=bool)
+    stepper = _BandedStepper(SCHW, g)
+    stepper.refresh(g.values.copy(), frozen)
+    near, work = stepper.near, stepper.work
+    # the same sphere a whole cell higher: other nodes, as many of them
+    shifted = np.ascontiguousarray(np.roll(g.values, 1, axis=1))
+    half = frozen.copy()
+    half[:, : g.n_z // 2] = True
+    for u, mask in ((shifted, frozen), (shifted, half)):
+        stepper.refresh(u, mask)
+        fresh = _BandedStepper(SCHW, g)
+        fresh.refresh(u, mask)
+        assert np.array_equal(stepper.stencil, fresh.stencil)
+        assert np.array_equal(stepper.coef, fresh.coef)
+        assert stepper.stencil.flags.c_contiguous and stepper.coef.flags.c_contiguous
+        assert stepper.near.shape == stepper.work.shape == fresh.near.shape
+        if u is shifted and mask is frozen:
+            # same size: the step buffers stay
+            assert stepper.near is near and stepper.work is work
+        else:
+            assert stepper.near.shape[1] < near.shape[1]
+
+
+def test_steps_across_an_unchanged_band_refresh_allocate_no_band_sized_array():
+    g = sphere_freeze_grid(STILL_BAND_R0)
+    u = g.values.copy()
+    frozen = np.zeros(u.shape, dtype=bool)
+    dt = cfl_time_step(SCHW, g)
+    stepper = _BandedStepper(SCHW, g)
+    stepper.refresh(u, frozen)
+    before = tables(stepper)
+    tracemalloc.start()
+    try:
+        for _ in range(_BandedStepper.REBUILD + 4):  # one refresh among them
+            stepper.step(u, frozen, dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(a is b for a, b in zip(tables(stepper), before))
+    assert peak < stepper.stencil.shape[1] * np.dtype(float).itemsize
+    assert not np.array_equal(u, g.values)

@@ -114,6 +114,14 @@ def test_run_rejects_time_settings_the_parser_rejects(name, value):
         run_modified_flow(FlowRunConfig(metric=EUCLID, grid=sphere_grid(0.5, 0.02), **times))
 
 
+@pytest.mark.parametrize("value", [-1.0, math.nan])
+def test_run_rejects_a_threshold_mass_the_parser_rejects(value):
+    with pytest.raises(ConfigError, match="threshold_mass"):
+        run_modified_flow(
+            FlowRunConfig(metric=EUCLID, grid=sphere_grid(0.5, 0.02), t_max=0.01, sample_interval=0.005, threshold_mass=value)
+        )
+
+
 def test_fully_frozen_state_never_changes():
     g = sphere_grid(0.5, 0.02)
     frozen = np.ones(g.values.shape, dtype=bool)
