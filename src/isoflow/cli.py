@@ -64,11 +64,10 @@ def main(argv: list[str] | None = None) -> int:
             plan = apply_overrides(load_plan(args.config), args.h, args.dt)
         results = run_plan(plan, _out_root(args.out))
     except ConfigError as e:
-        # Besides parse errors, the mistakes found only once a run starts:
-        # an override can make a grid invalid or push dt past the stability
-        # bound, and a hand-written dt can fail to divide the sample
-        # interval.  Each raises ConfigError where it is found; any other
-        # error is a fault of the run, not of the config.
+        # Besides parse and override errors, the mistakes found only once a
+        # run starts: an override can make a grid invalid or push dt past
+        # the stability bound.  Each raises ConfigError where it is found;
+        # any other error is a fault of the run, not of the config.
         print(f"isoflow: bad config: {e}", file=sys.stderr)
         return 2
 

@@ -215,6 +215,8 @@ def _parse_time(obj, path: str, mode: str) -> TimeSpec:
     dt = obj.get("dt")
     if dt is not None:
         dt = _number(dt, f"{path}.dt", positive=True)
+        if mode == "ode-flow":
+            ode_sample_every(interval, dt, f"{path}.dt")
     return TimeSpec(
         t_max=t_max,
         sample_interval=interval,
@@ -222,6 +224,19 @@ def _parse_time(obj, path: str, mode: str) -> TimeSpec:
         sweep_cadence=_integer(obj.get("sweep_cadence", 5), f"{path}.sweep_cadence", minimum=1),
         reinit_cadence=_integer(obj.get("reinit_cadence", 100), f"{path}.reinit_cadence", minimum=0),
     )
+
+
+def ode_sample_every(sample_interval: float, dt: float, path: str) -> int:
+    """RK4 steps per ode-flow sample; dt must divide the sample interval.
+
+    Raises ConfigError at ``path`` when the quotient is not a finite
+    whole number of at least one step.
+    """
+    steps = sample_interval / dt if dt > 0 else math.inf
+    every = round(steps) if math.isfinite(steps) else 0
+    if every < 1 or abs(every * dt - sample_interval) > 1e-9 * sample_interval:
+        raise ConfigError(f"{path}: sample_interval must be a multiple of dt")
+    return every
 
 
 def _parse_scenario(obj, path: str, seen_names: set) -> Scenario:

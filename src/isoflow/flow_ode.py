@@ -7,17 +7,16 @@ scalar ODE for the coordinate radius,
     dr/dt = -H(r) / w(r)**2,
 
 where the conformal length density w**2 converts metric normal speed
-into coordinate speed.  Area and enclosed volume then follow from the
-closed forms in :mod:`isoflow.metric`.
-
-Alongside the closed-form volume, the state carries a *swept* volume
-integrated independently through dV/dt = -H * A.  The difference between
-the profile volume at the current area and that swept volume (the
-``profile_defect``) vanishes identically for the exact flow -- shrinking
-centered spheres realize the equality case of the profile-versus-volume
-monotonicity -- so whatever defect accumulates is pure integrator error.
-That makes it a sharp convergence diagnostic: the classical 4th-order
-scheme used here shrinks it by roughly 16x per halving of dt.
+into coordinate speed.  RK4 integrates r together with a *swept* volume,
+dV/dt = -H * A, and the state holds just those two; every closed form of
+:mod:`isoflow.metric` (area, enclosed volume, mean curvature, Hawking mass)
+is a property of r, evaluated when read.  The profile volume at the
+current area minus the swept volume (the ``profile_defect``) vanishes
+identically for the exact flow -- shrinking centered spheres realize the
+equality case of the profile-versus-volume monotonicity -- so whatever
+defect accumulates is pure integrator error.  That makes it a sharp
+convergence diagnostic: the classical 4th-order scheme used here shrinks
+it by roughly 16x per halving of dt.
 
 In the Euclidean model the flow is the textbook shrinking sphere
 r(t) = sqrt(r0**2 - 4 t); with positive mass the sphere decelerates and
@@ -33,6 +32,7 @@ import numpy as np
 
 from .metric import (
     AmbientMetric,
+    _check_radius,
     enclosed_volume,
     sphere_area,
     sphere_hawking_mass,
@@ -54,18 +54,27 @@ _EXTINCTION_GUARD = 4.5
 class SymmetricFlowState:
     """One snapshot of the shrinking-sphere flow.
 
-    ``area`` and ``volume`` are always the closed forms evaluated at
-    ``r``; ``swept_volume`` is the independently integrated volume and
-    ``profile_defect`` is profile_volume(area) - swept_volume.
+    The fields are the metric and what RK4 advances; ``area``, ``volume``
+    (enclosed), ``mean_curvature`` and ``hawking_mass`` are closed forms of
+    ``r``, and ``profile_defect`` is profile_volume(area) - swept_volume.
     """
 
     metric: AmbientMetric
     t: float
     r: float
-    area: float
-    volume: float
     swept_volume: float
-    profile_defect: float
+
+    @property
+    def area(self) -> float:
+        return float(sphere_area(self.metric, self.r))
+
+    @property
+    def volume(self) -> float:
+        return float(enclosed_volume(self.metric, self.r))
+
+    @property
+    def profile_defect(self) -> float:
+        return float(profile_volume_or_zero(self.metric.mass, self.area)) - self.swept_volume
 
     @property
     def mean_curvature(self) -> float:
@@ -74,19 +83,6 @@ class SymmetricFlowState:
     @property
     def hawking_mass(self) -> float:
         return float(sphere_hawking_mass(self.metric, self.r))
-
-
-def _make_state(metric: AmbientMetric, t: float, r: float, swept: float) -> SymmetricFlowState:
-    area = float(sphere_area(metric, r))
-    return SymmetricFlowState(
-        metric=metric,
-        t=t,
-        r=r,
-        area=area,
-        volume=float(enclosed_volume(metric, r)),
-        swept_volume=swept,
-        profile_defect=float(profile_volume_or_zero(metric.mass, area)) - swept,
-    )
 
 
 def initial_state(metric: AmbientMetric, r0: float) -> SymmetricFlowState:
@@ -101,7 +97,7 @@ def initial_state(metric: AmbientMetric, r0: float) -> SymmetricFlowState:
         raise ValueError("initial radius must be positive")
     if r0 < metric.horizon_radius:
         raise ValueError("initial radius lies inside the horizon")
-    return _make_state(metric, 0.0, r0, float(enclosed_volume(metric, r0)))
+    return SymmetricFlowState(metric, 0.0, r0, float(enclosed_volume(metric, r0)))
 
 
 def _rhs(metric: AmbientMetric, r: float) -> tuple[float, float]:
@@ -128,7 +124,8 @@ def step(state: SymmetricFlowState, dt: float) -> SymmetricFlowState:
     if g.mass > 0.0 and r_next < g.horizon_radius:
         # numerical overshoot: the continuous flow cannot cross
         r_next = g.horizon_radius * (1.0 + _HORIZON_PAD)
-    return _make_state(g, state.t + dt, r_next, v_next)
+    _check_radius(g, r_next)  # no state holds a radius the closed forms reject
+    return SymmetricFlowState(g, state.t + dt, r_next, v_next)
 
 
 def run_symmetric_flow(
@@ -147,6 +144,8 @@ def run_symmetric_flow(
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
+    if not 0 < dt < math.inf or not math.isfinite(t_max / dt):
+        raise ValueError("dt must be positive and finite, and t_max / dt finite")
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
     state = initial_state(metric, r0)
@@ -169,6 +168,6 @@ def run_symmetric_flow(
 
 
 def trace_arrays(states: list[SymmetricFlowState]) -> dict[str, np.ndarray]:
-    """Column view of a run, keyed by state field name."""
+    """Column view of a run, keyed by state attribute name."""
     cols = ("t", "r", "area", "volume", "swept_volume", "profile_defect")
     return {name: np.array([getattr(s, name) for s in states]) for name in cols}

@@ -145,7 +145,11 @@ def enclosed_volume(metric: AmbientMetric, r):
             total = total + coeff * np.log(r / a)
         else:
             p = 3.0 - k
-            total = total + coeff * (np.power(r, p) - a**p) / p
+            try:
+                term = coeff * (np.power(r, p) - a**p) / p
+            except OverflowError:  # a**p at a tiny mass; coeff * a**p = c * a**3
+                term = c * (a**k * np.power(r, p) - a**3) / p
+            total = total + term
     return 4.0 * math.pi * total
 
 

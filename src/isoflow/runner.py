@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import MODE_FIELDS, ConfigError, RunPlan, Scenario
+from .config import MODE_FIELDS, ConfigError, RunPlan, Scenario, _number, ode_sample_every
 from .flow_levelset import ComponentRecord, FlowRunConfig, TraceSample, run_modified_flow
 from .flow_ode import run_symmetric_flow
 from .mass import ISO_ADM_FIT_C, RegionSummary
@@ -155,20 +155,19 @@ def _run_ode_flow(sc: Scenario, out_dir: str) -> list[Verdict]:
     metric = AmbientMetric(mass=sc.mass)
     t = sc.time
     dt = t.dt if t.dt is not None else _ode_auto_dt(t.sample_interval)
-    every = int(round(t.sample_interval / dt))
-    if every < 1 or abs(every * dt - t.sample_interval) > 1e-9 * t.sample_interval:
-        raise ConfigError("sample_interval must be a multiple of dt")
+    every = ode_sample_every(t.sample_interval, dt, f"{sc.name}: time.dt")
     states = run_symmetric_flow(metric, sc.r0, dt, t.t_max, sample_every=every)
     # the sphere is one component that never freezes; its volume is the
     # integrated (swept) one and its gap the profile defect
-    samples = [
-        TraceSample(
-            s.t, s.area, s.swept_volume, s.profile_defect,
-            isoperimetric_ratio(s.area, s.swept_volume), 1, 0,
-            [ComponentRecord(1, False, None, s.area, s.swept_volume, math.nan, s.hawking_mass)],
+    samples = []
+    for s in states:
+        area, volume = s.area, s.swept_volume
+        samples.append(
+            TraceSample(
+                s.t, area, volume, s.profile_defect, isoperimetric_ratio(area, volume), 1, 0,
+                [ComponentRecord(1, False, None, area, volume, math.nan, s.hawking_mass)],
+            )
         )
-        for s in states
-    ]
     _write_flow(out_dir, samples)
 
     drift = max(abs(s.profile_gap - samples[0].profile_gap) for s in samples)
@@ -261,15 +260,26 @@ _MODE_RUNNERS = {
 
 
 def apply_overrides(plan: RunPlan, h: float | None, dt: float | None) -> RunPlan:
-    """Apply command-line --h / --dt to every scenario they affect."""
+    """Apply command-line --h / --dt to every scenario they affect.
+
+    Both must be positive and finite, and an ``ode-flow`` scenario's
+    sample interval must be a multiple of the new dt; ConfigError names
+    the flag, so the check fails before any scenario runs.
+    """
     if h is None and dt is None:
         return plan
+    if h is not None:
+        h = _number(h, "--h", positive=True)
+    if dt is not None:
+        dt = _number(dt, "--dt", positive=True)
     out = []
-    for sc in plan.scenarios:
+    for i, sc in enumerate(plan.scenarios):
         if h is not None and sc.grid is not None:
             sc = replace(sc, grid=replace(sc.grid, h=h))
         if dt is not None and "time" in MODE_FIELDS[sc.mode]:
             sc = replace(sc, time=replace(sc.time, dt=dt))
+            if sc.mode == "ode-flow":
+                ode_sample_every(sc.time.sample_interval, dt, f"--dt: scenarios[{i}].time.dt")
         out.append(sc)
     return RunPlan(scenarios=tuple(out))
 

@@ -113,6 +113,34 @@ def test_ode_dt_must_divide_sample_interval(tmp_path, capsys):
     assert "sample_interval" in capsys.readouterr().err
 
 
+def test_a_nonpositive_h_override_is_rejected_by_flag(tmp_path, capsys):
+    plan = write_plan(tmp_path, [small_levelset_scenario()])
+    assert main(["run", plan, "--out", str(tmp_path / "out"), "--h", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and "--h" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dt", ["0", "nan", "1e-320", "-1"])
+def test_an_ode_dt_override_that_is_not_a_usable_step_is_rejected_by_flag(tmp_path, capsys, dt):
+    # 0, NaN and -1 are not positive and finite; 0.5 / 1e-320 overflows
+    plan = write_plan(tmp_path, [ode_scenario()])
+    assert main(["run", plan, "--out", str(tmp_path / "out"), f"--dt={dt}"]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and "--dt" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_ode_dt_rule_broken_mid_plan_fails_before_any_scenario_runs(tmp_path, capsys):
+    second = ode_scenario("second")
+    second["time"]["dt"] = 0.3  # 0.5 / 0.3 is not an integer
+    plan = write_plan(tmp_path, [ode_scenario("first"), second])
+    assert main(["run", plan, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "scenarios[1].time.dt" in err and "sample_interval" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_h_override_too_coarse_for_the_grid(tmp_path, capsys):
     # h = 1 leaves two nodes across the 1.3-wide grid; the parsed h was fine
     plan = write_plan(tmp_path, [small_levelset_scenario()])

@@ -122,6 +122,14 @@ def test_run_rejects_a_threshold_mass_the_parser_rejects(value):
         )
 
 
+def test_a_tiny_threshold_mass_runs():
+    # the profile at m = 1e-155 reads (m/2)**-3, which overflows a float
+    trace = run_modified_flow(
+        FlowRunConfig(metric=EUCLID, grid=sphere_grid(0.5, 0.05), t_max=0.01, sample_interval=0.005, threshold_mass=1e-155)
+    )
+    assert trace.samples and all(math.isfinite(s.profile_gap) for s in trace.samples)
+
+
 def test_fully_frozen_state_never_changes():
     g = sphere_grid(0.5, 0.02)
     frozen = np.ones(g.values.shape, dtype=bool)

@@ -8,6 +8,7 @@ Tests verify:
 - dA/dt differencing matches -H^2 A
 - Hawking mass is conserved along the flow
 - horizon start is stationary; bad inputs are rejected
+- closed forms are evaluated only when read
 - every sample of a fixed run matches its recorded bits
 """
 
@@ -18,6 +19,7 @@ import os
 import numpy as np
 import pytest
 
+import isoflow.flow_ode as flow_ode_mod
 from isoflow.flow_ode import (
     SymmetricFlowState,
     initial_state,
@@ -128,6 +130,34 @@ def test_bad_inputs_rejected():
         step(s, 0.0)
     with pytest.raises(ValueError):
         run_symmetric_flow(EUCLID, 1.0, dt=1e-3, t_max=-1.0)
+
+
+@pytest.mark.parametrize("dt", [0.0, math.nan, 1e-320, -1e-3, math.inf])
+def test_a_dt_that_is_not_a_usable_step_is_rejected(dt):
+    # 1e-320 is positive and finite, but t_max / dt overflows
+    with pytest.raises(ValueError, match="dt"):
+        run_symmetric_flow(EUCLID, 1.0, dt=dt, t_max=1.0)
+
+
+def test_a_step_past_extinction_is_rejected():
+    # the radius lands at -inf, which no closed form accepts
+    with np.errstate(divide="ignore"), pytest.raises(ValueError):
+        step(initial_state(EUCLID, 1.0), 1e300)
+
+
+def test_closed_forms_are_evaluated_only_when_read(monkeypatch):
+    calls = []
+    wrapped = flow_ode_mod.enclosed_volume
+
+    def counting(metric, r):
+        calls.append(r)
+        return wrapped(metric, r)
+
+    monkeypatch.setattr(flow_ode_mod, "enclosed_volume", counting)
+    states = run_symmetric_flow(AmbientMetric(1.0), 4.0, 0.01, 9.5, sample_every=10)
+    assert calls == [4.0]  # the initial swept volume
+    assert states[-1].volume == float(wrapped(AmbientMetric(1.0), states[-1].r))
+    assert len(calls) == 2
 
 
 def test_sampling_keeps_endpoints():

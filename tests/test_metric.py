@@ -73,6 +73,14 @@ def test_enclosed_volume_euclidean_and_horizon():
     assert float(enclosed_volume(AmbientMetric(1.0), 0.5)) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("m", [1e-104, 1e-155])
+def test_enclosed_volume_stays_finite_for_a_tiny_mass(m):
+    # (m/2)**-3 overflows a float here; the volume is the Euclidean one
+    want = 4.0 / 3.0 * PI * 125.0
+    got = float(enclosed_volume(AmbientMetric(m), 5.0))
+    assert abs(got - want) <= 4 * np.spacing(want)
+
+
 def test_enclosed_volume_matches_quadrature():
     for m, r in [(1.0, 2.0), (1.0, 1.866), (2.0, 3.0), (0.5, 10.0), (3.0, 1.6)]:
         g = AmbientMetric(m)
