@@ -10,13 +10,14 @@ where the conformal length density w**2 converts metric normal speed
 into coordinate speed.  RK4 integrates r together with a *swept* volume,
 dV/dt = -H * A, and the state holds just those two; every closed form of
 :mod:`isoflow.metric` (area, enclosed volume, mean curvature, Hawking mass)
-is a property of r, evaluated when read.  The profile volume at the
-current area minus the swept volume (the ``profile_defect``) vanishes
-identically for the exact flow -- shrinking centered spheres realize the
-equality case of the profile-versus-volume monotonicity -- so whatever
-defect accumulates is pure integrator error.  That makes it a sharp
-convergence diagnostic: the classical 4th-order scheme used here shrinks
-it by roughly 16x per halving of dt.
+is a property of r, evaluated when read.  Each RK4 stage finds w once, and
+one radius check, on the new radius, guards each step.  The profile
+volume at the current area minus the swept volume (the ``profile_defect``)
+vanishes identically for the exact flow -- shrinking centered spheres
+realize the equality case of the profile-versus-volume monotonicity -- so
+whatever defect accumulates is pure integrator error.  That makes it a
+sharp convergence diagnostic: the classical 4th-order scheme used here
+shrinks it by roughly 16x per halving of dt.
 
 In the Euclidean model the flow is the textbook shrinking sphere
 r(t) = sqrt(r0**2 - 4 t); with positive mass the sphere decelerates and
@@ -32,7 +33,9 @@ import numpy as np
 
 from .metric import (
     AmbientMetric,
+    _area,
     _check_radius,
+    _mean_curvature,
     enclosed_volume,
     sphere_area,
     sphere_hawking_mass,
@@ -101,12 +104,12 @@ def initial_state(metric: AmbientMetric, r0: float) -> SymmetricFlowState:
 
 
 def _rhs(metric: AmbientMetric, r: float) -> tuple[float, float]:
-    # intermediate stages may overshoot the horizon by a hair; H is zero
-    # there so clamping is smooth
+    # a stage may overshoot the horizon by a hair (H is zero there, so the
+    # clamp is smooth); a non-finite stage reaches r_next, which step checks
     r = max(r, metric.horizon_radius)
-    h = float(sphere_mean_curvature(metric, r))
-    w = float(metric.conformal_factor(r))
-    return -h / (w * w), -h * float(sphere_area(metric, r))
+    w = metric.conformal_factor(r)
+    h = float(_mean_curvature(r, w))
+    return -h / float(w * w), -h * float(_area(r, w))
 
 
 def step(state: SymmetricFlowState, dt: float) -> SymmetricFlowState:

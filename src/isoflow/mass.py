@@ -43,11 +43,7 @@ def quasilocal_mass(perimeter, volume):
     Scalars in give an np.float64 out, arrays an array.
     """
     p, v = _as_float(perimeter), _as_float(volume)
-    if isinstance(p, float) and isinstance(v, float):
-        finite = math.isfinite(p) and math.isfinite(v)
-    else:
-        finite = np.all(np.isfinite(p)) and np.all(np.isfinite(v))
-    if not finite:
+    if not (np.isfinite(p).all() and np.isfinite(v).all()):
         raise ValueError("perimeter and volume must be finite")
     return mass_from_region(p, v)  # raises on a perimeter <= 0
 
@@ -109,9 +105,7 @@ def exhaustion_mass(metric: AmbientMetric, radii) -> np.ndarray:
         raise ValueError("radii must be a non-empty 1-d sequence")
     if np.any(np.diff(r) <= 0):
         raise ValueError("radii must be strictly increasing")
-    areas = np.asarray(sphere_area(metric, r), dtype=float)
-    vols = np.asarray(enclosed_volume(metric, r), dtype=float)
-    return quasilocal_mass(areas, vols)
+    return quasilocal_mass(sphere_area(metric, r), enclosed_volume(metric, r))
 
 
 def check_iso_adm_bound(summary: RegionSummary, m_adm: float, fit_constant: float) -> float:

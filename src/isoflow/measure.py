@@ -104,10 +104,11 @@ class AxiGrid:
     @classmethod
     def sample(cls, h: float, rho_max: float, z_min: float, z_max: float, fn) -> "AxiGrid":
         """Sample ``fn(rho, z)`` (vectorized) on the lattice."""
-        n_rho = int(round(rho_max / h)) + 1
-        n_z = int(round((z_max - z_min) / h)) + 1
-        rho = np.arange(n_rho) * h
-        z = z_min + np.arange(n_z) * h
+        n_rho, n_z = rho_max / h, (z_max - z_min) / h
+        if not (math.isfinite(n_rho) and math.isfinite(n_z)):
+            raise ValueError("node count rho_max / h or (z_max - z_min) / h is not finite")
+        rho = np.arange(int(round(n_rho)) + 1) * h
+        z = z_min + np.arange(int(round(n_z)) + 1) * h
         return cls(h=h, z_min=z_min, values=fn(rho[:, None], z[None, :]))
 
     def replace_values(self, values: np.ndarray) -> "AxiGrid":

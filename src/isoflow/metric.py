@@ -10,7 +10,8 @@ Conformal densities relative to the flat metric: w^2 for lengths, w^4 for
 areas, w^6 for volumes.  Centered coordinate spheres have closed-form area,
 enclosed volume, mean curvature and Hawking mass, collected here.  Enclosed
 volume is measured from the horizon outward; the region behind the horizon
-contributes nothing.
+contributes nothing.  Each formula lives once; the area and the mean
+curvature are private functions of (r, w), so one w serves both.
 
 Every radius-taking form accepts a scalar or an array.  A scalar (Python
 ``float`` or ``int``, or ``np.float64``) comes out as an ``np.float64``; an
@@ -109,13 +110,22 @@ def _check_radius(metric: AmbientMetric, r):
     return r
 
 
+# the one area formula and the one mean-curvature formula, of (r, w)
+def _area(r, w):
+    return 4.0 * math.pi * r * r * _pow(w, 4)
+
+
+def _mean_curvature(r, w):
+    return 2.0 * (2.0 - w) / (r * _pow(w, 3))
+
+
 def sphere_area(metric: AmbientMetric, r):
     """g-area of the centered coordinate sphere of isotropic radius r.
 
     A(r) = 4 pi r^2 (1 + m/2r)^4; equals 16 pi m^2 at the horizon.
     """
     r = _check_radius(metric, r)
-    return 4.0 * math.pi * r * r * _pow(metric.conformal_factor(r), 4)
+    return _area(r, metric.conformal_factor(r))
 
 
 def sphere_area_derivative(metric: AmbientMetric, r):
@@ -133,16 +143,16 @@ def enclosed_volume(metric: AmbientMetric, r):
     monomial of the expanded conformal density.
     """
     r = _check_radius(metric, r)
-    m = metric.mass
     # np.power, not _pow: see _pow; the radial flow's swept volume starts here
-    if m == 0.0:
+    a = 0.5 * metric.mass
+    if a == 0.0:  # m = 0, or a subnormal m whose terms are below an ulp
         return (4.0 / 3.0) * math.pi * np.power(r, 3)
-    a = 0.5 * m
     total = 0.0
     for k, c in enumerate(_BINOM6):
         coeff = c * a**k
         if k == 3:
-            total = total + coeff * np.log(r / a)
+            if coeff:  # else a**3 underflowed to 0 and r / a may overflow
+                total = total + coeff * np.log(r / a)
         else:
             p = 3.0 - k
             try:
@@ -161,8 +171,7 @@ def sphere_mean_curvature(metric: AmbientMetric, r):
     area, dA/dr = H * w^2 * A.
     """
     r = _check_radius(metric, r)
-    w = metric.conformal_factor(r)
-    return 2.0 * (2.0 - w) / (r * _pow(w, 3))
+    return _mean_curvature(r, metric.conformal_factor(r))
 
 
 def sphere_hawking_mass(metric: AmbientMetric, r):
@@ -170,8 +179,9 @@ def sphere_hawking_mass(metric: AmbientMetric, r):
 
     Identically equal to the metric mass m, for every r >= m/2.
     """
-    area = sphere_area(metric, r)
-    h = sphere_mean_curvature(metric, r)
+    r = _check_radius(metric, r)
+    w = metric.conformal_factor(r)
+    area, h = _area(r, w), _mean_curvature(r, w)
     return _hawking_mass(area, area * h * h)
 
 

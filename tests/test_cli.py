@@ -6,9 +6,12 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 
 import isoflow.flow_levelset as flow_levelset_mod
+import isoflow.mass as mass_mod
+import isoflow.metric as metric_mod
 import isoflow.runner as runner_mod
 from isoflow.cli import main
 from isoflow.config import ConfigError, parse_plan
@@ -16,6 +19,7 @@ from isoflow.flow_levelset import ComponentRecord, FlowTrace, TraceSample
 
 TRACE_HEADER = "t,A_total,V_total,Q,ratio,n_components,n_frozen"
 COMPONENTS_HEADER = "t,id,frozen,freeze_time,perimeter,volume,hawking"
+MASS_TABLE_HEADER = "r,area,volume,qlm,hawking,qlm_gap_scaled"
 VERDICT_RE = re.compile(r"^(PASS|FAIL) [a-z0-9@.-]+ slack=-?(\d|inf)")
 ARTIFACTS = os.path.join(os.path.dirname(__file__), "data", "cli_artifacts.json")
 
@@ -147,6 +151,15 @@ def test_h_override_too_coarse_for_the_grid(tmp_path, capsys):
     assert main(["run", plan, "--out", str(tmp_path / "out"), "--h", "1.0"]) == 2
     err = capsys.readouterr().err
     assert "bad config" in err and "h = 1.0" in err
+
+
+def test_an_h_override_whose_node_count_overflows_is_rejected(tmp_path, capsys):
+    # 1.3 / 1e-320 is inf: the node count is not a number to sample with
+    plan = write_plan(tmp_path, [small_levelset_scenario()])
+    assert main(["run", plan, "--out", str(tmp_path / "out"), "--h", "1e-320"]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and "ball" in err and "not finite" in err
+    assert "Traceback" not in err
 
 
 def test_a_value_error_mid_run_is_not_a_config_error(tmp_path, monkeypatch, capsys):
@@ -302,6 +315,35 @@ def test_levelset_run_artifacts(tmp_path, capsys):
         assert fields[5] == "1" and fields[6] == "0"
     stdout = capsys.readouterr().out
     assert "ball: PASS prop74" in stdout
+
+
+@pytest.mark.parametrize("mass", [5e-324, 1e-310])
+def test_a_mass_table_at_a_subnormal_mass_runs(tmp_path, capsys, mass):
+    # m / 2 rounds to 0 at 5e-324, and r / (m / 2) overflows at 1e-310
+    sc = mass_table_scenario()
+    sc["metric"]["mass"] = mass
+    out = tmp_path / "out"
+    assert main(["run", write_plan(tmp_path, [sc]), "--out", str(out)]) == 0
+    rows = (out / "table-m1" / "mass_table.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[0] == MASS_TABLE_HEADER and len(rows) == 1 + len(sc["r_values"])
+    assert all(math.isfinite(float(x)) for row in rows[1:] for x in row.split(","))
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_the_mass_table_evaluates_each_closed_form_once(tmp_path, monkeypatch):
+    # one array call over the table's radii, wherever sphere_area is bound
+    calls = []
+    wrapped = metric_mod.sphere_area
+
+    def counting(metric, r):
+        calls.append(np.size(r))
+        return wrapped(metric, r)
+
+    for mod in (metric_mod, mass_mod, runner_mod):
+        monkeypatch.setattr(mod, "sphere_area", counting, raising=False)
+    (sc,) = parse_plan(json.dumps({"scenarios": [mass_table_scenario()]})).scenarios
+    runner_mod._run_mass_table(sc, str(tmp_path))
+    assert calls == [len(sc.r_values)]
 
 
 def test_values_use_17_significant_digits(tmp_path):

@@ -5,10 +5,11 @@ radius check, so each must reject NaN, +-inf, negative and inside-horizon
 radii (as scalars, or as one bad entry in an array) and accept the horizon
 radius m/2 itself.  A scalar radius, area, perimeter or volume (float, int,
 np.float64 or 0-d array) must give an np.float64 equal to what a one-element
-array gives, and must raise exactly where that array raises.  The float.hex
-table pins the area, curvature and profile closed forms at a few (m, r)
-pairs, recorded before they were rewritten on the one conformal factor
-w = 1 + m/(2r).
+array gives, and must raise exactly where that array raises; on a sorted
+array of radii the area, volume, Hawking and quasilocal masses equal their
+per-element scalar calls to the bit.  The float.hex table pins the area,
+curvature and profile closed forms at a few (m, r) pairs, recorded before
+they were rewritten on the one conformal factor w = 1 + m/(2r).
 """
 
 import math
@@ -147,6 +148,31 @@ def test_scalar_input_matches_a_one_element_array(m, name, data):
         (expected,) = want
         if not (got == expected or (np.isnan(got) and np.isnan(expected))):
             assert abs(got - expected) <= 2 * np.spacing(abs(expected)), kind
+
+
+def sorted_radii(m):
+    """Sorted radius arrays above the horizon, some near it, some far out."""
+    near = st.floats(0.0, 1e-3).map(lambda e: 0.5 * m * (1.0 + e) if m else e + 1e-3)
+    far = st.floats(max(0.5 * m, 1e-3), 1e4)
+    return st.lists(near | far, min_size=1, max_size=70).map(lambda r: np.sort(np.array(r)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.data())
+def test_array_closed_forms_match_their_scalar_calls_to_the_bit(m, data):
+    # the mass table evaluates each form once on all its radii
+    metric = AmbientMetric(m)
+    r = data.draw(sorted_radii(m))
+    forms = {
+        "sphere_area": lambda x: sphere_area(metric, x),
+        "enclosed_volume": lambda x: enclosed_volume(metric, x),
+        "sphere_hawking_mass": lambda x: sphere_hawking_mass(metric, x),
+    }
+    for name, form in forms.items():
+        assert [v.hex() for v in form(r)] == [float(form(float(x))).hex() for x in r], name
+    area, volume = sphere_area(metric, r), enclosed_volume(metric, r)
+    want = [float(quasilocal_mass(float(a), float(v))).hex() for a, v in zip(area, volume)]
+    assert [v.hex() for v in quasilocal_mass(area, volume)] == want
 
 
 # Recorded before the closed forms were rewritten on w: the (1 - m/2r)

@@ -8,7 +8,7 @@ Tests verify:
 - dA/dt differencing matches -H^2 A
 - Hawking mass is conserved along the flow
 - horizon start is stationary; bad inputs are rejected
-- closed forms are evaluated only when read
+- closed forms are evaluated only when read, and each RK4 stage finds w once
 - every sample of a fixed run matches its recorded bits
 """
 
@@ -158,6 +158,20 @@ def test_closed_forms_are_evaluated_only_when_read(monkeypatch):
     assert calls == [4.0]  # the initial swept volume
     assert states[-1].volume == float(wrapped(AmbientMetric(1.0), states[-1].r))
     assert len(calls) == 2
+
+
+def test_each_rk4_stage_finds_w_once(monkeypatch):
+    calls = []
+    wrapped = AmbientMetric.conformal_factor
+
+    def counting(self, r):
+        calls.append(r)
+        return wrapped(self, r)
+
+    monkeypatch.setattr(AmbientMetric, "conformal_factor", counting)
+    states = run_symmetric_flow(AmbientMetric(1.0), 4.0, 0.01, 1.0)
+    assert len(states) == 101  # 100 steps
+    assert len(calls) == 4 * 100
 
 
 def test_sampling_keeps_endpoints():

@@ -81,6 +81,24 @@ def test_enclosed_volume_stays_finite_for_a_tiny_mass(m):
     assert abs(got - want) <= 4 * np.spacing(want)
 
 
+def test_enclosed_volume_at_the_smallest_subnormal_mass_is_the_euclidean_one():
+    # m / 2 rounds to 0; the mass terms lie below one ulp of the volume
+    tiny, flat = AmbientMetric(5e-324), AmbientMetric(0.0)
+    assert enclosed_volume(tiny, 5.0) == enclosed_volume(flat, 5.0)
+    r = np.array([0.3, 1.0, 5.0, 40.0])
+    assert np.array_equal(enclosed_volume(tiny, r), enclosed_volume(flat, r))
+
+
+@pytest.mark.parametrize("m", [1e-308, 1e-310, 1e-320])
+def test_enclosed_volume_stays_finite_when_r_over_half_the_mass_overflows(m):
+    # (m/2)**3 underflows to 0 and r / (m/2) overflows to inf here
+    r = np.array([0.3, 1.0, 5.0, 40.0])
+    want = 4.0 / 3.0 * PI * r**3
+    got = enclosed_volume(AmbientMetric(m), r)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+    assert abs(float(enclosed_volume(AmbientMetric(m), 5.0)) - want[2]) <= 4 * np.spacing(want[2])
+
+
 def test_enclosed_volume_matches_quadrature():
     for m, r in [(1.0, 2.0), (1.0, 1.866), (2.0, 3.0), (0.5, 10.0), (3.0, 1.6)]:
         g = AmbientMetric(m)
