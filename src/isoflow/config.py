@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .measure import AxiGrid
+
 # scenario fields each mode reads, besides name, mode and metric
 MODE_FIELDS = {
     "lemma-suite": (),
@@ -201,7 +203,19 @@ def _parse_grid(obj, path: str) -> GridSpec:
     z_max = _number(_require(obj, "z_max", path), f"{path}.z_max")
     if z_max <= z_min:
         raise ConfigError(f"{path}.z_max: must exceed z_min")
-    return GridSpec(h=h, rho_max=rho_max, z_min=z_min, z_max=z_max)
+    grid = GridSpec(h=h, rho_max=rho_max, z_min=z_min, z_max=z_max)
+    check_grid_size(grid, f"{path}.h")
+    return grid
+
+
+def check_grid_size(grid: GridSpec, path: str) -> None:
+    """Raise ConfigError at ``path`` when the grid's node count is not
+    finite or above :data:`~isoflow.measure.MAX_NODES`; nothing is
+    allocated."""
+    try:
+        AxiGrid.lattice_shape(grid.h, grid.rho_max, grid.z_min, grid.z_max)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def _parse_time(obj, path: str, mode: str) -> TimeSpec:

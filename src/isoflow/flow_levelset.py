@@ -113,8 +113,10 @@ class LevelSetState:
 
 
 def cfl_time_step(metric: AmbientMetric, grid: AxiGrid) -> float:
-    """Largest stable explicit step: CFL_SAFETY * h^2 * min over the grid
-    of w^4 (the effective diffusivity is w^-4)."""
+    """The grid bound on the explicit step: CFL_SAFETY * h^2 * min over the
+    grid of w^4 (the effective diffusivity is w^-4).  Without a configured
+    dt, :func:`run_modified_flow` scales it to the band the step moves
+    (:attr:`_BandedStepper.bound_scale`)."""
     h = grid.h
     w4 = _conformal_power(metric, grid.rho[:, None], grid.z[None, :], 4, h)
     return CFL_SAFETY * h * h * float(w4.min())
@@ -444,6 +446,12 @@ class _BandedStepper:
     stencil values and :func:`_speed`'s work rows.  A step is then one
     gather into the first, the kernel's arithmetic in the second and one
     scatter, and allocates no array.
+
+    A refresh also takes the band's CFL scale, :attr:`bound_scale`: the
+    step's diffusivity is w^-4, so the band's bound is the grid's
+    (:func:`cfl_time_step`) times grid max K / band max K, with K =
+    1/(h^2 w^4) the first coefficient row.  At m = 0 every K is equal and
+    the scale is exactly 1.
     """
 
     WIDTH = 12.0  # band half-width in cells
@@ -456,6 +464,8 @@ class _BandedStepper:
         # (4, nodes) speed coefficients, for every node of the grid
         self.grid_stencil = _stencil_indices(*np.divmod(np.arange(grid.values.size), shape[1]), shape)
         self.grid_coef = _speed_coefficients(metric, grid.h, grid.z_min, shape)
+        self._grid_k_max = float(self.grid_coef[0].max())  # K at the grid bound's node
+        self.bound_scale = 1.0  # the band's CFL bound over the grid's
         self._band: np.ndarray | None = None  # the last refresh's node mask
         # (9, band size) flat stencil indices; row 0 is the band node itself
         self.stencil: np.ndarray | None = None
@@ -486,9 +496,16 @@ class _BandedStepper:
         centre = np.flatnonzero(band)
         self.stencil = np.take(self.grid_stencil, centre, axis=1)
         self.coef = np.take(self.grid_coef, centre, axis=1)
+        self.bound_scale = self._grid_k_max / float(self.coef[0].max()) if centre.size else 1.0
         if self.near is None or self.near.shape != self.stencil.shape:
             self.near = np.empty(self.stencil.shape)
             self.work = np.empty(self.stencil.shape)
+
+    def refresh_if_due(self, u: np.ndarray, frozen_mask: np.ndarray) -> None:
+        """Refresh the band when the next step would, so that
+        :attr:`bound_scale` is the scale of the band that step moves."""
+        if self._age >= self.REBUILD or self.stencil is None:
+            self.refresh(u, frozen_mask)
 
     def step(self, u: np.ndarray, frozen_mask: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray] | None:
         """Advance ``u`` in place by one banded explicit step.
@@ -497,8 +514,7 @@ class _BandedStepper:
         ``stencil[0]``), or None when the band is empty.  Both are views
         of the stepper's buffers, valid until the next step.
         """
-        if self._age >= self.REBUILD or self.stencil is None:
-            self.refresh(u, frozen_mask)
+        self.refresh_if_due(u, frozen_mask)
         self._age += 1
         if self.stencil.shape[1] == 0:
             return None
@@ -549,14 +565,29 @@ class FlowRunConfig:
     t_max: float
     sample_interval: float
     threshold_mass: float | None = None  # default: the metric's mass
-    dt: float | None = None  # default: the CFL bound
-    sweep_cadence: int = 5  # a freeze check every k steps
-    # rebuild the distance field every k steps (0 disables).  The
-    # curvature stencils are near-exact on a fresh distance field but
+    dt: float | None = None  # default: the band's CFL bound
+    # Both cadences count grid-bound steps: steps of the configured dt,
+    # or of the grid's CFL bound snapped to the sample interval, so a
+    # cadence keeps its model time when the band's bound lets dt grow.
+    sweep_cadence: int = 5  # a freeze check every k grid-bound steps
+    # rebuild the distance field every k grid-bound steps (0 disables).
+    # The curvature stencils are near-exact on a fresh distance field but
     # pick up a systematic speed bias as the field distorts, so rebuilds
     # must come well before the distortion does; each rebuild moves the
     # interface by only ~1e-7 relative.
     reinit_cadence: int = 100
+
+
+def _snap(span: float, limit: float) -> float:
+    """The largest step at most ``limit`` that covers ``span`` in whole steps."""
+    return span / math.ceil(span / limit)
+
+
+def _periods(grid_steps: float, cadence: int) -> int:
+    """Whole ``cadence`` periods in a count of grid-bound steps.  The slack
+    absorbs the round-off of summing dt / dt_grid; a count of whole steps
+    divides exactly."""
+    return math.floor((grid_steps + 1e-9) / cadence)
 
 
 def _totals(records: list[ComponentRecord]) -> tuple[float, float]:
@@ -585,16 +616,28 @@ def _sample(state: LevelSetState, m_profile: float) -> None:
 def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     """Run the component-freezing flow and return its sampled trace.
 
-    Steps explicitly at the CFL bound (or the configured dt), sweeps for
-    freezable components at every sample and whenever the axis pinch
-    count changes, rebuilds the distance field on a fixed cadence, and
-    samples totals on the configured interval.  Every ``sweep_cadence``
-    steps a freeze check (:func:`_sweep_can_change`) runs the sweep only
-    when it could freeze a component or change the component count, so
-    a run's trace is the one a sweep at every such step would give.
-    The run ends when every component is frozen or gone (that time is
-    ``freeze_all_time``) or at ``t_max`` (then the trace is flagged
-    incomplete).
+    Steps explicitly at the configured dt or, without one, at the CFL
+    bound of the band each step moves: :func:`cfl_time_step`'s grid bound
+    times :attr:`_BandedStepper.bound_scale`.  That dt is snapped so the
+    rest of the sample interval is a whole number of steps, at each
+    sample where the band's bound or dt differs from the grid's, and at
+    any refresh that takes the band's bound below dt.  Time is
+    ``t_anchor + steps * dt``, the anchor moving only when dt does; at
+    m = 0 the band's bound is the grid's, so dt never changes.
+
+    Sweeps for freezable components at every sample and whenever the
+    axis pinch count changes, and samples totals on the configured
+    interval.  ``reinit_cadence`` and ``sweep_cadence`` count grid-bound
+    steps, dt_grid: the configured dt, or the grid's bound snapped to the
+    sample interval.  Each step advances them by dt / dt_grid, so they
+    keep their model time when the band lets dt grow.  The distance
+    field is rebuilt every ``reinit_cadence`` of them; every
+    ``sweep_cadence`` of them a freeze check (:func:`_sweep_can_change`)
+    runs the sweep only when it could freeze a component or change the
+    component count, so a run's trace is the one a sweep at every such
+    step would give.  The run ends when every component is frozen or
+    gone (that time is ``freeze_all_time``) or at ``t_max`` (then the
+    trace is flagged incomplete).
 
     Time settings a config file's ``time`` object would reject, a
     ``threshold_mass`` it would reject, and a ``dt`` above the stability
@@ -619,8 +662,8 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
         if dt > bound * (1.0 + 1e-9):
             raise ConfigError(f"dt={dt} exceeds the stability bound {bound}")
     else:
-        # snap the step so the sample interval is an exact multiple of it
-        dt = config.sample_interval / math.ceil(config.sample_interval / bound)
+        dt = _snap(config.sample_interval, bound)
+    dt_grid = dt  # the step the cadences count in
     state = freeze_sweep(state, metric, m_thr)
     _sample(state, m_thr)
 
@@ -629,21 +672,35 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     stepper = _BandedStepper(metric, config.grid) if state.live_count else None
     arrival_flat = state.trace.arrival_time.ravel()
     next_sample = config.sample_interval
-    step_idx = 0
+    t_anchor, steps, t = 0.0, 0, 0.0  # t = t_anchor + steps * dt
+    grid_steps, advance = 0.0, 1.0  # grid-bound steps so far, and per step
+    # whole cadence periods so far; reinit_cadence 0 is an endless period
+    rebuilds = checks = 0
+    snap_due = config.dt is None  # a sample was just taken: re-snap dt
     runs = runs_prev = _axis_run_count(u)
-    t = 0.0
     t_end = config.t_max - 1e-12 * max(config.t_max, 1.0)
     while t < t_end and state.live_count:
         # Rebuild only before a step, never between a step and its sweep:
         # the fast-swept distance field has clean first derivatives but
         # noisy second ones, so curvature must never be measured off a
         # just-rebuilt field.
-        if config.reinit_cadence > 0 and step_idx > 0 and step_idx % config.reinit_cadence == 0:
+        rebuilds_before, rebuilds = rebuilds, _periods(grid_steps, config.reinit_cadence or math.inf)
+        if rebuilds > rebuilds_before:
             u = reinitialize(u, config.grid.h, state.frozen_mask)
             stepper.refresh(u, state.frozen_mask)
+        if config.dt is None:
+            stepper.refresh_if_due(u, state.frozen_mask)
+            limit = bound * stepper.bound_scale
+            if limit < dt or (snap_due and (limit != bound or dt != dt_grid)):
+                snapped = _snap(next_sample - t, limit)
+                if snapped != dt:
+                    t_anchor, steps, dt = t, 0, snapped
+                    advance = dt / dt_grid
+            snap_due = False
         band = stepper.step(u, state.frozen_mask, dt)
-        step_idx += 1
-        t = step_idx * dt
+        steps += 1
+        t = t_anchor + steps * dt
+        grid_steps += advance
         if band is not None:
             band_prev, band_vals = band
             # Only band nodes move in a step, and a rebuild keeps every
@@ -657,10 +714,9 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
                     flat = stepper.stencil[0][flip]
                     arrival_flat[flat[np.isinf(arrival_flat[flat])]] = t
                 runs = _axis_run_count(u)
+        checks_before, checks = checks, _periods(grid_steps, config.sweep_cadence)
         sample_due = t >= next_sample - 0.5 * dt
-        if sample_due or runs != runs_prev or (
-            step_idx % config.sweep_cadence == 0 and _sweep_can_change(state, u, m_thr, t)
-        ):
+        if sample_due or runs != runs_prev or (checks > checks_before and _sweep_can_change(state, u, m_thr, t)):
             frozen_before = state.frozen_count
             state = freeze_sweep(replace(state, grid=state.grid.replace_values(u), t=t), metric, m_thr)
             runs_prev = runs
@@ -669,6 +725,7 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
         if sample_due:
             _sample(state, m_thr)
             next_sample += config.sample_interval
+            snap_due = config.dt is None
     if state.live_count:
         # time limit: a final sweep (one may already have run at this
         # step; a repeated sweep changes nothing)

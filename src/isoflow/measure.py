@@ -56,6 +56,10 @@ _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
 # gradient-magnitude regularizer for curvature stencils
 _GRAD_EPS = 1e-8
 
+# the most nodes a grid may have: the flow's stepper keeps about 100
+# bytes of tables per node, so this is about 1 GB
+MAX_NODES = 10_000_000
+
 # radii are clamped to this fraction of a cell before evaluating the
 # conformal factor, so the coordinate origin cannot produce infinities
 _RADIUS_FLOOR = 0.25
@@ -101,14 +105,25 @@ class AxiGrid:
     def z(self) -> np.ndarray:
         return self.z_min + np.arange(self.n_z) * self.h
 
-    @classmethod
-    def sample(cls, h: float, rho_max: float, z_min: float, z_max: float, fn) -> "AxiGrid":
-        """Sample ``fn(rho, z)`` (vectorized) on the lattice."""
+    @staticmethod
+    def lattice_shape(h: float, rho_max: float, z_min: float, z_max: float) -> tuple[int, int]:
+        """(n_rho, n_z) of :meth:`sample`'s lattice, computed without
+        allocating it; ValueError when a count is not finite or the
+        lattice has more than ``MAX_NODES`` nodes."""
         n_rho, n_z = rho_max / h, (z_max - z_min) / h
         if not (math.isfinite(n_rho) and math.isfinite(n_z)):
             raise ValueError("node count rho_max / h or (z_max - z_min) / h is not finite")
-        rho = np.arange(int(round(n_rho)) + 1) * h
-        z = z_min + np.arange(int(round(n_z)) + 1) * h
+        n_rho, n_z = int(round(n_rho)) + 1, int(round(n_z)) + 1
+        if n_rho * n_z > MAX_NODES:
+            raise ValueError(f"{n_rho} x {n_z} nodes exceed the {MAX_NODES:,} node cap")
+        return n_rho, n_z
+
+    @classmethod
+    def sample(cls, h: float, rho_max: float, z_min: float, z_max: float, fn) -> "AxiGrid":
+        """Sample ``fn(rho, z)`` (vectorized) on the lattice."""
+        n_rho, n_z = cls.lattice_shape(h, rho_max, z_min, z_max)
+        rho = np.arange(n_rho) * h
+        z = z_min + np.arange(n_z) * h
         return cls(h=h, z_min=z_min, values=fn(rho[:, None], z[None, :]))
 
     def replace_values(self, values: np.ndarray) -> "AxiGrid":

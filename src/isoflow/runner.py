@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import MODE_FIELDS, ConfigError, RunPlan, Scenario, _number, ode_sample_every
+from .config import MODE_FIELDS, ConfigError, RunPlan, Scenario, _number, check_grid_size, ode_sample_every
 from .flow_levelset import ComponentRecord, FlowRunConfig, TraceSample, run_modified_flow
 from .flow_ode import run_symmetric_flow
 from .mass import ISO_ADM_FIT_C, quasilocal_mass
@@ -253,9 +253,11 @@ _MODE_RUNNERS = {
 def apply_overrides(plan: RunPlan, h: float | None, dt: float | None) -> RunPlan:
     """Apply command-line --h / --dt to every scenario they affect.
 
-    Both must be positive and finite, and an ``ode-flow`` scenario's
-    sample interval must be a multiple of the new dt; ConfigError names
-    the flag, so the check fails before any scenario runs.
+    Both must be positive and finite, a grid at the new h must have a
+    finite node count within :data:`~isoflow.measure.MAX_NODES`, and an
+    ``ode-flow`` scenario's sample interval must be a multiple of the new
+    dt; ConfigError names the flag, so the check fails before any
+    scenario runs or any grid is allocated.
     """
     if h is None and dt is None:
         return plan
@@ -267,6 +269,7 @@ def apply_overrides(plan: RunPlan, h: float | None, dt: float | None) -> RunPlan
     for i, sc in enumerate(plan.scenarios):
         if h is not None and sc.grid is not None:
             sc = replace(sc, grid=replace(sc.grid, h=h))
+            check_grid_size(sc.grid, f"--h: scenarios[{i}].grid.h ({sc.name})")
         if dt is not None and "time" in MODE_FIELDS[sc.mode]:
             sc = replace(sc, time=replace(sc.time, dt=dt))
             if sc.mode == "ode-flow":

@@ -16,6 +16,7 @@ import isoflow.runner as runner_mod
 from isoflow.cli import main
 from isoflow.config import ConfigError, parse_plan
 from isoflow.flow_levelset import ComponentRecord, FlowTrace, TraceSample
+from isoflow.measure import MAX_NODES, AxiGrid
 
 TRACE_HEADER = "t,A_total,V_total,Q,ratio,n_components,n_frozen"
 COMPONENTS_HEADER = "t,id,frozen,freeze_time,perimeter,volume,hawking"
@@ -160,6 +161,39 @@ def test_an_h_override_whose_node_count_overflows_is_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bad config" in err and "ball" in err and "not finite" in err
     assert "Traceback" not in err
+
+
+@pytest.fixture
+def no_grid_sampled(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(AxiGrid, "sample", refuse)
+
+
+def test_an_h_override_past_the_node_cap_is_rejected_before_any_grid(tmp_path, capsys, no_grid_sampled):
+    # 1e-5 on the 1.3 x 2.6 grid is about 3.4e10 nodes: finite, and far past the cap
+    plan = write_plan(tmp_path, [small_levelset_scenario()])
+    assert main(["run", plan, "--out", str(tmp_path / "out"), "--h", "1e-5"]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and "--h: scenarios[0].grid.h" in err and "node cap" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_grid_past_the_node_cap_is_rejected_by_field(tmp_path, capsys, no_grid_sampled):
+    sc = small_levelset_scenario()
+    sc["grid"]["h"] = 1e-5
+    assert main(["run", write_plan(tmp_path, [sc]), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and "scenarios[0].grid.h" in err and "node cap" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_node_cap_bounds_the_node_count():
+    n_z = MAX_NODES // 1000
+    assert AxiGrid.lattice_shape(1.0, 999.0, 0.0, n_z - 1.0) == (1000, n_z)
+    with pytest.raises(ValueError, match="node cap"):
+        AxiGrid.lattice_shape(1.0, 999.0, 0.0, float(n_z))  # 1000 more nodes
 
 
 def test_a_value_error_mid_run_is_not_a_config_error(tmp_path, monkeypatch, capsys):

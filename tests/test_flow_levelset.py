@@ -10,6 +10,7 @@ from scipy import ndimage
 import isoflow.flow_levelset as flow_levelset_mod
 from isoflow.config import ConfigError
 from isoflow.flow_levelset import (
+    CFL_SAFETY,
     FlowRunConfig,
     _BandedStepper,
     cfl_time_step,
@@ -128,6 +129,89 @@ def test_a_tiny_threshold_mass_runs():
         FlowRunConfig(metric=EUCLID, grid=sphere_grid(0.5, 0.05), t_max=0.01, sample_interval=0.005, threshold_mass=1e-155)
     )
     assert trace.samples and all(math.isfinite(s.profile_gap) for s in trace.samples)
+
+
+def spied_run(config):
+    """Run ``config``; return the trace, each step's (dt, min w^4 over the
+    nodes it moved), and the run's rebuild and cadence-check counts."""
+    steps, counts = [], {"reinitialize": 0, "_sweep_can_change": 0}
+    step = _BandedStepper.step
+    g, mass = config.grid, config.metric.mass
+
+    def spy_step(self, u, frozen_mask, dt):
+        moved = step(self, u, frozen_mask, dt)
+        i, j = np.divmod(self.stencil[0], g.n_z)
+        r = np.hypot(i * g.h, g.z_min + j * g.h)
+        steps.append((dt, float(np.min((1.0 + mass / (2.0 * r)) ** 4))))
+        return moved
+
+    def counted(name):
+        real = getattr(flow_levelset_mod, name)
+
+        def spy(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return spy
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_BandedStepper, "step", spy_step)
+        for name in counts:
+            mp.setattr(flow_levelset_mod, name, counted(name))
+        trace = run_modified_flow(config)
+    return trace, steps, counts
+
+
+def snapped_grid_dt(metric, grid, sample_interval):
+    return sample_interval / math.ceil(sample_interval / cfl_time_step(metric, grid))
+
+
+def test_m1_steps_at_the_band_bound_on_the_grid_bound_schedule():
+    g = sphere_grid(2.5, 0.05, pad=0.6)
+    # 65 grid-bound steps per sample.  A check due at a sample step is
+    # left to the sample's sweep; with a cadence that divides 65 that
+    # happens at the same times in both runs below.
+    times = dict(t_max=0.2, sample_interval=0.05, sweep_cadence=5, reinit_cadence=30)
+    trace, steps, counts = spied_run(FlowRunConfig(metric=SCHW, grid=g, **times))
+    # the band's CFL bound holds at every step (to round-off in its scaling)
+    assert all(dt <= CFL_SAFETY * g.h**2 * w4 * (1.0 + 1e-12) for dt, w4 in steps)
+    grid_dt = snapped_grid_dt(SCHW, g, times["sample_interval"])
+    assert max(dt for dt, _ in steps) > 1.1 * grid_dt
+    assert [s.t for s in trace.samples] == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2], rel=0.0, abs=1e-12)
+    # a run at an explicit dt, the grid bound, takes it at every step and
+    # reaches the same t with as many rebuilds and cadence checks
+    fixed, fixed_steps, fixed_counts = spied_run(FlowRunConfig(metric=SCHW, grid=g, dt=grid_dt, **times))
+    assert fixed.samples[-1].t == pytest.approx(trace.samples[-1].t, rel=0.0, abs=1e-12)
+    assert counts == fixed_counts and counts["reinitialize"] > 0 and counts["_sweep_can_change"] > 0
+    assert len(steps) < len(fixed_steps)
+    assert all(dt == grid_dt for dt, _ in fixed_steps)
+
+
+def test_a_band_bound_falling_mid_interval_takes_dt_down_at_once(monkeypatch):
+    # from the fourth refresh (before step 25 of about 60 in the first
+    # sample interval) the band's bound reads as the grid's
+    g = sphere_grid(2.5, 0.05, pad=0.6)
+    refresh, refreshes = _BandedStepper.refresh, []
+
+    def refresh_then_fall(self, u, frozen_mask):
+        refresh(self, u, frozen_mask)
+        refreshes.append(None)
+        if len(refreshes) >= 4:
+            self.bound_scale = 1.0
+
+    monkeypatch.setattr(_BandedStepper, "refresh", refresh_then_fall)
+    trace, steps, _ = spied_run(FlowRunConfig(metric=SCHW, grid=g, t_max=0.1, sample_interval=0.05))
+    bound = cfl_time_step(SCHW, g)
+    assert all(dt > bound for dt, _ in steps[:24])
+    assert all(dt <= bound for dt, _ in steps[24:])
+    assert [s.t for s in trace.samples] == pytest.approx([0.0, 0.05, 0.1], rel=0.0, abs=1e-12)
+
+
+def test_m0_steps_at_the_snapped_grid_bound():
+    g = sphere_grid(0.5, 0.02)
+    _, steps, _ = spied_run(FlowRunConfig(metric=EUCLID, grid=g, t_max=0.01, sample_interval=0.0025))
+    grid_dt = snapped_grid_dt(EUCLID, g, 0.0025)
+    assert steps and all(dt == grid_dt for dt, _ in steps)
 
 
 def test_fully_frozen_state_never_changes():
