@@ -676,7 +676,7 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     grid_steps, advance = 0.0, 1.0  # grid-bound steps so far, and per step
     # whole cadence periods so far; reinit_cadence 0 is an endless period
     rebuilds = checks = 0
-    snap_due = config.dt is None  # a sample was just taken: re-snap dt
+    snap_due = True  # a sample was just taken: re-snap a band-bound dt
     runs = runs_prev = _axis_run_count(u)
     t_end = config.t_max - 1e-12 * max(config.t_max, 1.0)
     while t < t_end and state.live_count:
@@ -725,7 +725,7 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
         if sample_due:
             _sample(state, m_thr)
             next_sample += config.sample_interval
-            snap_due = config.dt is None
+            snap_due = True
     if state.live_count:
         # time limit: a final sweep (one may already have run at this
         # step; a repeated sweep changes nothing)
