@@ -573,8 +573,8 @@ class FlowRunConfig:
     # rebuild the distance field every k grid-bound steps (0 disables).
     # The curvature stencils are near-exact on a fresh distance field but
     # pick up a systematic speed bias as the field distorts, so rebuilds
-    # must come well before the distortion does; each rebuild moves the
-    # interface by only ~1e-7 relative.
+    # must come well before the distortion does.  Rebuilds move the interface
+    # too: back to back, a 20-cell sphere's area grows ~0.11% in 10, ~5% in 100.
     reinit_cadence: int = 100
 
 

@@ -8,10 +8,10 @@ scalar ODE for the coordinate radius,
 
 where the conformal length density w**2 converts metric normal speed
 into coordinate speed.  RK4 integrates r together with a *swept* volume,
-dV/dt = -H * A, and the state holds just those two; every closed form of
-:mod:`isoflow.metric` (area, enclosed volume, mean curvature, Hawking mass)
-is a property of r, evaluated when read.  Each RK4 stage finds w once, and
-one radius check, on the new radius, guards each step.  The profile
+dV/dt = -H * A, on plain floats (the np.float64 bits), in locals; a state
+is built per returned sample, and its closed forms (area, enclosed volume,
+mean curvature, Hawking mass) are properties of r.  Each RK4 stage finds w
+once, and one radius check, on the new radius, guards each step.  The profile
 volume at the current area minus the swept volume (the ``profile_defect``)
 vanishes identically for the exact flow -- shrinking centered spheres
 realize the equality case of the profile-versus-volume monotonicity -- so
@@ -35,6 +35,7 @@ from .metric import (
     AmbientMetric,
     _area,
     _check_radius,
+    _conformal_weight,
     _mean_curvature,
     enclosed_volume,
     sphere_area,
@@ -55,9 +56,9 @@ _EXTINCTION_GUARD = 4.5
 
 @dataclass(frozen=True)
 class SymmetricFlowState:
-    """One snapshot of the shrinking-sphere flow.
+    """One returned sample of the shrinking-sphere flow; the march builds no other.
 
-    The fields are the metric and what RK4 advances; ``area``, ``volume``
+    The fields are the metric, t and what RK4 advances; ``area``, ``volume``
     (enclosed), ``mean_curvature`` and ``hawking_mass`` are closed forms of
     ``r``, and ``profile_defect`` is profile_volume(area) - swept_volume.
     """
@@ -103,13 +104,31 @@ def initial_state(metric: AmbientMetric, r0: float) -> SymmetricFlowState:
     return SymmetricFlowState(metric, 0.0, r0, float(enclosed_volume(metric, r0)))
 
 
-def _rhs(metric: AmbientMetric, r: float) -> tuple[float, float]:
-    # a stage may overshoot the horizon by a hair (H is zero there, so the
-    # clamp is smooth); a non-finite stage reaches r_next, which step checks
-    r = max(r, metric.horizon_radius)
-    w = metric.conformal_factor(r)
-    h = float(_mean_curvature(r, w))
-    return -h / float(w * w), -h * float(_area(r, w))
+def _stage(m: float, hr: float, r: float) -> tuple[float, float]:
+    # a stage may overshoot the horizon by a hair: H is zero there, so the clamp is smooth
+    r = hr if hr > r else r  # max(r, hr); a NaN stays, for _rk4's radius check
+    w = _conformal_weight(m, r)
+    h = _mean_curvature(r, w)
+    return -h / (w * w), -h * _area(r, w)
+
+
+def _rk4(metric: AmbientMetric, r: float, v: float, dt: float) -> tuple[float, float]:
+    """One classical RK4 step of (radius, swept volume), on plain floats."""
+    m, hr = metric.mass, metric.horizon_radius
+    try:
+        k1r, k1v = _stage(m, hr, r)
+        k2r, k2v = _stage(m, hr, r + 0.5 * dt * k1r)
+        k3r, k3v = _stage(m, hr, r + 0.5 * dt * k2r)
+        k4r, k4v = _stage(m, hr, r + dt * k3r)
+    except ZeroDivisionError:  # numpy would give inf, then a rejected r_next
+        raise ValueError("an RK4 stage radius reached 0") from None
+    r_next = r + dt / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
+    v_next = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    if hr > 0.0 and -math.inf < r_next < hr:
+        # a finite overshoot is numerical: the continuous flow cannot cross
+        r_next = hr * (1.0 + _HORIZON_PAD)
+    _check_radius(metric, r_next)  # no state holds a radius the closed forms reject
+    return r_next, v_next
 
 
 def step(state: SymmetricFlowState, dt: float) -> SymmetricFlowState:
@@ -117,18 +136,7 @@ def step(state: SymmetricFlowState, dt: float) -> SymmetricFlowState:
     if not dt > 0:
         raise ValueError("dt must be positive")
     g = state.metric
-    r, v = state.r, state.swept_volume
-    k1r, k1v = _rhs(g, r)
-    k2r, k2v = _rhs(g, r + 0.5 * dt * k1r)
-    k3r, k3v = _rhs(g, r + 0.5 * dt * k2r)
-    k4r, k4v = _rhs(g, r + dt * k3r)
-    r_next = r + dt / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
-    v_next = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    if g.mass > 0.0 and r_next < g.horizon_radius:
-        # numerical overshoot: the continuous flow cannot cross
-        r_next = g.horizon_radius * (1.0 + _HORIZON_PAD)
-    _check_radius(g, r_next)  # no state holds a radius the closed forms reject
-    return SymmetricFlowState(g, state.t + dt, r_next, v_next)
+    return SymmetricFlowState(g, state.t + dt, *_rk4(g, state.r, state.swept_volume, dt))
 
 
 def run_symmetric_flow(
@@ -142,31 +150,32 @@ def run_symmetric_flow(
 
     Returns every ``sample_every``-th state; the initial and final
     states are always included.  The run ends early if the sphere is
-    clamped at the horizon (positive mass) or comes within one step of
-    extinction (zero mass, guard r**2 <= 4.5 dt).
+    clamped at the horizon (positive horizon radius) or comes within one
+    step of extinction (zero horizon radius, guard r**2 <= 4.5 dt).
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
     if not 0 < dt < math.inf or not math.isfinite(t_max / dt):
         raise ValueError("dt must be positive and finite, and t_max / dt finite")
-    if sample_every < 1:
-        raise ValueError("sample_every must be at least 1")
-    state = initial_state(metric, r0)
-    out = [state]
-    n_steps = int(round(t_max / dt))
-    floor = metric.horizon_radius * (1.0 + _HORIZON_PAD)
-    for i in range(1, n_steps + 1):
-        if metric.mass == 0.0 and state.r * state.r <= _EXTINCTION_GUARD * dt:
+    if type(sample_every) is not int or sample_every < 1:  # bool is not an int here
+        raise ValueError("sample_every must be an int of at least 1")
+    out = [initial_state(metric, r0)]
+    t, r, v, done = 0.0, out[0].r, out[0].swept_volume, 0
+    hr = metric.horizon_radius
+    for i in range(1, int(round(t_max / dt)) + 1):
+        # m / 2 may round to 0 at a subnormal m: such a sphere goes extinct too
+        if hr == 0.0 and r * r <= _EXTINCTION_GUARD * dt:
             break
-        prev_r = state.r
-        state = step(state, dt)
+        prev_r = r
+        r, v = _rk4(metric, r, v, dt)
+        t, done = t + dt, i
         if i % sample_every == 0:
-            out.append(state)
+            out.append(SymmetricFlowState(metric, t, r, v))
         # a sphere started exactly on the horizon is stationary, not done
-        if metric.mass > 0.0 and prev_r > metric.horizon_radius and state.r <= floor:
+        if hr > 0.0 and prev_r > hr and r <= hr * (1.0 + _HORIZON_PAD):
             break
-    if out[-1] is not state:
-        out.append(state)
+    if done % sample_every:
+        out.append(SymmetricFlowState(metric, t, r, v))
     return out
 
 

@@ -10,8 +10,8 @@ Conformal densities relative to the flat metric: w^2 for lengths, w^4 for
 areas, w^6 for volumes.  Centered coordinate spheres have closed-form area,
 enclosed volume, mean curvature and Hawking mass, collected here.  Enclosed
 volume is measured from the horizon outward; the region behind the horizon
-contributes nothing.  Each formula lives once; the area and the mean
-curvature are private functions of (r, w), so one w serves both.
+contributes nothing.  Each formula lives once; w is a private function of
+(m, r), the area and the mean curvature private functions of (r, w).
 
 Every radius-taking form accepts a scalar or an array.  A scalar (Python
 ``float`` or ``int``, or ``np.float64``) comes out as an ``np.float64``; an
@@ -19,9 +19,9 @@ array comes out as an array of the same shape.  One radius check serves
 both: a scalar is compared as a plain float, an array elementwise, and the
 formula bodies are shared.  Scalars are computed as ``np.float64`` rather
 than ``float`` so division keeps numpy's semantics (under ``np.errstate``,
-2/r is inf at r = 0 instead of raising), and each power takes the same
-routine for both kinds, so a scalar and a one-element array agree to the
-bit.
+2/r is inf at r = 0 instead of raising; the private forms on plain floats,
+as the radial ODE calls them, raise), and each power takes the same routine
+for both kinds, so a scalar and a one-element array agree to the bit.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class AmbientMetric:
         r = _as_float(r)
         if self.mass == 0.0:
             return np.float64(1.0) if r.ndim == 0 else np.ones_like(r)
-        return 1.0 + self.mass / (2.0 * r)
+        return _conformal_weight(self.mass, r)
 
     @classmethod
     def euclidean(cls) -> "AmbientMetric":
@@ -100,17 +100,21 @@ class AmbientMetric:
 
 
 def _check_radius(metric: AmbientMetric, r):
-    # finite and outside the horizon, allowing r == m/2 up to roundoff; the
-    # horizon radius is >= 0, so this also rejects negative radii
+    # finite and outside the horizon, allowing r == m/2 up to roundoff (so no
+    # negative radius); a scalar is compared as given, cheapest as a float
     lo = metric.horizon_radius * (1.0 - 4e-16)
-    r = _as_float(r)
-    ok = lo <= r < math.inf if isinstance(r, float) else np.all((r >= lo) & (r < math.inf))
+    x = _as_float(r)
+    ok = lo <= r < math.inf if isinstance(x, float) else np.all((x >= lo) & (x < math.inf))
     if not ok:
         raise ValueError(f"radius must be finite and >= horizon radius {metric.horizon_radius}")
-    return r
+    return x
 
 
-# the one area formula and the one mean-curvature formula, of (r, w)
+# the one conformal-weight formula, of (m, r), and area and mean-curvature ones, of (r, w)
+def _conformal_weight(m, r):
+    return 1.0 + m / (2.0 * r)
+
+
 def _area(r, w):
     return 4.0 * math.pi * r * r * _pow(w, 4)
 

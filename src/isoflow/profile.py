@@ -98,14 +98,15 @@ def profile_volume(m: float, area):
 
 
 def profile_volume_or_zero(m: float, area):
-    """Profile extended by 0 below the horizon area.
+    """Profile extended by 0 below the horizon area: a float, or an array.
 
     Flow diagnostics call this on totals that may drop under 16 pi m^2 once
     everything is frozen; the profile proper rejects such areas.
     """
-    if area < horizon_area(m):
-        return 0.0
-    return float(profile_volume(m, area))
+    low = area < horizon_area(m)
+    if np.ndim(low):  # the profile is read at the horizon area where low
+        return np.where(low, 0.0, profile_volume(m, np.where(low, horizon_area(m), area)))
+    return 0.0 if low else float(profile_volume(m, area))
 
 
 def profile_slope(m: float, area):

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import isoflow.flow_levelset as flow_levelset_mod
+import isoflow.flow_ode as flow_ode_mod
 import isoflow.mass as mass_mod
 import isoflow.metric as metric_mod
+import isoflow.profile as profile_mod
 import isoflow.runner as runner_mod
 from isoflow.cli import main
 from isoflow.config import ConfigError, parse_plan
@@ -362,6 +364,40 @@ def test_a_mass_table_at_a_subnormal_mass_runs(tmp_path, capsys, mass):
     assert rows[0] == MASS_TABLE_HEADER and len(rows) == 1 + len(sc["r_values"])
     assert all(math.isfinite(float(x)) for row in rows[1:] for x in row.split(","))
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_an_ode_flow_at_a_subnormal_mass_stops_at_the_extinction_guard(tmp_path, capsys):
+    # m / 2 rounds to 0 at 5e-324, so the sphere shrinks to extinction as at m = 0
+    runs = {}
+    for mass in (5e-324, 0.0):
+        sc = ode_scenario()
+        sc["metric"] = {"kind": "schwarzschild", "mass": mass} if mass else {"kind": "euclidean"}
+        sc.update(r0=1.0, time={"t_max": 1.0, "sample_interval": 0.1})
+        out = tmp_path / f"out-{mass}"
+        status = main(["run", write_plan(tmp_path, [sc]), "--out", str(out)])
+        rows = (out / "ode-m1" / "trace.csv").read_text(encoding="utf-8").splitlines()
+        runs[mass] = status, len(rows)
+        assert (out / "ode-m1" / "verdicts.txt").exists()
+    assert "Traceback" not in capsys.readouterr().err
+    assert runs[5e-324] == runs[0.0]
+
+
+def test_an_ode_flow_evaluates_each_closed_form_once(tmp_path, monkeypatch):
+    # one array call over the run's radii, wherever each closed form is bound
+    owners = {"sphere_area": metric_mod, "sphere_hawking_mass": metric_mod, "profile_volume": profile_mod}
+    calls = {name: [] for name in owners}
+    for name, owner in owners.items():
+
+        def counting(*args, _wrapped=getattr(owner, name), _seen=calls[name]):
+            _seen.append(np.size(args[-1]))
+            return _wrapped(*args)
+
+        for mod in (metric_mod, profile_mod, flow_ode_mod, runner_mod):
+            monkeypatch.setattr(mod, name, counting, raising=False)
+    (sc,) = parse_plan(json.dumps({"scenarios": [ode_scenario()]})).scenarios
+    runner_mod._run_ode_flow(sc, str(tmp_path))
+    n = len((tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()) - 1
+    assert calls == {name: [n] for name in calls}
 
 
 def test_the_mass_table_evaluates_each_closed_form_once(tmp_path, monkeypatch):

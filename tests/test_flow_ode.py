@@ -7,7 +7,8 @@ Tests verify:
 - drift shrinks ~16x per dt halving (4th-order one-step method)
 - dA/dt differencing matches -H^2 A
 - Hawking mass is conserved along the flow
-- horizon start is stationary; bad inputs are rejected
+- horizon start is stationary; bad inputs, a non-int sample_every
+  included, are rejected
 - closed forms are evaluated only when read, and each RK4 stage finds w once
 - every sample of a fixed run matches its recorded bits
 """
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 import isoflow.flow_ode as flow_ode_mod
+import isoflow.metric as metric_mod
 from isoflow.flow_ode import (
     SymmetricFlowState,
     initial_state,
@@ -139,6 +141,13 @@ def test_a_dt_that_is_not_a_usable_step_is_rejected(dt):
         run_symmetric_flow(EUCLID, 1.0, dt=dt, t_max=1.0)
 
 
+@pytest.mark.parametrize("every", [2.5, 2.0, True, "2"])
+def test_a_sample_every_that_is_not_an_int_is_rejected(every):
+    # 2.5 would otherwise sample every 5th state, and True every state
+    with pytest.raises(ValueError, match="sample_every"):
+        run_symmetric_flow(EUCLID, 1.0, dt=1e-3, t_max=0.1, sample_every=every)
+
+
 def test_a_step_past_extinction_is_rejected():
     # the radius lands at -inf, which no closed form accepts
     with np.errstate(divide="ignore"), pytest.raises(ValueError):
@@ -161,14 +170,16 @@ def test_closed_forms_are_evaluated_only_when_read(monkeypatch):
 
 
 def test_each_rk4_stage_finds_w_once(monkeypatch):
+    # the one function that finds w, wherever it is bound
     calls = []
-    wrapped = AmbientMetric.conformal_factor
+    wrapped = metric_mod._conformal_weight
 
-    def counting(self, r):
+    def counting(m, r):
         calls.append(r)
-        return wrapped(self, r)
+        return wrapped(m, r)
 
-    monkeypatch.setattr(AmbientMetric, "conformal_factor", counting)
+    for mod in (metric_mod, flow_ode_mod):
+        monkeypatch.setattr(mod, "_conformal_weight", counting)
     states = run_symmetric_flow(AmbientMetric(1.0), 4.0, 0.01, 1.0)
     assert len(states) == 101  # 100 steps
     assert len(calls) == 4 * 100
