@@ -30,8 +30,8 @@ from .measure import (
     ComponentMeasure,
     _conformal_power,
     _deep_labels,
+    _grid_stencil,
     _normal_geometry,
-    _stencil_indices,
     measure_components,
 )
 from .mass import hawking_mass
@@ -214,9 +214,12 @@ def _match_ids(state: LevelSetState, measures: list[ComponentMeasure]) -> tuple[
     """
     id_map = state.id_map
     next_id = state.next_id
-    new_map = np.zeros_like(id_map)
+    if not measures:
+        return [], np.zeros_like(id_map), next_id
     taken: set[int] = set()
     assigned: list[int] = []
+    # label -> assigned id; the slot past the last measured label stays 0
+    lookup = np.zeros(measures[-1].id + 2, dtype=id_map.dtype)
     for m in measures:
         overlap = id_map[m.node_mask]
         overlap = overlap[overlap > 0]
@@ -235,8 +238,9 @@ def _match_ids(state: LevelSetState, measures: list[ComponentMeasure]) -> tuple[
             next_id += 1
         taken.add(best)
         assigned.append(best)
-        new_map[m.node_mask] = best
-    return assigned, new_map, next_id
+        lookup[m.id] = best
+    # "clip" sends every larger label, none of them measured, to that 0
+    return assigned, np.take(lookup, measures[0].labels, mode="clip"), next_id
 
 
 def freeze_sweep(
@@ -333,8 +337,10 @@ def reinitialize(u: np.ndarray, h: float, frozen_mask: np.ndarray) -> np.ndarray
     values.
 
     Edge zeros are taken on the crossing edges only, and seeded by
-    scatter.  The relaxation's passes run in buffers allocated once per
-    call, through ``out=`` in the order of the plain expressions.
+    scatter.  The relaxation holds its values in compact slots (the reach
+    nodes first), which a pass updates in place; its passes run in
+    buffers allocated once per call, through ``out=`` in the order of the
+    plain expressions.
     """
     inside = u < 0.0
     d = np.full(u.shape, np.inf)
@@ -370,22 +376,31 @@ def reinitialize(u: np.ndarray, h: float, frozen_mask: np.ndarray) -> np.ndarray
     n, m = u.shape
     ii, jj = np.nonzero((near_seed <= _BandedStepper.WIDTH + 4) & ~seeds)
     node = ii * m + jj
-    unknown = u.size  # an extra slot held at big, read past the outer edges
-    neighbours = np.stack([
-        np.where(ii > 0, node - m, node + m),  # mirror across the axis
-        np.where(ii < n - 1, node + m, unknown),
-        np.where(jj > 0, node - 1, unknown),
-        np.where(jj < m - 1, node + 1, unknown),
-    ])
-    d_flat = np.append(np.where(seeds, d, big), big)
+    seed_node = np.flatnonzero(seeds)
+    # the relaxation's values in compact slots: the reach, the seeds, then
+    # one slot held at big, read for every other node and past the outer edges
+    reach, held = node.size, node.size + seed_node.size
+    slot = np.full(u.size + 1, held)
+    slot[node] = np.arange(reach)
+    slot[seed_node] = np.arange(reach, held)
+    neighbours = slot[np.stack([
+        np.where(ii > 0, node - m, node + m),  # rho-, mirrored across the axis
+        np.where(jj > 0, node - 1, u.size),  # z-
+        np.where(ii < n - 1, node + m, u.size),  # rho+
+        np.where(jj < m - 1, node + 1, u.size),  # z+
+    ])]
+    vals = np.full(held + 1, big)
+    vals[reach:held] = d.reshape(-1)[seed_node]
+    current = vals[:reach]  # updated in place, once per pass
     near = np.empty(neighbours.shape)
-    a, b, lo, s, upd, current = np.empty((6, node.size))
-    mask = np.empty(node.size, dtype=bool)
+    ab = np.empty((2, reach))
+    a, b = ab
+    lo, s, upd = np.empty((3, reach))
+    mask = np.empty(reach, dtype=bool)
     while True:
         # the indices are in range, so "wrap" only skips take's buffered copy
-        np.take(d_flat, neighbours, out=near, mode="wrap")
-        np.minimum(near[0], near[1], out=a)
-        np.minimum(near[2], near[3], out=b)
+        np.take(vals, neighbours, out=near, mode="wrap")
+        np.minimum(near[:2], near[2:], out=ab)  # a over rho, b over z
         np.minimum(a, b, out=lo)
         # upd = lo + h where |a - b| >= h, else
         # 0.5 * (a + b + sqrt(max(2 h^2 - (a - b)^2, 0)))
@@ -401,12 +416,11 @@ def reinitialize(u: np.ndarray, h: float, frozen_mask: np.ndarray) -> np.ndarray
         upd *= 0.5
         lo += h
         np.copyto(upd, lo, where=mask)
-        np.take(d_flat, node, out=current, mode="wrap")
         if not np.less(upd, current, out=mask).any():
             break  # a fixed point: further passes change nothing
         np.minimum(current, upd, out=current)
-        d_flat[node] = current
-    d = d_flat[:-1].reshape(u.shape)
+    d[~seeds] = big
+    d.reshape(-1)[node] = current
 
     # past the reach (only the gradient matters there): the distance to
     # the nearest seed's zero, which meets the relaxed values without a step
@@ -440,7 +454,8 @@ class _BandedStepper:
 
     The flat indices into ``u.ravel()`` of each node's nine-point stencil
     and the speed coefficients depend only on node position, so the
-    stepper builds them for the whole grid once.  The band only changes
+    stepper holds them for the whole grid: the stencil is the measurement's
+    cached table, the coefficients are built once.  The band only changes
     at a refresh (:meth:`refresh`), which gathers both for the band's
     nodes and sizes the step's two (9, band size) buffers: the gathered
     stencil values and :func:`_speed`'s work rows.  A step is then one
@@ -460,9 +475,9 @@ class _BandedStepper:
     def __init__(self, metric: AmbientMetric, grid: AxiGrid):
         self.h = grid.h
         shape = grid.values.shape
-        # (9, nodes) flat stencil indices in _speed's argument order and
-        # (4, nodes) speed coefficients, for every node of the grid
-        self.grid_stencil = _stencil_indices(*np.divmod(np.arange(grid.values.size), shape[1]), shape)
+        # (9, nodes) flat stencil indices in _speed's argument order (read
+        # only) and (4, nodes) speed coefficients, for every node of the grid
+        self.grid_stencil = _grid_stencil(shape)
         self.grid_coef = _speed_coefficients(metric, grid.h, grid.z_min, shape)
         self._grid_k_max = float(self.grid_coef[0].max())  # K at the grid bound's node
         self.bound_scale = 1.0  # the band's CFL bound over the grid's
@@ -545,7 +560,7 @@ def _sweep_can_change(state: LevelSetState, u: np.ndarray, m_thr: float, t: floa
         for c in state.components:
             if not c.frozen and c.perimeter - KAPPA * c.h_sq_integral * elapsed <= threshold:
                 return True
-    _, deep = _deep_labels(state.grid.replace_values(u))
+    _, deep, _ = _deep_labels(state.grid.replace_values(u))
     return np.count_nonzero(deep) != len(state.components)
 
 

@@ -7,7 +7,9 @@ surface area ("perimeter" of the revolved interface), enclosed volume,
 and the interface integral of the squared mean curvature.
 
 :func:`measure_components` reads one marching-squares pass
-(:func:`_sweep`) over the cells whose corners change sign.  A cell's
+(:func:`_sweep`) over the cells whose corners change sign.  Labelling
+and the pass read only the region's bounding box (:func:`_region_box`),
+so a sweep costs what the region covers, not what the grid holds.  A cell's
 case number has one bit per inside corner: 00 -> 1, 10 -> 2, 01 -> 4,
 11 -> 8 (corner names are the cell-local (rho, z) offsets).  A case
 table, built from the counterclockwise boundary walk 00, S, 10, E, 11,
@@ -51,7 +53,7 @@ from scipy import ndimage
 
 from .metric import AmbientMetric
 
-_FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
+_FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 # gradient-magnitude regularizer for curvature stencils
 _GRAD_EPS = 1e-8
@@ -132,26 +134,54 @@ class AxiGrid:
 
 @dataclass(frozen=True, eq=False)
 class ComponentMeasure:
-    """Metric measurements of one component."""
+    """Metric measurements of one component.
+
+    ``labels`` is the measured grid's :func:`label_regions` array, one
+    object shared by every component of a measurement.
+    """
 
     id: int
     perimeter: float
     volume: float
     h_sq_integral: float
-    node_mask: np.ndarray
+    labels: np.ndarray
+
+    @property
+    def node_mask(self) -> np.ndarray:
+        return self.labels == self.id
 
 
-def label_regions(grid: AxiGrid) -> tuple[np.ndarray, int]:
+def _region_box(inside: np.ndarray) -> tuple[slice, slice]:
+    """Node rows and columns of the bounding box of ``inside``'s True
+    nodes; empty slices when there are none."""
+    rows = np.flatnonzero(inside.any(axis=1))
+    if rows.size == 0:
+        return slice(0, 0), slice(0, 0)
+    r0, r1 = int(rows[0]), int(rows[-1]) + 1
+    cols = np.flatnonzero(inside[r0:r1].any(axis=0))
+    return slice(r0, r1), slice(int(cols[0]), int(cols[-1]) + 1)
+
+
+def label_regions(grid: AxiGrid, box: tuple[slice, slice] | None = None) -> tuple[np.ndarray, int]:
     """4-connected labels of {values < 0}, in scan order of first nodes.
 
-    Returns (labels, count); labels[i, j] == 0 marks outside nodes.
+    Returns (labels, count); labels is int32 and labels[i, j] == 0 marks
+    outside nodes.  Only the bounding box of {values < 0} is labelled
+    (``box``, when the caller has taken it with :func:`_region_box`): it
+    holds every component, and its scan order is the grid's, so the
+    labels are the whole grid's.
     """
-    return ndimage.label(grid.values < 0, structure=_FOUR_CONNECTED)
+    if box is None:
+        box = _region_box(grid.values < 0)
+    labels = np.zeros(grid.values.shape, dtype=np.int32)
+    n = ndimage.label(grid.values[box] < 0, structure=_FOUR_CONNECTED, output=labels[box])
+    return labels, n
 
 
-def _deep_labels(grid: AxiGrid) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`label_regions`' labels, and ``deep[k]``: whether label k has
-    a node at least one cell deep, which makes it a measured component.
+def _deep_labels(grid: AxiGrid) -> tuple[np.ndarray, np.ndarray, tuple[slice, slice]]:
+    """:func:`label_regions`' labels; ``deep[k]``: whether label k has a
+    node at least one cell deep, which makes it a measured component; and
+    the region's bounding box.
 
     Regions with no node even one cell deep are below measurement
     resolution (e.g. the sliver a collapsing neck leaves behind for a
@@ -160,10 +190,11 @@ def _deep_labels(grid: AxiGrid) -> tuple[np.ndarray, np.ndarray]:
     region forever; left alone, the flow evaporates them immediately.
     ``deep[0]`` (outside) is False.
     """
-    labels, n = label_regions(grid)
+    box = _region_box(grid.values < 0)
+    labels, n = label_regions(grid, box)
     deep = np.zeros(n + 1, dtype=bool)
-    deep[labels[grid.values <= -grid.h]] = True
-    return labels, deep
+    deep[labels[box][grid.values[box] <= -grid.h]] = True
+    return labels, deep, box
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +245,17 @@ def _cell_geometry(metric: AmbientMetric, h: float, z_min: float, shape: tuple[i
     return horizon, contrib
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_stencil(shape: tuple[int, int]) -> np.ndarray:
+    """:func:`_stencil_indices` of every node, in ``values.ravel()`` order,
+    which the sweep and the flow's stepper share; cached and returned
+    read-only, like :func:`_cell_geometry`'s tables.  At 72 bytes a node it
+    is the largest per-grid table, so only the last grid's is kept."""
+    stencil = _stencil_indices(*np.divmod(np.arange(shape[0] * shape[1]), shape[1]), shape)
+    stencil.flags.writeable = False
+    return stencil
+
+
 # ---------------------------------------------------------------------------
 # marching squares: one pass over the mixed cells, driven by a case table
 
@@ -233,11 +275,12 @@ _CONNECTED = 16
 
 def _case_table():
     """Pieces of each case as arrays indexed [case, slot]: chord ends,
-    owner corner bit, polygon (6 walk positions) and volume weight, plus
-    the number of slots each case fills."""
+    owner corner bit, polygon (6 walk positions, then the first again,
+    closing it) and volume weight, plus the number of slots each case
+    fills."""
     chord = np.zeros((32, 2, 2), dtype=np.intp)
     owner = np.zeros((32, 2), dtype=np.intp)
-    polygon = np.zeros((32, 2, 6), dtype=np.intp)
+    polygon = np.zeros((32, 2, 7), dtype=np.intp)
     weight = np.zeros((32, 2))
     slots = np.zeros(32, dtype=np.intp)
     pos = {name: k for k, name in enumerate(_WALK)}
@@ -248,7 +291,7 @@ def _case_table():
         # repeating the last vertex adds zero-length edges, whose shoelace
         # terms are exact zeros: the sums keep their value and order
         verts = [pos[v] for v in vertices]
-        polygon[case, slot] = verts + verts[-1:] * (6 - len(verts))
+        polygon[case, slot] = verts + verts[-1:] * (6 - len(verts)) + verts[:1]
         weight[case, slot] = w
         slots[case] = slot + 1
 
@@ -289,35 +332,48 @@ class _Sweep:
     full_volume: np.ndarray
 
 
-def _sweep(metric: AmbientMetric, grid: AxiGrid, labels: np.ndarray, n_comp: int) -> _Sweep:
+def _sweep(
+    metric: AmbientMetric, grid: AxiGrid, labels: np.ndarray, n_comp: int, box: tuple[slice, slice]
+) -> _Sweep:
     """The one marching-squares pass: chords and sub-cell volumes of every
     mixed cell in scan order (a saddle's two in the table's corner order),
-    and the full-cell volume of each label."""
+    and the full-cell volume of each label.
+
+    It reads the cells of ``box``, the bounding box of {values < 0},
+    extended one cell on its low side: every cell with an inside corner.
+    """
     u = grid.values
     h = grid.h
-    inside = u < 0
-    case = inside[:-1, :-1] + 2 * inside[1:, :-1] + 4 * inside[:-1, 1:] + 8 * inside[1:, 1:]
+    rows, cols = box
+    i0, j0 = max(rows.start - 1, 0), max(cols.start - 1, 0)
+    # the box stops short of the outer edges, so its high side has a node to spare
+    cells = np.s_[i0 : rows.stop, j0 : cols.stop]
+    inside = (u[i0 : rows.stop + 1, j0 : cols.stop + 1] < 0).view(np.uint8)
+    case = inside[:-1, :-1] | inside[1:, :-1] << 1 | inside[:-1, 1:] << 2 | inside[1:, 1:] << 3
     horizon, contrib = _cell_geometry(metric, h, grid.z_min, u.shape)
-    full_volume = _full_cell_volumes(contrib, labels, n_comp, case == 15)
+    # each label's full cells in scan order, as over the whole grid
+    full = case == 15
+    full_volume = np.bincount(labels[cells][full], weights=contrib[cells][full], minlength=n_comp + 1)
     ii, jj = np.nonzero((case > 0) & (case < 15))
-    v00, v10, v01, v11 = u[ii, jj], u[ii + 1, jj], u[ii, jj + 1], u[ii + 1, jj + 1]
     case = case[ii, jj]
+    # flat indices of each mixed cell's corners 00, 10, 01, 11 (the
+    # corner bits' order)
+    n_z = u.shape[1]
+    corner = (ii + i0) * n_z + (jj + j0) + np.array([[0], [n_z], [1], [n_z + 1]])
+    v00, v10, v01, v11 = np.take(u, corner)
     saddle = (case == 6) | (case == 9)
     case = np.where(saddle & (0.25 * (v00 + v10 + v01 + v11) < 0.0), case + _CONNECTED, case)
 
-    # local coordinates of the eight walk positions; edges the contour
-    # does not cross are never read
-    pts = np.zeros((ii.size, 8, 2))
-    pts[:, 2:5, 0] = 1.0  # 10, E, 11
-    pts[:, 4:7, 1] = 1.0  # 11, N, 01
+    # local (xi, eta) of the eight walk positions, [coordinate, position,
+    # cell]; edges the contour does not cross are never read
+    pts = np.zeros((2, 8, ii.size))
+    pts[0, 2:5] = 1.0  # 10, E, 11
+    pts[1, 4:7] = 1.0  # 11, N, 01
     with np.errstate(divide="ignore", invalid="ignore"):
-        pts[:, 1, 0] = v00 / (v00 - v10)  # S
-        pts[:, 3, 1] = v10 / (v10 - v11)  # E
-        pts[:, 5, 0] = v01 / (v01 - v11)  # N
-        pts[:, 7, 1] = v00 / (v00 - v01)  # W
-    corner_labels = np.stack(
-        [labels[ii, jj], labels[ii + 1, jj], labels[ii, jj + 1], labels[ii + 1, jj + 1]], axis=1
-    )
+        pts[0, 1] = v00 / (v00 - v10)  # S
+        pts[1, 3] = v10 / (v10 - v11)  # E
+        pts[0, 5] = v01 / (v01 - v11)  # N
+        pts[1, 7] = v00 / (v00 - v01)  # W
 
     # one row per (cell, slot): saddle cells fill two slots
     cell = np.repeat(np.arange(ii.size), _SLOTS[case])
@@ -325,18 +381,20 @@ def _sweep(metric: AmbientMetric, grid: AxiGrid, labels: np.ndarray, n_comp: int
     slot[1:] = cell[1:] == cell[:-1]
     entry = case[cell]
     ends = _CHORD[entry, slot]
-    ci, cj = ii[cell], jj[cell]
+    ci, cj = ii[cell] + i0, jj[cell] + j0
 
-    # shoelace sums over the piece polygon, in walk order
-    vertices = pts[cell[:, None], _POLYGON[entry, slot]]
-    x, y = vertices[..., 0], vertices[..., 1]
-    area2 = moment6 = cy6 = 0.0
-    for k in range(6):
-        x0, y0, x1, y1 = x[:, k], y[:, k], x[:, (k + 1) % 6], y[:, (k + 1) % 6]
-        cross = x0 * y1 - x1 * y0
-        area2 = area2 + cross
-        moment6 = moment6 + (x0 + x1) * cross
-        cy6 = cy6 + (y0 + y1) * cross
+    # shoelace sums over the piece polygon: edge k runs from vertex k to
+    # k + 1, and each sum adds its six terms in walk order, from zero
+    at = pts.reshape(2, -1)  # [coordinate, position * cells + cell]
+    x, y = np.take(at, _POLYGON[entry, slot].T * ii.size + cell, axis=1)
+    terms = np.empty((3, 6, cell.size))
+    cross = np.subtract(x[:-1] * y[1:], x[1:] * y[:-1], out=terms[0])
+    np.multiply(x[:-1] + x[1:], cross, out=terms[1])
+    np.multiply(y[:-1] + y[1:], cross, out=terms[2])
+    sums = 0.0 + terms[:, 0]
+    for k in range(1, 6):
+        sums += terms[:, k]
+    area2, moment6, cy6 = sums
     area = 0.5 * area2
     moment = np.where(area < 0, -moment6 / 6.0, moment6 / 6.0)  # int xi dA, cell units
     with np.errstate(divide="ignore", invalid="ignore"):  # empty pieces are dropped
@@ -348,31 +406,29 @@ def _sweep(metric: AmbientMetric, grid: AxiGrid, labels: np.ndarray, n_comp: int
     volume = _WEIGHT[entry, slot] * 2.0 * math.pi * rho_moment * w6
     volume = np.where((area != 0.0) & ~horizon[ci, cj], volume, 0.0)
 
+    a, b = np.take(at, ends.T * ii.size + cell, axis=1).transpose(1, 2, 0)
     return _Sweep(
         i=ci,
         j=cj,
-        a=pts[cell, ends[:, 0]],
-        b=pts[cell, ends[:, 1]],
-        owner=corner_labels[cell, _OWNER[entry, slot]],
+        a=a,
+        b=b,
+        owner=np.take(labels, corner[_OWNER[entry, slot], cell]),
         volume=volume,
         full_volume=full_volume,
     )
 
 
-def _full_cell_volumes(contrib, labels, n_comp, full) -> np.ndarray:
-    """Volume of fully inside cells, accumulated per component label."""
-    if not np.any(full):
-        return np.zeros(n_comp + 1)
-    owner = np.where(full, labels[:-1, :-1], 0)
-    return np.bincount(owner.ravel(), weights=(contrib * full).ravel(), minlength=n_comp + 1)
-
-
-def _owner_fsums(owner: np.ndarray, values: np.ndarray, n_comp: int) -> list[float]:
-    """Exactly rounded sum of ``values`` per owner label 0..n_comp."""
+def _owner_fsums(owner: np.ndarray, columns, n_comp: int) -> list[list[float]]:
+    """Exactly rounded sums of each of ``columns`` per owner label
+    0..n_comp; one stable sort of the owners serves every column."""
     order = np.argsort(owner, kind="stable")
     bounds = np.searchsorted(owner[order], np.arange(n_comp + 2)).tolist()
-    grouped = values[order].tolist()
-    return [math.fsum(grouped[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    sums = []
+    for values in columns:
+        grouped = values[order].tolist()
+        sums.append([math.fsum(grouped[lo:hi]) for lo, hi in spans])
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +443,7 @@ def mean_curvature_field(metric: AmbientMetric, grid: AxiGrid) -> np.ndarray:
     correction 4 d(ln w)/d(nu), all divided by w^2.  Values far from the
     zero set are as meaningful as the level-set function there.
     """
-    nodes = np.divmod(np.arange(grid.values.size), grid.n_z)
-    return _curvature_at(metric, grid, *nodes).reshape(grid.values.shape)
+    return _curvature_at(metric, grid, np.arange(grid.values.size)).reshape(grid.values.shape)
 
 
 def _curvature_stencil(c, rp, rm, zp, zm, pp, pm, mp, mm, h, rho, off_axis, normal_geometry):
@@ -429,12 +484,14 @@ def _stencil_indices(ii: np.ndarray, jj: np.ndarray, shape: tuple[int, int]) -> 
     )
 
 
-def _curvature_at(metric: AmbientMetric, grid: AxiGrid, ni, nj) -> np.ndarray:
-    """Mean curvature at nodes (ni, nj), as :func:`mean_curvature_field`."""
+def _curvature_at(metric: AmbientMetric, grid: AxiGrid, nodes: np.ndarray) -> np.ndarray:
+    """Mean curvature at flat node indices ``nodes`` (into
+    ``values.ravel()``), as :func:`mean_curvature_field`."""
     h = grid.h
+    ni, nj = np.divmod(nodes, grid.n_z)
     rho = ni * h
     geometry, w = _normal_geometry(metric, rho, grid.z_min + nj * h, h)
-    near = np.take(grid.values, _stencil_indices(ni, nj, grid.values.shape))
+    near = np.take(grid.values, np.take(_grid_stencil(grid.values.shape), nodes, axis=1))
     h_flat, _, normal = _curvature_stencil(*near, h, rho, ni > 0, geometry)
     return (h_flat + 4.0 * normal) / w**2
 
@@ -444,11 +501,16 @@ def _curvature_in_cells(metric: AmbientMetric, grid: AxiGrid, i, j, fx, fy) -> n
     (i, j); the stencil runs only at those cells' corner nodes."""
     n_z = grid.n_z
     base = i * n_z + j
-    nodes, inverse = np.unique(
-        np.stack([base, base + n_z, base + 1, base + n_z + 1]), return_inverse=True
-    )
-    field = _curvature_at(metric, grid, *np.divmod(nodes, n_z))
-    f00, f10, f01, f11 = field[inverse.reshape(4, -1)]
+    lo = base.min()
+    corners = base - lo + np.array([[0], [n_z], [1], [n_z + 1]])
+    # the corner nodes, sorted and each once, and each corner's place among them
+    used = np.zeros(corners[3].max() + 1, dtype=bool)
+    used[corners] = True
+    nodes = np.flatnonzero(used)
+    place = np.empty(used.size, dtype=np.intp)
+    place[nodes] = np.arange(nodes.size)
+    field = _curvature_at(metric, grid, nodes + lo)
+    f00, f10, f01, f11 = field[place[corners]]
     return f00 * (1 - fx) * (1 - fy) + f10 * fx * (1 - fy) + f01 * (1 - fx) * fy + f11 * fx * fy
 
 
@@ -464,12 +526,12 @@ def measure_components(metric: AmbientMetric, grid: AxiGrid) -> list[ComponentMe
     whole-region measurements exactly, because every chord and every
     sub-cell piece belongs to exactly one component.
     """
-    labels, deep = _deep_labels(grid)
+    labels, deep, box = _deep_labels(grid)
     n = deep.size - 1
     if n == 0:
         return []
     h = grid.h
-    sweep = _sweep(metric, grid, labels, n)
+    sweep = _sweep(metric, grid, labels, n, box)
     xm = 0.5 * (sweep.a[:, 0] + sweep.b[:, 0])
     ym = 0.5 * (sweep.a[:, 1] + sweep.b[:, 1])
     # math.hypot is Python's own correctly rounded algorithm; np.hypot
@@ -480,16 +542,14 @@ def measure_components(metric: AmbientMetric, grid: AxiGrid) -> list[ComponentMe
     area = _area_element(metric, rho_mid, grid.z_min + (sweep.j + ym) * h, length, h)
     h_mid = _curvature_in_cells(metric, grid, sweep.i, sweep.j, xm, ym)
     h_sq = np.where(area != 0.0, h_mid * h_mid * area, 0.0)
-    perimeter = _owner_fsums(sweep.owner, area, n)
-    h_sq_integral = _owner_fsums(sweep.owner, h_sq, n)
-    volume = _owner_fsums(sweep.owner, sweep.volume, n)
+    perimeter, h_sq_integral, volume = _owner_fsums(sweep.owner, (area, h_sq, sweep.volume), n)
     return [
         ComponentMeasure(
             id=k,
             perimeter=perimeter[k],
             volume=float(sweep.full_volume[k]) + volume[k],
             h_sq_integral=h_sq_integral[k],
-            node_mask=labels == k,
+            labels=labels,
         )
         for k in range(1, n + 1)
         if deep[k]

@@ -1,6 +1,11 @@
 """Test oracles for :func:`isoflow.measure.measure_components`: the zero
 contour as (rho, z) polylines, area and H^2 integrals over a polyline,
 one component's volume, and the labeled node sets.
+
+The ``reference_*`` functions are the measurement pass as it ran over the
+whole grid, before labelling and the sweep were confined to the region's
+bounding box and the curvature read per-grid node tables.  The box-local
+pass must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -9,10 +14,201 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from isoflow import measure
-from isoflow.measure import AxiGrid, _area_element, _curvature_in_cells, _sweep, label_regions
+from isoflow.measure import (
+    AxiGrid,
+    _area_element,
+    _cell_geometry,
+    _conformal_power,
+    _curvature_stencil,
+    _normal_geometry,
+    _stencil_indices,
+)
 from isoflow.metric import AmbientMetric
+
+
+# ---------------------------------------------------------------------------
+# the whole-grid measurement pass
+
+
+def reference_label_regions(grid: AxiGrid) -> tuple[np.ndarray, int]:
+    """4-connected labels of {values < 0} over the whole grid."""
+    return ndimage.label(grid.values < 0, structure=measure._FOUR_CONNECTED)
+
+
+def _reference_full_cell_volumes(contrib, labels, n_comp, full) -> np.ndarray:
+    if not np.any(full):
+        return np.zeros(n_comp + 1)
+    owner = np.where(full, labels[:-1, :-1], 0)
+    return np.bincount(owner.ravel(), weights=(contrib * full).ravel(), minlength=n_comp + 1)
+
+
+def reference_sweep(metric: AmbientMetric, grid: AxiGrid, labels: np.ndarray, n_comp: int) -> measure._Sweep:
+    """The marching-squares pass over every cell of the grid."""
+    u = grid.values
+    h = grid.h
+    inside = u < 0
+    case = inside[:-1, :-1] + 2 * inside[1:, :-1] + 4 * inside[:-1, 1:] + 8 * inside[1:, 1:]
+    horizon, contrib = _cell_geometry(metric, h, grid.z_min, u.shape)
+    full_volume = _reference_full_cell_volumes(contrib, labels, n_comp, case == 15)
+    ii, jj = np.nonzero((case > 0) & (case < 15))
+    v00, v10, v01, v11 = u[ii, jj], u[ii + 1, jj], u[ii, jj + 1], u[ii + 1, jj + 1]
+    case = case[ii, jj]
+    saddle = (case == 6) | (case == 9)
+    case = np.where(saddle & (0.25 * (v00 + v10 + v01 + v11) < 0.0), case + measure._CONNECTED, case)
+
+    pts = np.zeros((ii.size, 8, 2))
+    pts[:, 2:5, 0] = 1.0
+    pts[:, 4:7, 1] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pts[:, 1, 0] = v00 / (v00 - v10)
+        pts[:, 3, 1] = v10 / (v10 - v11)
+        pts[:, 5, 0] = v01 / (v01 - v11)
+        pts[:, 7, 1] = v00 / (v00 - v01)
+    corner_labels = np.stack(
+        [labels[ii, jj], labels[ii + 1, jj], labels[ii, jj + 1], labels[ii + 1, jj + 1]], axis=1
+    )
+
+    cell = np.repeat(np.arange(ii.size), measure._SLOTS[case])
+    slot = np.zeros(cell.size, dtype=np.intp)
+    slot[1:] = cell[1:] == cell[:-1]
+    entry = case[cell]
+    ends = measure._CHORD[entry, slot]
+    ci, cj = ii[cell], jj[cell]
+
+    vertices = pts[cell[:, None], measure._POLYGON[entry, slot]]
+    x, y = vertices[..., 0], vertices[..., 1]
+    area2 = moment6 = cy6 = 0.0
+    for k in range(6):
+        x0, y0, x1, y1 = x[:, k], y[:, k], x[:, (k + 1) % 6], y[:, (k + 1) % 6]
+        cross = x0 * y1 - x1 * y0
+        area2 = area2 + cross
+        moment6 = moment6 + (x0 + x1) * cross
+        cy6 = cy6 + (y0 + y1) * cross
+    area = 0.5 * area2
+    moment = np.where(area < 0, -moment6 / 6.0, moment6 / 6.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cx = moment6 / (6.0 * area)
+        cy = cy6 / (6.0 * area)
+    w6 = _conformal_power(metric, (ci + cx) * h, grid.z_min + (cj + cy) * h, 6, h)
+    rho_moment = h**3 * (ci * np.abs(area) + moment)
+    volume = measure._WEIGHT[entry, slot] * 2.0 * math.pi * rho_moment * w6
+    volume = np.where((area != 0.0) & ~horizon[ci, cj], volume, 0.0)
+
+    return measure._Sweep(
+        i=ci,
+        j=cj,
+        a=pts[cell, ends[:, 0]],
+        b=pts[cell, ends[:, 1]],
+        owner=corner_labels[cell, measure._OWNER[entry, slot]],
+        volume=volume,
+        full_volume=full_volume,
+    )
+
+
+def _reference_curvature_at(metric: AmbientMetric, grid: AxiGrid, ni, nj) -> np.ndarray:
+    h = grid.h
+    rho = ni * h
+    geometry, w = _normal_geometry(metric, rho, grid.z_min + nj * h, h)
+    near = np.take(grid.values, _stencil_indices(ni, nj, grid.values.shape))
+    h_flat, _, normal = _curvature_stencil(*near, h, rho, ni > 0, geometry)
+    return (h_flat + 4.0 * normal) / w**2
+
+
+def reference_curvature_in_cells(metric: AmbientMetric, grid: AxiGrid, i, j, fx, fy) -> np.ndarray:
+    """Bilinear mean curvature in cells, the corner nodes found by ``np.unique``."""
+    n_z = grid.n_z
+    base = i * n_z + j
+    nodes, inverse = np.unique(
+        np.stack([base, base + n_z, base + 1, base + n_z + 1]), return_inverse=True
+    )
+    field = _reference_curvature_at(metric, grid, *np.divmod(nodes, n_z))
+    f00, f10, f01, f11 = field[inverse.reshape(4, -1)]
+    return f00 * (1 - fx) * (1 - fy) + f10 * fx * (1 - fy) + f01 * (1 - fx) * fy + f11 * fx * fy
+
+
+def _reference_owner_fsums(owner: np.ndarray, values: np.ndarray, n_comp: int) -> list[float]:
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(n_comp + 2)).tolist()
+    grouped = values[order].tolist()
+    return [math.fsum(grouped[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceMeasure:
+    id: int
+    perimeter: float
+    volume: float
+    h_sq_integral: float
+    node_mask: np.ndarray
+
+
+def reference_measure_components(metric: AmbientMetric, grid: AxiGrid) -> list[ReferenceMeasure]:
+    """Every component with a node one cell deep, measured by the
+    whole-grid pass."""
+    labels, n = reference_label_regions(grid)
+    deep = np.zeros(n + 1, dtype=bool)
+    deep[labels[grid.values <= -grid.h]] = True
+    if n == 0:
+        return []
+    h = grid.h
+    sweep = reference_sweep(metric, grid, labels, n)
+    xm = 0.5 * (sweep.a[:, 0] + sweep.b[:, 0])
+    ym = 0.5 * (sweep.a[:, 1] + sweep.b[:, 1])
+    d = (sweep.b - sweep.a).T.tolist()
+    length = np.fromiter(map(math.hypot, *d), dtype=float, count=len(d[0])) * h
+    rho_mid = (sweep.i + xm) * h
+    area = _area_element(metric, rho_mid, grid.z_min + (sweep.j + ym) * h, length, h)
+    h_mid = reference_curvature_in_cells(metric, grid, sweep.i, sweep.j, xm, ym)
+    h_sq = np.where(area != 0.0, h_mid * h_mid * area, 0.0)
+    perimeter = _reference_owner_fsums(sweep.owner, area, n)
+    h_sq_integral = _reference_owner_fsums(sweep.owner, h_sq, n)
+    volume = _reference_owner_fsums(sweep.owner, sweep.volume, n)
+    return [
+        ReferenceMeasure(
+            id=k,
+            perimeter=perimeter[k],
+            volume=float(sweep.full_volume[k]) + volume[k],
+            h_sq_integral=h_sq_integral[k],
+            node_mask=labels == k,
+        )
+        for k in range(1, n + 1)
+        if deep[k]
+    ]
+
+
+def reference_match_ids(id_map: np.ndarray, next_id: int, measures) -> tuple[list[int], np.ndarray, int]:
+    """Ids by maximal overlap with ``id_map``, the new map written one
+    component mask at a time."""
+    new_map = np.zeros_like(id_map)
+    taken: set[int] = set()
+    assigned: list[int] = []
+    for m in measures:
+        overlap = id_map[m.node_mask]
+        overlap = overlap[overlap > 0]
+        best = 0
+        if overlap.size:
+            counts = np.bincount(overlap)
+            ranked = np.argsort(counts, kind="stable")[::-1]
+            for cand in ranked:
+                if counts[cand] == 0:
+                    break
+                if int(cand) not in taken:
+                    best = int(cand)
+                    break
+        if best == 0:
+            best = next_id
+            next_id += 1
+        taken.add(best)
+        assigned.append(best)
+        new_map[m.node_mask] = best
+    return assigned, new_map, next_id
+
+
+# ---------------------------------------------------------------------------
+# contours, polyline integrals and volumes
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,7 +224,7 @@ class Component:
 
 
 def extract_components(grid: AxiGrid) -> list[Component]:
-    labels, n = label_regions(grid)
+    labels, n = reference_label_regions(grid)
     return [Component(id=k, node_mask=labels == k) for k in range(1, n + 1)]
 
 
@@ -63,10 +259,10 @@ def interface_contour(grid: AxiGrid, component: Component | None = None) -> list
     only edges one chord ends on).  Open chains come first, sorted by
     their end key, then the remaining loops in chord order.
     """
-    labels, n = label_regions(grid)
+    labels, n = reference_label_regions(grid)
     if n == 0:
         return []
-    sweep = _sweep(AmbientMetric.euclidean(), grid, labels, n)
+    sweep = reference_sweep(AmbientMetric.euclidean(), grid, labels, n)
     keep = np.ones(sweep.owner.size, dtype=bool) if component is None else sweep.owner == component.id
     indices = np.flatnonzero(keep).tolist()
     h, z0 = grid.h, grid.z_min
@@ -142,12 +338,12 @@ def interface_H_sq(metric: AmbientMetric, grid: AxiGrid, polyline: np.ndarray) -
     y = (mid[:, 1] - grid.z_min) / grid.h
     i = np.clip(np.floor(x).astype(np.int64), 0, grid.n_rho - 2)
     j = np.clip(np.floor(y).astype(np.int64), 0, grid.n_z - 2)
-    h_mid = _curvature_in_cells(metric, grid, i, j, x - i, y - j)
+    h_mid = reference_curvature_in_cells(metric, grid, i, j, x - i, y - j)
     return math.fsum(h_mid * h_mid * _area_element(metric, mid[:, 0], mid[:, 1], length, grid.h))
 
 
 def g_volume(metric: AmbientMetric, grid: AxiGrid, component: Component) -> float:
     """Metric volume of one component's region."""
-    sweep = _sweep(metric, grid, *label_regions(grid))
+    sweep = reference_sweep(metric, grid, *reference_label_regions(grid))
     pieces = sweep.volume[sweep.owner == component.id]
     return float(sweep.full_volume[component.id]) + math.fsum(pieces.tolist())

@@ -382,6 +382,34 @@ def test_an_ode_flow_at_a_subnormal_mass_stops_at_the_extinction_guard(tmp_path,
     assert runs[5e-324] == runs[0.0]
 
 
+def test_an_ode_flow_at_m_0_and_5e_324_writes_the_same_verdicts(tmp_path):
+    # both start on the profile; their first gaps are round-off of opposite signs
+    names = {}
+    for mass in (5e-324, 0.0):
+        sc = ode_scenario()
+        sc["metric"] = {"kind": "schwarzschild", "mass": mass} if mass else {"kind": "euclidean"}
+        sc.update(r0=1.0, time={"t_max": 1.0, "sample_interval": 0.1})
+        out = tmp_path / f"out-{mass}"
+        main(["run", write_plan(tmp_path, [sc]), "--out", str(out)])
+        lines = (out / "ode-m1" / "verdicts.txt").read_text(encoding="utf-8").splitlines()
+        names[mass] = [line.split()[1] for line in lines]
+    assert names[5e-324] == names[0.0]
+    assert "cor75" in names[0.0]
+
+
+@pytest.mark.parametrize("mass", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("r0_scale", [3.96, 3.98, 3.99, 4.0, 4.01, 4.02, 4.04])
+def test_every_radial_oracle_ode_flow_passes_cor75(tmp_path, mass, r0_scale):
+    # the ode-flows of the benchmark's radial-oracle workload: r0 = 4m within 1%
+    interval = 0.1 * mass * mass
+    sc = ode_scenario()
+    sc["metric"]["mass"] = mass
+    sc.update(r0=r0_scale * mass, time={"t_max": 9.5 * mass * mass, "sample_interval": interval, "dt": interval / 10})
+    (parsed,) = parse_plan(json.dumps({"scenarios": [sc]})).scenarios
+    verdicts = {v.anchor: v for v in runner_mod._run_ode_flow(parsed, str(tmp_path))}
+    assert verdicts["cor75"].passed
+
+
 def test_an_ode_flow_evaluates_each_closed_form_once(tmp_path, monkeypatch):
     # one array call over the run's radii, wherever each closed form is bound
     owners = {"sphere_area": metric_mod, "sphere_hawking_mass": metric_mod, "profile_volume": profile_mod}

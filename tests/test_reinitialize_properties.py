@@ -126,3 +126,51 @@ def test_crossing_edge_roots_equal_the_whole_edge_ones(case, rows):
         assert roots.tobytes() == whole_edge_zero(a)[ei, ej].tobytes()
         crossings += ei.size
     assert crossings > 0
+
+
+def seed_feet(u, h):
+    """Each seed node's (rho + i z) offset, in cells, to the zero of its
+    closest crossing edge: the first axis's edges first, low ends before
+    high ones, a later edge winning only when strictly closer."""
+    dist = np.full(u.shape, np.inf)
+    foot = np.zeros(u.shape, dtype=complex)
+    for axis, unit in ((0, 1.0), (1, 1j)):
+        a = u if axis == 0 else u.T
+        ei, ej = np.nonzero((a[:-1, :] < 0.0) != (a[1:, :] < 0.0))
+        theta = _edge_zero(a[ei, ej], a[ei + 1, ej], _edge_curvature(a, ei, ej))
+        for ends, offsets, dists in ((ei, theta, theta * h), (ei + 1, theta - 1.0, (1.0 - theta) * h)):
+            for i, j, offset, d in zip(ends, ej, offsets, dists):
+                node = (i, j) if axis == 0 else (j, i)
+                if d < dist[node]:
+                    dist[node], foot[node] = d, offset * unit
+    return np.isfinite(dist), foot
+
+
+def test_a_frozen_block_on_the_interface_keeps_its_values():
+    grid = AxiGrid.sample(H, EXTENT, -EXTENT, EXTENT, lambda rho, z: 2.0 * (np.hypot(rho, z - 0.3) - 1.1))
+    frozen = np.zeros(grid.values.shape, dtype=bool)
+    frozen[5:30, 60:90] = True  # holds part of the zero set
+    u = grid.values
+    assert ((u[frozen] < 0.0).any()) and ((u[frozen] > 0.0).any())
+    rebuilt = reinitialize(u, H, frozen)
+    expected = reference_reinitialize(u, H, frozen)
+    assert np.array_equal(rebuilt[frozen], u[frozen])
+    near = np.abs(expected) < NEAR
+    assert np.array_equal(rebuilt[near], expected[near])
+
+
+def test_reach_nodes_the_relaxation_leaves_far_take_the_far_formula():
+    # at this spacing a few cells of relaxation pass 0.9 of the "unknown"
+    # value, so the outer reach must fall back to the far-field formula
+    h = 1e11
+    i, j = np.ogrid[0:40, 0:60]
+    u = (np.hypot(i, j - 30.0) - 6.3) * h
+    rebuilt = reinitialize(u, h, np.zeros(u.shape, dtype=bool))
+    seeds, foot = seed_feet(u, h)
+    near_seed, (si, sj) = ndimage.distance_transform_edt(~seeds, return_indices=True)
+    reach = _BandedStepper.WIDTH + 4
+    fi, fj = np.nonzero((near_seed >= 12) & (near_seed <= reach) & (u > 0.0))
+    assert fi.size
+    ni, nj = si[fi, fj], sj[fi, fj]
+    expected = h * np.abs(fi - ni + 1j * (fj - nj) - foot[ni, nj])
+    assert rebuilt[fi, fj].tobytes() == expected.tobytes()
