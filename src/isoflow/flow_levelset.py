@@ -30,8 +30,8 @@ from .measure import (
     ComponentMeasure,
     _conformal_power,
     _deep_labels,
-    _grid_stencil,
     _normal_geometry,
+    _stencil_indices,
     measure_components,
 )
 from .mass import hawking_mass
@@ -454,8 +454,7 @@ class _BandedStepper:
 
     The flat indices into ``u.ravel()`` of each node's nine-point stencil
     and the speed coefficients depend only on node position, so the
-    stepper holds them for the whole grid: the stencil is the measurement's
-    cached table, the coefficients are built once.  The band only changes
+    stepper builds them for the whole grid once.  The band only changes
     at a refresh (:meth:`refresh`), which gathers both for the band's
     nodes and sizes the step's two (9, band size) buffers: the gathered
     stencil values and :func:`_speed`'s work rows.  A step is then one
@@ -475,9 +474,9 @@ class _BandedStepper:
     def __init__(self, metric: AmbientMetric, grid: AxiGrid):
         self.h = grid.h
         shape = grid.values.shape
-        # (9, nodes) flat stencil indices in _speed's argument order (read
-        # only) and (4, nodes) speed coefficients, for every node of the grid
-        self.grid_stencil = _grid_stencil(shape)
+        # (9, nodes) flat stencil indices in _speed's argument order and
+        # (4, nodes) speed coefficients, for every node of the grid
+        self.grid_stencil = _stencil_indices(*np.divmod(np.arange(grid.values.size), shape[1]), shape)
         self.grid_coef = _speed_coefficients(metric, grid.h, grid.z_min, shape)
         self._grid_k_max = float(self.grid_coef[0].max())  # K at the grid bound's node
         self.bound_scale = 1.0  # the band's CFL bound over the grid's
@@ -560,7 +559,7 @@ def _sweep_can_change(state: LevelSetState, u: np.ndarray, m_thr: float, t: floa
         for c in state.components:
             if not c.frozen and c.perimeter - KAPPA * c.h_sq_integral * elapsed <= threshold:
                 return True
-    _, deep, _ = _deep_labels(state.grid.replace_values(u))
+    _, deep = _deep_labels(state.grid.replace_values(u))
     return np.count_nonzero(deep) != len(state.components)
 
 

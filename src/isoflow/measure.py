@@ -7,9 +7,7 @@ surface area ("perimeter" of the revolved interface), enclosed volume,
 and the interface integral of the squared mean curvature.
 
 :func:`measure_components` reads one marching-squares pass
-(:func:`_sweep`) over the cells whose corners change sign.  Labelling
-and the pass read only the region's bounding box (:func:`_region_box`),
-so a sweep costs what the region covers, not what the grid holds.  A cell's
+(:func:`_sweep`) over the cells whose corners change sign.  A cell's
 case number has one bit per inside corner: 00 -> 1, 10 -> 2, 01 -> 4,
 11 -> 8 (corner names are the cell-local (rho, z) offsets).  A case
 table, built from the counterclockwise boundary walk 00, S, 10, E, 11,
@@ -151,37 +149,20 @@ class ComponentMeasure:
         return self.labels == self.id
 
 
-def _region_box(inside: np.ndarray) -> tuple[slice, slice]:
-    """Node rows and columns of the bounding box of ``inside``'s True
-    nodes; empty slices when there are none."""
-    rows = np.flatnonzero(inside.any(axis=1))
-    if rows.size == 0:
-        return slice(0, 0), slice(0, 0)
-    r0, r1 = int(rows[0]), int(rows[-1]) + 1
-    cols = np.flatnonzero(inside[r0:r1].any(axis=0))
-    return slice(r0, r1), slice(int(cols[0]), int(cols[-1]) + 1)
-
-
-def label_regions(grid: AxiGrid, box: tuple[slice, slice] | None = None) -> tuple[np.ndarray, int]:
+def label_regions(grid: AxiGrid) -> tuple[np.ndarray, int]:
     """4-connected labels of {values < 0}, in scan order of first nodes.
 
     Returns (labels, count); labels is int32 and labels[i, j] == 0 marks
-    outside nodes.  Only the bounding box of {values < 0} is labelled
-    (``box``, when the caller has taken it with :func:`_region_box`): it
-    holds every component, and its scan order is the grid's, so the
-    labels are the whole grid's.
+    outside nodes.
     """
-    if box is None:
-        box = _region_box(grid.values < 0)
     labels = np.zeros(grid.values.shape, dtype=np.int32)
-    n = ndimage.label(grid.values[box] < 0, structure=_FOUR_CONNECTED, output=labels[box])
+    n = ndimage.label(grid.values < 0, structure=_FOUR_CONNECTED, output=labels)
     return labels, n
 
 
-def _deep_labels(grid: AxiGrid) -> tuple[np.ndarray, np.ndarray, tuple[slice, slice]]:
-    """:func:`label_regions`' labels; ``deep[k]``: whether label k has a
-    node at least one cell deep, which makes it a measured component; and
-    the region's bounding box.
+def _deep_labels(grid: AxiGrid) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`label_regions`' labels, and ``deep[k]``: whether label k has
+    a node at least one cell deep, which makes it a measured component.
 
     Regions with no node even one cell deep are below measurement
     resolution (e.g. the sliver a collapsing neck leaves behind for a
@@ -190,11 +171,10 @@ def _deep_labels(grid: AxiGrid) -> tuple[np.ndarray, np.ndarray, tuple[slice, sl
     region forever; left alone, the flow evaporates them immediately.
     ``deep[0]`` (outside) is False.
     """
-    box = _region_box(grid.values < 0)
-    labels, n = label_regions(grid, box)
+    labels, n = label_regions(grid)
     deep = np.zeros(n + 1, dtype=bool)
-    deep[labels[box][grid.values[box] <= -grid.h]] = True
-    return labels, deep, box
+    deep[labels[grid.values <= -grid.h]] = True
+    return labels, deep
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +223,6 @@ def _cell_geometry(metric: AmbientMetric, h: float, z_min: float, shape: tuple[i
     horizon.flags.writeable = False
     contrib.flags.writeable = False
     return horizon, contrib
-
-
-@functools.lru_cache(maxsize=1)
-def _grid_stencil(shape: tuple[int, int]) -> np.ndarray:
-    """:func:`_stencil_indices` of every node, in ``values.ravel()`` order,
-    which the sweep and the flow's stepper share; cached and returned
-    read-only, like :func:`_cell_geometry`'s tables.  At 72 bytes a node it
-    is the largest per-grid table, so only the last grid's is kept."""
-    stencil = _stencil_indices(*np.divmod(np.arange(shape[0] * shape[1]), shape[1]), shape)
-    stencil.flags.writeable = False
-    return stencil
 
 
 # ---------------------------------------------------------------------------
@@ -332,34 +301,24 @@ class _Sweep:
     full_volume: np.ndarray
 
 
-def _sweep(
-    metric: AmbientMetric, grid: AxiGrid, labels: np.ndarray, n_comp: int, box: tuple[slice, slice]
-) -> _Sweep:
+def _sweep(metric: AmbientMetric, grid: AxiGrid, labels: np.ndarray, n_comp: int) -> _Sweep:
     """The one marching-squares pass: chords and sub-cell volumes of every
     mixed cell in scan order (a saddle's two in the table's corner order),
-    and the full-cell volume of each label.
-
-    It reads the cells of ``box``, the bounding box of {values < 0},
-    extended one cell on its low side: every cell with an inside corner.
-    """
+    and the full-cell volume of each label."""
     u = grid.values
     h = grid.h
-    rows, cols = box
-    i0, j0 = max(rows.start - 1, 0), max(cols.start - 1, 0)
-    # the box stops short of the outer edges, so its high side has a node to spare
-    cells = np.s_[i0 : rows.stop, j0 : cols.stop]
-    inside = (u[i0 : rows.stop + 1, j0 : cols.stop + 1] < 0).view(np.uint8)
+    inside = (u < 0).view(np.uint8)
     case = inside[:-1, :-1] | inside[1:, :-1] << 1 | inside[:-1, 1:] << 2 | inside[1:, 1:] << 3
     horizon, contrib = _cell_geometry(metric, h, grid.z_min, u.shape)
-    # each label's full cells in scan order, as over the whole grid
+    # each label's full cells in scan order
     full = case == 15
-    full_volume = np.bincount(labels[cells][full], weights=contrib[cells][full], minlength=n_comp + 1)
+    full_volume = np.bincount(labels[:-1, :-1][full], weights=contrib[full], minlength=n_comp + 1)
     ii, jj = np.nonzero((case > 0) & (case < 15))
     case = case[ii, jj]
     # flat indices of each mixed cell's corners 00, 10, 01, 11 (the
     # corner bits' order)
     n_z = u.shape[1]
-    corner = (ii + i0) * n_z + (jj + j0) + np.array([[0], [n_z], [1], [n_z + 1]])
+    corner = ii * n_z + jj + np.array([[0], [n_z], [1], [n_z + 1]])
     v00, v10, v01, v11 = np.take(u, corner)
     saddle = (case == 6) | (case == 9)
     case = np.where(saddle & (0.25 * (v00 + v10 + v01 + v11) < 0.0), case + _CONNECTED, case)
@@ -381,7 +340,7 @@ def _sweep(
     slot[1:] = cell[1:] == cell[:-1]
     entry = case[cell]
     ends = _CHORD[entry, slot]
-    ci, cj = ii[cell] + i0, jj[cell] + j0
+    ci, cj = ii[cell], jj[cell]
 
     # shoelace sums over the piece polygon: edge k runs from vertex k to
     # k + 1, and each sum adds its six terms in walk order, from zero
@@ -424,11 +383,8 @@ def _owner_fsums(owner: np.ndarray, columns, n_comp: int) -> list[list[float]]:
     order = np.argsort(owner, kind="stable")
     bounds = np.searchsorted(owner[order], np.arange(n_comp + 2)).tolist()
     spans = list(zip(bounds[:-1], bounds[1:]))
-    sums = []
-    for values in columns:
-        grouped = values[order].tolist()
-        sums.append([math.fsum(grouped[lo:hi]) for lo, hi in spans])
-    return sums
+    grouped = [values[order].tolist() for values in columns]
+    return [[math.fsum(g[lo:hi]) for lo, hi in spans] for g in grouped]
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +399,8 @@ def mean_curvature_field(metric: AmbientMetric, grid: AxiGrid) -> np.ndarray:
     correction 4 d(ln w)/d(nu), all divided by w^2.  Values far from the
     zero set are as meaningful as the level-set function there.
     """
-    return _curvature_at(metric, grid, np.arange(grid.values.size)).reshape(grid.values.shape)
+    nodes = np.divmod(np.arange(grid.values.size), grid.n_z)
+    return _curvature_at(metric, grid, *nodes).reshape(grid.values.shape)
 
 
 def _curvature_stencil(c, rp, rm, zp, zm, pp, pm, mp, mm, h, rho, off_axis, normal_geometry):
@@ -484,14 +441,12 @@ def _stencil_indices(ii: np.ndarray, jj: np.ndarray, shape: tuple[int, int]) -> 
     )
 
 
-def _curvature_at(metric: AmbientMetric, grid: AxiGrid, nodes: np.ndarray) -> np.ndarray:
-    """Mean curvature at flat node indices ``nodes`` (into
-    ``values.ravel()``), as :func:`mean_curvature_field`."""
+def _curvature_at(metric: AmbientMetric, grid: AxiGrid, ni, nj) -> np.ndarray:
+    """Mean curvature at nodes (ni, nj), as :func:`mean_curvature_field`."""
     h = grid.h
-    ni, nj = np.divmod(nodes, grid.n_z)
     rho = ni * h
     geometry, w = _normal_geometry(metric, rho, grid.z_min + nj * h, h)
-    near = np.take(grid.values, np.take(_grid_stencil(grid.values.shape), nodes, axis=1))
+    near = np.take(grid.values, _stencil_indices(ni, nj, grid.values.shape))
     h_flat, _, normal = _curvature_stencil(*near, h, rho, ni > 0, geometry)
     return (h_flat + 4.0 * normal) / w**2
 
@@ -509,7 +464,7 @@ def _curvature_in_cells(metric: AmbientMetric, grid: AxiGrid, i, j, fx, fy) -> n
     nodes = np.flatnonzero(used)
     place = np.empty(used.size, dtype=np.intp)
     place[nodes] = np.arange(nodes.size)
-    field = _curvature_at(metric, grid, nodes + lo)
+    field = _curvature_at(metric, grid, *np.divmod(nodes + lo, n_z))
     f00, f10, f01, f11 = field[place[corners]]
     return f00 * (1 - fx) * (1 - fy) + f10 * fx * (1 - fy) + f01 * (1 - fx) * fy + f11 * fx * fy
 
@@ -526,12 +481,12 @@ def measure_components(metric: AmbientMetric, grid: AxiGrid) -> list[ComponentMe
     whole-region measurements exactly, because every chord and every
     sub-cell piece belongs to exactly one component.
     """
-    labels, deep, box = _deep_labels(grid)
+    labels, deep = _deep_labels(grid)
     n = deep.size - 1
     if n == 0:
         return []
     h = grid.h
-    sweep = _sweep(metric, grid, labels, n, box)
+    sweep = _sweep(metric, grid, labels, n)
     xm = 0.5 * (sweep.a[:, 0] + sweep.b[:, 0])
     ym = 0.5 * (sweep.a[:, 1] + sweep.b[:, 1])
     # math.hypot is Python's own correctly rounded algorithm; np.hypot

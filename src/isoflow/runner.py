@@ -39,6 +39,10 @@ TRACE_HEADER = "t,A_total,V_total,Q,ratio,n_components,n_frozen"
 COMPONENTS_HEADER = "t,id,frozen,freeze_time,perimeter,volume,hawking"
 MASS_TABLE_HEADER = "r,area,volume,qlm,hawking,qlm_gap_scaled"
 
+# prop36's round-off scale for an ode-flow's profile gap, relative to the
+# first volume; cor75 reads the same scale
+_PROP36_ROUNDOFF = 1e-8
+
 
 def fmt(x: float) -> str:
     """Float -> text, 17 significant digits (round-trips binary64)."""
@@ -108,9 +112,9 @@ def _cor75(samples: list[TraceSample]) -> list[Verdict]:
     """Ratio control binds only when the run starts at or below the
     profile: the isoperimetric ratio must not climb above its first finite
     value beyond the stated slack.  "At" allows a first gap of prop36's
-    round-off scale, 1e-8 of the first volume: an ode-flow starts on the
+    round-off scale times the first volume: an ode-flow starts on the
     profile, so its first gap is round-off of either sign."""
-    if samples[0].profile_gap > 1e-8 * samples[0].volume:
+    if samples[0].profile_gap > _PROP36_ROUNDOFF * samples[0].volume:
         return []
     ratios = [s.ratio for s in samples if math.isfinite(s.ratio)]
     if not ratios or ratios[0] <= 0:
@@ -175,7 +179,7 @@ def _run_ode_flow(sc: Scenario, out_dir: str) -> list[Verdict]:
     drift = max(abs(s.profile_gap - samples[0].profile_gap) for s in samples)
     haw_err = max(abs(s.components[0].hawking - sc.mass) for s in samples)
     return [
-        Verdict("prop36", 1e-8 - drift / samples[0].volume),
+        Verdict("prop36", _PROP36_ROUNDOFF - drift / samples[0].volume),
         Verdict("def34-hawking", 1e-10 * max(1.0, sc.mass) - haw_err),
         *_cor75(samples),
     ]

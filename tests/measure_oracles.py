@@ -2,10 +2,13 @@
 contour as (rho, z) polylines, area and H^2 integrals over a polyline,
 one component's volume, and the labeled node sets.
 
-The ``reference_*`` functions are the measurement pass as it ran over the
-whole grid, before labelling and the sweep were confined to the region's
-bounding box and the curvature read per-grid node tables.  The box-local
-pass must reproduce them bit for bit.
+The ``reference_*`` functions are the measurement pass as it was before
+the sweep gathered corners by flat index and added its shoelace terms as
+rows, the curvature found its corner nodes without ``np.unique``, the
+owner sums shared one sort and the id map was built in one lookup.  Only
+``test_measure_pass_properties`` reads them: the shipped pass must
+reproduce them bit for bit.  The other oracles here run on the shipped
+labelling, sweep and curvature.
 """
 
 from __future__ import annotations
@@ -22,9 +25,12 @@ from isoflow.measure import (
     _area_element,
     _cell_geometry,
     _conformal_power,
+    _curvature_in_cells,
     _curvature_stencil,
     _normal_geometry,
     _stencil_indices,
+    _sweep,
+    label_regions,
 )
 from isoflow.metric import AmbientMetric
 
@@ -224,7 +230,7 @@ class Component:
 
 
 def extract_components(grid: AxiGrid) -> list[Component]:
-    labels, n = reference_label_regions(grid)
+    labels, n = label_regions(grid)
     return [Component(id=k, node_mask=labels == k) for k in range(1, n + 1)]
 
 
@@ -259,10 +265,10 @@ def interface_contour(grid: AxiGrid, component: Component | None = None) -> list
     only edges one chord ends on).  Open chains come first, sorted by
     their end key, then the remaining loops in chord order.
     """
-    labels, n = reference_label_regions(grid)
+    labels, n = label_regions(grid)
     if n == 0:
         return []
-    sweep = reference_sweep(AmbientMetric.euclidean(), grid, labels, n)
+    sweep = _sweep(AmbientMetric.euclidean(), grid, labels, n)
     keep = np.ones(sweep.owner.size, dtype=bool) if component is None else sweep.owner == component.id
     indices = np.flatnonzero(keep).tolist()
     h, z0 = grid.h, grid.z_min
@@ -338,12 +344,12 @@ def interface_H_sq(metric: AmbientMetric, grid: AxiGrid, polyline: np.ndarray) -
     y = (mid[:, 1] - grid.z_min) / grid.h
     i = np.clip(np.floor(x).astype(np.int64), 0, grid.n_rho - 2)
     j = np.clip(np.floor(y).astype(np.int64), 0, grid.n_z - 2)
-    h_mid = reference_curvature_in_cells(metric, grid, i, j, x - i, y - j)
+    h_mid = _curvature_in_cells(metric, grid, i, j, x - i, y - j)
     return math.fsum(h_mid * h_mid * _area_element(metric, mid[:, 0], mid[:, 1], length, grid.h))
 
 
 def g_volume(metric: AmbientMetric, grid: AxiGrid, component: Component) -> float:
     """Metric volume of one component's region."""
-    sweep = reference_sweep(metric, grid, *reference_label_regions(grid))
+    sweep = _sweep(metric, grid, *label_regions(grid))
     pieces = sweep.volume[sweep.owner == component.id]
     return float(sweep.full_volume[component.id]) + math.fsum(pieces.tolist())
