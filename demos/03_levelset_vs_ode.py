@@ -38,7 +38,7 @@ def main():
         t_max=args.t_max,
         sample_interval=0.1,
         sweep_cadence=50,
-        threshold_mass=args.mass if args.freeze else None,
+        threshold_mass=args.mass if args.freeze else 0.0,
     )
     t0 = time.time()
     trace = run_modified_flow(cfg)

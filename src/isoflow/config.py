@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,9 +34,6 @@ SHAPE_FIELDS = {
     "dumbbell": ("ball_radius", "separation", "neck_radius"),
     "oval": ("a", "b"),
 }
-# time fields; the radial oracle has no sweeps or rebuilds, so ode-flow
-# reads only the first three
-TIME_FIELDS = ("t_max", "sample_interval", "dt", "sweep_cadence", "reinit_cadence")
 MODES = tuple(MODE_FIELDS)
 METRIC_KINDS = ("euclidean", "schwarzschild")
 SHAPE_KINDS = tuple(SHAPE_FIELDS)
@@ -92,11 +89,55 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class TimeSpec:
-    t_max: float = 0.0
-    sample_interval: float = 0.0
-    dt: float | None = None  # None = auto-CFL
-    sweep_cadence: int = 5
+    """A flow's time settings.  Construction checks every field by the
+    rules a config file's ``time`` object keeps, raising ConfigError
+    under the bare field name, and stores the numbers as floats."""
+
+    t_max: float
+    sample_interval: float
+    dt: float | None = None  # default: the band's CFL bound, or ode_sampling's step
+    # Both cadences count grid-bound steps of a level-set run: steps of
+    # the configured dt, or of the grid's CFL bound snapped to the sample
+    # interval, so a cadence keeps its model time when the band's bound
+    # lets dt grow.
+    sweep_cadence: int = 5  # a freeze check every k grid-bound steps
+    # rebuild the distance field every k grid-bound steps (0 disables).
+    # The curvature stencils are near-exact on a fresh distance field but
+    # pick up a systematic speed bias as the field distorts, so rebuilds
+    # must come well before the distortion does.  Rebuilds move the interface
+    # too: back to back, a 20-cell sphere's area grows ~0.11% in 10, ~5% in 100.
     reinit_cadence: int = 100
+
+    def __post_init__(self):
+        object.__setattr__(self, "t_max", _number(self.t_max, "t_max", positive=True))
+        interval = _number(self.sample_interval, "sample_interval", positive=True)
+        object.__setattr__(self, "sample_interval", interval)
+        if self.dt is not None:
+            object.__setattr__(self, "dt", _number(self.dt, "dt", positive=True))
+        _integer(self.sweep_cadence, "sweep_cadence", minimum=1)
+        _integer(self.reinit_cadence, "reinit_cadence", minimum=0)
+
+    def ode_sampling(self, path: str) -> tuple[float, int]:
+        """An ode-flow's RK4 step and steps per sample; ConfigError under
+        ``path``, the time object's, unless the interval is a finite whole
+        number of at least one step.  Without a dt the step is fine enough
+        that RK4 error sits far below every reported tolerance."""
+        interval, dt = self.sample_interval, self.dt
+        if dt is None:
+            try:
+                dt = interval / max(200, math.ceil(interval / 1e-3))
+            except OverflowError:  # interval / 1e-3 is inf
+                raise ConfigError(f"{path}.sample_interval: too long for steps of at most 1e-3") from None
+        steps = interval / dt if dt > 0 else math.inf
+        every = round(steps) if math.isfinite(steps) else 0
+        if every < 1 or abs(every * dt - interval) > 1e-9 * interval:
+            raise ConfigError(f"{path}.dt: sample_interval must be a multiple of dt")
+        return dt, every
+
+
+# time fields; the radial oracle has no sweeps or rebuilds, so ode-flow
+# reads only the first three
+TIME_FIELDS = tuple(f.name for f in fields(TimeSpec))
 
 
 @dataclass(frozen=True)
@@ -106,7 +147,7 @@ class Scenario:
     mass: float
     shape: ShapeSpec | None = None
     grid: GridSpec | None = None
-    time: TimeSpec = field(default_factory=TimeSpec)
+    time: TimeSpec | None = None  # the flow modes' time settings
     threshold_mass: float | None = None
     # ode-flow initial radius (levelset runs take it from the shape)
     r0: float = 0.0
@@ -222,35 +263,15 @@ def _parse_time(obj, path: str, mode: str) -> TimeSpec:
     _reject_unknown(obj, TIME_FIELDS, path)
     if mode == "ode-flow":
         _reject_unread(obj, TIME_FIELDS[:3], path, mode)
-    t_max = _number(_require(obj, "t_max", path), f"{path}.t_max", positive=True)
-    interval = _number(
-        _require(obj, "sample_interval", path), f"{path}.sample_interval", positive=True
-    )
-    dt = obj.get("dt")
-    if dt is not None:
-        dt = _number(dt, f"{path}.dt", positive=True)
-        if mode == "ode-flow":
-            ode_sample_every(interval, dt, f"{path}.dt")
-    return TimeSpec(
-        t_max=t_max,
-        sample_interval=interval,
-        dt=dt,
-        sweep_cadence=_integer(obj.get("sweep_cadence", 5), f"{path}.sweep_cadence", minimum=1),
-        reinit_cadence=_integer(obj.get("reinit_cadence", 100), f"{path}.reinit_cadence", minimum=0),
-    )
-
-
-def ode_sample_every(sample_interval: float, dt: float, path: str) -> int:
-    """RK4 steps per ode-flow sample; dt must divide the sample interval.
-
-    Raises ConfigError at ``path`` when the quotient is not a finite
-    whole number of at least one step.
-    """
-    steps = sample_interval / dt if dt > 0 else math.inf
-    every = round(steps) if math.isfinite(steps) else 0
-    if every < 1 or abs(every * dt - sample_interval) > 1e-9 * sample_interval:
-        raise ConfigError(f"{path}: sample_interval must be a multiple of dt")
-    return every
+    _require(obj, "t_max", path)
+    _require(obj, "sample_interval", path)
+    try:
+        time = TimeSpec(**obj)
+    except ConfigError as e:
+        raise ConfigError(f"{path}.{e}") from e
+    if mode == "ode-flow":
+        time.ode_sampling(path)
+    return time
 
 
 def _parse_scenario(obj, path: str, seen_names: set) -> Scenario:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import ndimage
 
-from .config import ConfigError, _integer, _number
+from .config import ConfigError, TimeSpec, _number
 from .measure import (
     _GRAD_EPS,
     AxiGrid,
@@ -447,10 +447,12 @@ class _BandedStepper:
     set moves inward with normal speed H_g in the metric.  The kernel runs
     only on unfrozen nodes within a dozen cells of the interface;
     everything further keeps its value until the next
-    distance rebuild, which in turn only rebuilds values a band can reach.
-    Far values influence nothing measured — the stencils that matter live
-    next to the zero set — and skipping them makes long runs an order of
-    magnitude cheaper.
+    distance rebuild.  A rebuild (:func:`reinitialize`) writes every
+    node, but relaxes only those within ``WIDTH + 4`` cells of a seed;
+    beyond them it writes the far-field distance to the nearest seed's
+    zero.  Far values influence nothing measured — the stencils that
+    matter live next to the zero set — and skipping them makes long runs
+    an order of magnitude cheaper.
 
     The flat indices into ``u.ravel()`` of each node's nine-point stencil
     and the speed coefficients depend only on node position, so the
@@ -570,26 +572,20 @@ def _axis_run_count(u: np.ndarray) -> int:
     return int(inside[0]) + int(np.count_nonzero(inside[1:] & ~inside[:-1]))
 
 
-@dataclass(frozen=True)
-class FlowRunConfig:
-    """Everything one modified-flow run needs."""
+@dataclass(frozen=True, kw_only=True)
+class FlowRunConfig(TimeSpec):
+    """Everything one modified-flow run needs: its time settings, and the
+    metric, the initial field and the threshold mass."""
 
     metric: AmbientMetric
     grid: AxiGrid
-    t_max: float
-    sample_interval: float
     threshold_mass: float | None = None  # default: the metric's mass
-    dt: float | None = None  # default: the band's CFL bound
-    # Both cadences count grid-bound steps: steps of the configured dt,
-    # or of the grid's CFL bound snapped to the sample interval, so a
-    # cadence keeps its model time when the band's bound lets dt grow.
-    sweep_cadence: int = 5  # a freeze check every k grid-bound steps
-    # rebuild the distance field every k grid-bound steps (0 disables).
-    # The curvature stencils are near-exact on a fresh distance field but
-    # pick up a systematic speed bias as the field distorts, so rebuilds
-    # must come well before the distortion does.  Rebuilds move the interface
-    # too: back to back, a 20-cell sphere's area grows ~0.11% in 10, ~5% in 100.
-    reinit_cadence: int = 100
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.threshold_mass is not None:
+            m_thr = _number(self.threshold_mass, "threshold_mass", minimum=0.0)
+            object.__setattr__(self, "threshold_mass", m_thr)
 
 
 def _snap(span: float, limit: float) -> float:
@@ -653,30 +649,26 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     gone (that time is ``freeze_all_time``) or at ``t_max`` (then the
     trace is flagged incomplete).
 
-    Time settings a config file's ``time`` object would reject, a
-    ``threshold_mass`` it would reject, and a ``dt`` above the stability
-    bound raise :class:`~isoflow.config.ConfigError`.
+    The config checks its own fields when it is built; a ``dt`` above the
+    stability bound, or a sample interval too long to count in steps of
+    it, raises :class:`~isoflow.config.ConfigError` here.
 
     The loop steps the working array ``u`` in place and wraps it in the
     state's grid only for a sweep; a sample always follows a sweep at the
     same step, so the state's grid is the current field at every sample.
     """
-    _number(config.t_max, "t_max", positive=True)
-    _number(config.sample_interval, "sample_interval", positive=True)
-    _integer(config.sweep_cadence, "sweep_cadence", minimum=1)
-    _integer(config.reinit_cadence, "reinit_cadence", minimum=0)
     metric = config.metric
-    m_thr = metric.mass
-    if config.threshold_mass is not None:
-        m_thr = _number(config.threshold_mass, "threshold_mass", minimum=0.0)
+    m_thr = metric.mass if config.threshold_mass is None else config.threshold_mass
     state = initial_state(metric, config.grid)
     bound = cfl_time_step(metric, config.grid)
-    if config.dt is not None:
-        dt = _number(config.dt, "dt", positive=True)
-        if dt > bound * (1.0 + 1e-9):
-            raise ConfigError(f"dt={dt} exceeds the stability bound {bound}")
-    else:
-        dt = _snap(config.sample_interval, bound)
+    dt = config.dt
+    if dt is None:
+        try:
+            dt = _snap(config.sample_interval, bound)
+        except OverflowError:  # sample_interval / bound is inf
+            raise ConfigError(f"sample_interval: too long for steps of the stability bound {bound}") from None
+    elif dt > bound * (1.0 + 1e-9):
+        raise ConfigError(f"dt={dt} exceeds the stability bound {bound}")
     dt_grid = dt  # the step the cadences count in
     state = freeze_sweep(state, metric, m_thr)
     _sample(state, m_thr)

@@ -79,10 +79,6 @@ class AmbientMetric:
     def horizon_radius(self) -> float:
         return 0.5 * self.mass
 
-    @property
-    def kind(self) -> str:
-        return "euclidean" if self.mass == 0.0 else "schwarzschild"
-
     def conformal_factor(self, r):
         """w = 1 + m/(2r); the flat-to-g length density is w^2."""
         r = _as_float(r)
@@ -93,10 +89,6 @@ class AmbientMetric:
     @classmethod
     def euclidean(cls) -> "AmbientMetric":
         return cls(0.0)
-
-    @classmethod
-    def schwarzschild(cls, mass: float) -> "AmbientMetric":
-        return cls(mass)
 
 
 def _check_radius(metric: AmbientMetric, r):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import MODE_FIELDS, ConfigError, RunPlan, Scenario, _number, check_grid_size, ode_sample_every
+from .config import ConfigError, RunPlan, Scenario, _number, check_grid_size
 from .flow_levelset import ComponentRecord, FlowRunConfig, TraceSample, run_modified_flow
 from .flow_ode import run_symmetric_flow
 from .mass import ISO_ADM_FIT_C, quasilocal_mass
@@ -151,18 +151,10 @@ def _run_lemma_suite(sc: Scenario, out_dir: str) -> list[Verdict]:
     return verdicts
 
 
-def _ode_auto_dt(sample_interval: float) -> float:
-    # fine enough that RK4 error sits far below every reported tolerance,
-    # and an exact divisor of the sample interval
-    return sample_interval / max(200, math.ceil(sample_interval / 1e-3))
-
-
 def _run_ode_flow(sc: Scenario, out_dir: str) -> list[Verdict]:
     metric = AmbientMetric(mass=sc.mass)
-    t = sc.time
-    dt = t.dt if t.dt is not None else _ode_auto_dt(t.sample_interval)
-    every = ode_sample_every(t.sample_interval, dt, f"{sc.name}: time.dt")
-    states = run_symmetric_flow(metric, sc.r0, dt, t.t_max, sample_every=every)
+    dt, every = sc.time.ode_sampling(f"{sc.name}: time")
+    states = run_symmetric_flow(metric, sc.r0, dt, sc.time.t_max, sample_every=every)
     # one array call per closed form; the sphere's volume is the swept one, its gap the defect
     r, swept = np.array([s.r for s in states]), np.array([s.swept_volume for s in states])
     area, haw = sphere_area(metric, r), sphere_hawking_mass(metric, r)
@@ -192,17 +184,7 @@ def _run_levelset_flow(sc: Scenario, out_dir: str) -> list[Verdict]:
         grid = AxiGrid.sample(g.h, g.rho_max, g.z_min, g.z_max, sc.shape.signed_distance)
     except ValueError as e:  # an --h override can leave too few nodes
         raise ConfigError(f"{sc.name}: {e} at h = {g.h}") from e
-    t = sc.time
-    cfg = FlowRunConfig(
-        metric=metric,
-        grid=grid,
-        t_max=t.t_max,
-        sample_interval=t.sample_interval,
-        threshold_mass=sc.threshold_mass,
-        dt=t.dt,
-        sweep_cadence=t.sweep_cadence,
-        reinit_cadence=t.reinit_cadence,
-    )
+    cfg = FlowRunConfig(metric=metric, grid=grid, threshold_mass=sc.threshold_mass, **vars(sc.time))
     trace = run_modified_flow(cfg)
     samples = trace.samples
     _write_flow(out_dir, samples)
@@ -223,7 +205,7 @@ def _run_levelset_flow(sc: Scenario, out_dir: str) -> list[Verdict]:
         verdicts.append(Verdict("lemma82-perimeter", 1.05 - worst_p / convexity_threshold(m_thr)))
         done = trace.freeze_all_time
         verdicts.append(
-            Verdict("lemma72-termination", -math.inf if done is None else t.t_max - done)
+            Verdict("lemma72-termination", -math.inf if done is None else cfg.t_max - done)
         )
     return verdicts
 
@@ -277,10 +259,10 @@ def apply_overrides(plan: RunPlan, h: float | None, dt: float | None) -> RunPlan
         if h is not None and sc.grid is not None:
             sc = replace(sc, grid=replace(sc.grid, h=h))
             check_grid_size(sc.grid, f"--h: scenarios[{i}].grid.h ({sc.name})")
-        if dt is not None and "time" in MODE_FIELDS[sc.mode]:
+        if dt is not None and sc.time is not None:
             sc = replace(sc, time=replace(sc.time, dt=dt))
             if sc.mode == "ode-flow":
-                ode_sample_every(sc.time.sample_interval, dt, f"--dt: scenarios[{i}].time.dt")
+                sc.time.ode_sampling(f"--dt: scenarios[{i}].time")
         out.append(sc)
     return RunPlan(scenarios=tuple(out))
 

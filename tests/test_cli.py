@@ -148,6 +148,17 @@ def test_an_ode_dt_rule_broken_mid_plan_fails_before_any_scenario_runs(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scenario", [ode_scenario, small_levelset_scenario], ids=["ode-flow", "levelset-flow"])
+def test_a_sample_interval_too_long_to_count_in_steps_is_a_config_error(tmp_path, capsys, scenario):
+    # finite, but the interval over one step is inf
+    sc = scenario()
+    sc["time"]["sample_interval"] = 1e306
+    assert main(["run", write_plan(tmp_path, [sc]), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and "sample_interval" in err
+    assert "Traceback" not in err
+
+
 def test_h_override_too_coarse_for_the_grid(tmp_path, capsys):
     # h = 1 leaves two nodes across the 1.3-wide grid; the parsed h was fine
     plan = write_plan(tmp_path, [small_levelset_scenario()])
@@ -584,3 +595,26 @@ def test_blowup_writes_its_verdict_and_reports_the_latest_finite_sample(tmp_path
     assert "last good sample t=0.10000000000000001" in capsys.readouterr().err
     assert (out / "ball" / "verdicts.txt").read_text(encoding="utf-8") == "FAIL blow-up slack=-inf\n"
     assert len((out / "ball" / "trace.csv").read_text(encoding="utf-8").splitlines()) == 4
+
+
+def test_a_nan_in_the_real_loop_exits_3_with_the_last_finite_sample(tmp_path, monkeypatch, capsys):
+    # one NaN in the 30th step's speeds, while the second sample interval runs
+    speed, calls = flow_levelset_mod._speed, []
+
+    def poisoned(*args):
+        calls.append(None)
+        out = speed(*args)
+        if len(calls) == 30:
+            out[0] = math.nan
+        return out
+
+    monkeypatch.setattr(flow_levelset_mod, "_speed", poisoned)
+    sc = small_levelset_scenario()
+    sc["time"] = {"t_max": 0.15, "sample_interval": 0.01}
+    out = tmp_path / "out"
+    assert main(["run", write_plan(tmp_path, [sc]), "--out", str(out)]) == 3
+    shown = re.search(r"last good sample t=(\S+)", capsys.readouterr().err).group(1)
+    rows = (out / "ball" / "trace.csv").read_text(encoding="utf-8").splitlines()[1:]
+    finite = [row.split(",")[0] for row in rows if all(map(math.isfinite, map(float, row.split(","))))]
+    assert len(finite) < len(rows)
+    assert float(shown) == float(finite[-1])

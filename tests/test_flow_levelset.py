@@ -8,7 +8,7 @@ import pytest
 from scipy import ndimage
 
 import isoflow.flow_levelset as flow_levelset_mod
-from isoflow.config import ConfigError
+from isoflow.config import ConfigError, TimeSpec
 from isoflow.flow_levelset import (
     CFL_SAFETY,
     FlowRunConfig,
@@ -113,6 +113,18 @@ def test_run_rejects_time_settings_the_parser_rejects(name, value):
     times = {"t_max": 0.01, "sample_interval": 0.005, name: value}
     with pytest.raises(ConfigError, match=name):
         run_modified_flow(FlowRunConfig(metric=EUCLID, grid=sphere_grid(0.5, 0.02), **times))
+
+
+@pytest.mark.parametrize("config", [TimeSpec, FlowRunConfig])
+@pytest.mark.parametrize(
+    "name, value",
+    [("sweep_cadence", 0), ("sample_interval", 0.0), ("sample_interval", -0.01), ("t_max", math.nan), ("reinit_cadence", -1)],
+)
+def test_time_settings_are_checked_when_built(config, name, value):
+    times = {"t_max": 0.01, "sample_interval": 0.005, name: value}
+    extra = {"metric": EUCLID, "grid": None} if config is FlowRunConfig else {}
+    with pytest.raises(ConfigError, match=f"^{name}: "):
+        config(**times, **extra)
 
 
 @pytest.mark.parametrize("value", [-1.0, math.nan])
