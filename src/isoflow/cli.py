@@ -64,10 +64,8 @@ def main(argv: list[str] | None = None) -> int:
             plan = apply_overrides(load_plan(args.config), args.h, args.dt)
         results = run_plan(plan, _out_root(args.out))
     except ConfigError as e:
-        # Besides parse and override errors, the mistakes found only once a
-        # run starts: an override can make a grid invalid or push dt past
-        # the stability bound.  Each raises ConfigError where it is found;
-        # any other error is a fault of the run, not of the config.
+        # parse, override and run_plan's up-front checks, all before any
+        # scenario writes; any other error is a fault of the run
         print(f"isoflow: bad config: {e}", file=sys.stderr)
         return 2
 

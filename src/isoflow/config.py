@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -279,7 +280,11 @@ def _parse_scenario(obj, path: str, seen_names: set) -> Scenario:
     name = _require(obj, "name", path)
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{path}.name: expected a nonempty string")
-    if any(c in name for c in "/\\") or name in (".", ".."):
+    try:
+        encoded = os.fsencode(name)
+    except UnicodeEncodeError:  # a lone surrogate
+        encoded = b"\0"
+    if any(c in name for c in "/\\") or name in (".", "..") or b"\0" in encoded or len(encoded) > 255:
         raise ConfigError(f"{path}.name: must be usable as a directory name")
     if name in seen_names:
         raise ConfigError(f"{path}.name: duplicate scenario name {name!r}")

@@ -520,7 +520,7 @@ class _BandedStepper:
     def refresh_if_due(self, u: np.ndarray, frozen_mask: np.ndarray) -> None:
         """Refresh the band when the next step would, so that
         :attr:`bound_scale` is the scale of the band that step moves."""
-        if self._age >= self.REBUILD or self.stencil is None:
+        if self._age >= self.REBUILD:
             self.refresh(u, frozen_mask)
 
     def step(self, u: np.ndarray, frozen_mask: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray] | None:
@@ -575,7 +575,8 @@ def _axis_run_count(u: np.ndarray) -> int:
 @dataclass(frozen=True, kw_only=True)
 class FlowRunConfig(TimeSpec):
     """Everything one modified-flow run needs: its time settings, and the
-    metric, the initial field and the threshold mass."""
+    metric, the initial field and the threshold mass.  Building it makes
+    every check a run needs, dt's against the grid's stability bound too."""
 
     metric: AmbientMetric
     grid: AxiGrid
@@ -583,9 +584,13 @@ class FlowRunConfig(TimeSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.threshold_mass is not None:
-            m_thr = _number(self.threshold_mass, "threshold_mass", minimum=0.0)
-            object.__setattr__(self, "threshold_mass", m_thr)
+        m_thr = self.metric.mass if self.threshold_mass is None else self.threshold_mass
+        object.__setattr__(self, "threshold_mass", _number(m_thr, "threshold_mass", minimum=0.0))
+        bound = cfl_time_step(self.metric, self.grid)
+        if self.dt is None and not math.isfinite(self.sample_interval / bound):
+            raise ConfigError(f"sample_interval: too long for steps of the stability bound {bound}")
+        if self.dt is not None and self.dt > bound * (1.0 + 1e-9):
+            raise ConfigError(f"dt={self.dt} exceeds the stability bound {bound}")
 
 
 def _snap(span: float, limit: float) -> float:
@@ -649,26 +654,17 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     gone (that time is ``freeze_all_time``) or at ``t_max`` (then the
     trace is flagged incomplete).
 
-    The config checks its own fields when it is built; a ``dt`` above the
-    stability bound, or a sample interval too long to count in steps of
-    it, raises :class:`~isoflow.config.ConfigError` here.
+    The config made every check when it was built, so what a run raises
+    is a fault of the run, never :class:`~isoflow.config.ConfigError`.
 
     The loop steps the working array ``u`` in place and wraps it in the
     state's grid only for a sweep; a sample always follows a sweep at the
     same step, so the state's grid is the current field at every sample.
     """
-    metric = config.metric
-    m_thr = metric.mass if config.threshold_mass is None else config.threshold_mass
+    metric, m_thr = config.metric, config.threshold_mass
     state = initial_state(metric, config.grid)
     bound = cfl_time_step(metric, config.grid)
-    dt = config.dt
-    if dt is None:
-        try:
-            dt = _snap(config.sample_interval, bound)
-        except OverflowError:  # sample_interval / bound is inf
-            raise ConfigError(f"sample_interval: too long for steps of the stability bound {bound}") from None
-    elif dt > bound * (1.0 + 1e-9):
-        raise ConfigError(f"dt={dt} exceeds the stability bound {bound}")
+    dt = _snap(config.sample_interval, bound) if config.dt is None else config.dt
     dt_grid = dt  # the step the cadences count in
     state = freeze_sweep(state, metric, m_thr)
     _sample(state, m_thr)
@@ -679,7 +675,7 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     arrival_flat = state.trace.arrival_time.ravel()
     next_sample = config.sample_interval
     t_anchor, steps, t = 0.0, 0, 0.0  # t = t_anchor + steps * dt
-    grid_steps, advance = 0.0, 1.0  # grid-bound steps so far, and per step
+    grid_steps = 0.0  # grid-bound steps so far
     # whole cadence periods so far; reinit_cadence 0 is an endless period
     rebuilds = checks = 0
     snap_due = True  # a sample was just taken: re-snap a band-bound dt
@@ -701,12 +697,11 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
                 snapped = _snap(next_sample - t, limit)
                 if snapped != dt:
                     t_anchor, steps, dt = t, 0, snapped
-                    advance = dt / dt_grid
             snap_due = False
         band = stepper.step(u, state.frozen_mask, dt)
         steps += 1
         t = t_anchor + steps * dt
-        grid_steps += advance
+        grid_steps += dt / dt_grid
         if band is not None:
             band_prev, band_vals = band
             # Only band nodes move in a step, and a rebuild keeps every

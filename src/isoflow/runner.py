@@ -177,14 +177,19 @@ def _run_ode_flow(sc: Scenario, out_dir: str) -> list[Verdict]:
     ]
 
 
-def _run_levelset_flow(sc: Scenario, out_dir: str) -> list[Verdict]:
-    metric = AmbientMetric(mass=sc.mass)
-    g = sc.grid
+def _flow_config(sc: Scenario) -> FlowRunConfig:
+    """A level-set scenario's grid and run config.  An --h override can leave
+    too few nodes or a bound below dt: ConfigError names the scenario and h."""
+    g, metric = sc.grid, AmbientMetric(mass=sc.mass)
     try:
         grid = AxiGrid.sample(g.h, g.rho_max, g.z_min, g.z_max, sc.shape.signed_distance)
-    except ValueError as e:  # an --h override can leave too few nodes
+        return FlowRunConfig(metric=metric, grid=grid, threshold_mass=sc.threshold_mass, **vars(sc.time))
+    except ValueError as e:
         raise ConfigError(f"{sc.name}: {e} at h = {g.h}") from e
-    cfg = FlowRunConfig(metric=metric, grid=grid, threshold_mass=sc.threshold_mass, **vars(sc.time))
+
+
+def _run_levelset_flow(sc: Scenario, out_dir: str) -> list[Verdict]:
+    cfg = _flow_config(sc)
     trace = run_modified_flow(cfg)
     samples = trace.samples
     _write_flow(out_dir, samples)
@@ -194,11 +199,11 @@ def _run_levelset_flow(sc: Scenario, out_dir: str) -> list[Verdict]:
 
     # monotone decrease of the profile-gap up to a grid-resolution slack
     q = np.array([s.profile_gap for s in samples])
-    q_slack = sc.q_slack if sc.q_slack is not None else g.h
+    q_slack = sc.q_slack if sc.q_slack is not None else sc.grid.h
     worst_rise = float(np.max(np.diff(q))) if len(q) > 1 else 0.0
     verdicts = [Verdict("prop74", q_slack - max(worst_rise, 0.0)), *_cor75(samples)]
 
-    m_thr = sc.mass if sc.threshold_mass is None else sc.threshold_mass
+    m_thr = cfg.threshold_mass
     if m_thr > 0.0:
         frozen = {c.id: c for s in samples for c in s.components if c.frozen}
         worst_p = max((c.perimeter for c in frozen.values()), default=0.0)
@@ -270,8 +275,14 @@ def apply_overrides(plan: RunPlan, h: float | None, dt: float | None) -> RunPlan
 def run_plan(plan: RunPlan, out_root: str) -> list[ScenarioResult]:
     """Run every scenario into ``out_root/<name>/``.
 
-    An empty plan creates nothing, not even the root directory.
+    Every flow's settings are checked first: a ConfigError, like an empty
+    plan, creates nothing, not even the root directory.
     """
+    for sc in plan.scenarios:
+        if sc.mode == "levelset-flow":
+            _flow_config(sc)
+        elif sc.mode == "ode-flow":
+            sc.time.ode_sampling(f"{sc.name}: time")
     results = []
     for sc in plan.scenarios:
         out_dir = os.path.join(out_root, sc.name)

@@ -159,6 +159,41 @@ def test_a_sample_interval_too_long_to_count_in_steps_is_a_config_error(tmp_path
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "bad, flags, named",
+    [
+        ({"time": {"t_max": 0.1, "sample_interval": 1e306}}, [], "b"),  # too long for steps of the bound
+        ({}, ["--dt", "0.05"], "a"),  # past the stability bound
+        ({}, ["--h", "0.6"], "a"),  # too few nodes across the grid
+    ],
+    ids=["sample-interval", "dt-override", "h-override"],
+)
+def test_a_config_error_found_in_a_later_flow_leaves_no_output(tmp_path, capsys, bad, flags, named):
+    plan = write_plan(tmp_path, [small_levelset_scenario("a"), {**small_levelset_scenario("b"), **bad}])
+    assert main(["run", plan, "--out", str(tmp_path / "out"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"bad config: {named}: " in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+BAD_NAMES = ["a\u0000b", "a\ud800", "x" * 300]  # a NUL byte, a lone surrogate, 300 bytes
+
+
+@pytest.mark.parametrize("name", BAD_NAMES, ids=["nul", "surrogate", "too-long"])
+def test_a_name_no_file_system_holds_is_rejected(name):
+    sc = {**ode_scenario(), "name": name}
+    with pytest.raises(ConfigError, match=r"^scenarios\[0\]\.name: must be usable as a directory name"):
+        parse_plan(json.dumps({"scenarios": [sc]}))
+
+
+@pytest.mark.parametrize("name", BAD_NAMES, ids=["nul", "surrogate", "too-long"])
+def test_a_bad_name_in_a_later_scenario_leaves_no_output(tmp_path, capsys, name):
+    plan = write_plan(tmp_path, [ode_scenario("first"), {**ode_scenario(), "name": name}])
+    assert main(["run", plan, "--out", str(tmp_path / "out")]) == 2
+    assert "scenarios[1].name" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_h_override_too_coarse_for_the_grid(tmp_path, capsys):
     # h = 1 leaves two nodes across the 1.3-wide grid; the parsed h was fine
     plan = write_plan(tmp_path, [small_levelset_scenario()])

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 import isoflow.flow_levelset as flow_levelset_mod
@@ -102,6 +104,22 @@ def test_step_rejects_unstable_dt():
     dt = 10 * cfl_time_step(EUCLID, g)
     with pytest.raises(ConfigError, match="stability bound"):
         run_modified_flow(FlowRunConfig(metric=EUCLID, grid=g, t_max=0.1, sample_interval=0.05, dt=dt))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dt_scale=st.none() | st.floats(0.5, 1.5),
+    sample_interval=st.floats(0.005, 1e306) | st.sampled_from([1e300, 1e306]),
+)
+def test_a_config_that_builds_runs_without_a_config_error(dt_scale, sample_interval):
+    # every check on dt and the sample interval is made when the config is built
+    g = sphere_grid(0.5, 0.1)
+    dt = None if dt_scale is None else dt_scale * cfl_time_step(EUCLID, g)
+    try:
+        config = FlowRunConfig(metric=EUCLID, grid=g, t_max=0.01, sample_interval=sample_interval, dt=dt)
+    except ConfigError:
+        return
+    run_modified_flow(config)
 
 
 @pytest.mark.parametrize(
