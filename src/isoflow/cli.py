@@ -18,7 +18,7 @@ import os
 import sys
 
 from .config import ConfigError, RunPlan, Scenario, load_plan
-from .runner import apply_overrides, run_plan
+from .runner import run_plan
 
 
 def _built_in_suite() -> RunPlan:
@@ -31,12 +31,6 @@ def _built_in_suite() -> RunPlan:
         )
     )
     return RunPlan(scenarios=scenarios)
-
-
-def _out_root(arg: str | None) -> str:
-    if arg:
-        return arg
-    return os.environ.get("ISOFLOW_OUT") or "isoflow-out"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -57,15 +51,16 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
 
+    out_root = args.out or os.environ.get("ISOFLOW_OUT") or "isoflow-out"
     try:
         if args.command == "suite":
-            plan = _built_in_suite()
+            results = run_plan(_built_in_suite(), out_root)
         else:
-            plan = apply_overrides(load_plan(args.config), args.h, args.dt)
-        results = run_plan(plan, _out_root(args.out))
+            results = run_plan(load_plan(args.config), out_root, h=args.h, dt=args.dt)
     except ConfigError as e:
-        # parse, override and run_plan's up-front checks, all before any
-        # scenario writes; any other error is a fault of the run
+        # the parser's checks, then run_plan's one pass that applies --h
+        # and --dt and checks every scenario, all before any scenario
+        # writes; any other error is a fault of the run
         print(f"isoflow: bad config: {e}", file=sys.stderr)
         return 2
 

@@ -587,7 +587,7 @@ class FlowRunConfig(TimeSpec):
         m_thr = self.metric.mass if self.threshold_mass is None else self.threshold_mass
         object.__setattr__(self, "threshold_mass", _number(m_thr, "threshold_mass", minimum=0.0))
         bound = cfl_time_step(self.metric, self.grid)
-        if self.dt is None and not math.isfinite(self.sample_interval / bound):
+        if self.dt is None and not (bound > 0.0 and math.isfinite(self.sample_interval / bound)):
             raise ConfigError(f"sample_interval: too long for steps of the stability bound {bound}")
         if self.dt is not None and self.dt > bound * (1.0 + 1e-9):
             raise ConfigError(f"dt={self.dt} exceeds the stability bound {bound}")

@@ -63,7 +63,7 @@ def _check_area(m: float, area, *, strict: bool = False):
     # radius check in metric does
     area = _as_float(area)
     amin = horizon_area(m)
-    slack = 4e-16 * max(amin, 1.0)
+    slack = 4e-16 * amin  # relative, as metric's radius check
     low = area <= amin + slack if strict else area < amin - slack
     if (low if isinstance(area, float) else np.any(low)):
         raise ValueError(

@@ -122,6 +122,11 @@ def _cor75(samples: list[TraceSample]) -> list[Verdict]:
     return [Verdict("cor75", 0.03 - (max(ratios) / ratios[0] - 1.0))]
 
 
+def _def34(haw: np.ndarray, mass: float) -> Verdict:
+    """Each Hawking mass in ``haw`` is ``mass``, to a round-off that scales with it."""
+    return Verdict("def34-hawking", 1e-10 * max(1.0, mass) - float(np.max(np.abs(haw - mass))))
+
+
 def _run_lemma_suite(sc: Scenario, out_dir: str) -> list[Verdict]:
     """Closed-form profile checks at a given mass (scales from m = 1)."""
     mass = sc.mass
@@ -134,7 +139,7 @@ def _run_lemma_suite(sc: Scenario, out_dir: str) -> list[Verdict]:
         Verdict("lemma51-threshold", 1e-6 - abs(area / convexity_threshold(mass) - 1.0))
     )
     verdicts.append(
-        Verdict("lemma51-radius", 1e-9 - abs(radius - convexity_threshold_radius(mass)))
+        Verdict("lemma51-radius", 1e-9 * max(1.0, mass) - abs(radius - convexity_threshold_radius(mass)))
     )
 
     # O(A^{-1/2}) mass recovery: the scaled error is nearly flat in A
@@ -146,8 +151,7 @@ def _run_lemma_suite(sc: Scenario, out_dir: str) -> list[Verdict]:
 
     # every radius lies outside the horizon m/2
     radii = np.geomspace(0.6 * mass, 50.0 * max(mass, 1.0), 17)
-    haw = sphere_hawking_mass(AmbientMetric(mass), radii)
-    verdicts.append(Verdict("def34-hawking", 1e-10 - float(np.max(np.abs(haw - mass)))))
+    verdicts.append(_def34(sphere_hawking_mass(AmbientMetric(mass), radii), mass))
     return verdicts
 
 
@@ -169,10 +173,9 @@ def _run_ode_flow(sc: Scenario, out_dir: str) -> list[Verdict]:
     _write_flow(out_dir, samples)
 
     drift = max(abs(s.profile_gap - samples[0].profile_gap) for s in samples)
-    haw_err = max(abs(s.components[0].hawking - sc.mass) for s in samples)
     return [
         Verdict("prop36", _PROP36_ROUNDOFF - drift / samples[0].volume),
-        Verdict("def34-hawking", 1e-10 * max(1.0, sc.mass) - haw_err),
+        _def34(haw, sc.mass),
         *_cor75(samples),
     ]
 
@@ -231,8 +234,7 @@ def _run_mass_table(sc: Scenario, out_dir: str) -> list[Verdict]:
     if above.any():
         # the fitted constant is frozen at unit mass and scales exactly as m^2
         verdicts.append(Verdict("thm14", ISO_ADM_FIT_C * sc.mass**2 - gap_scaled[above].max()))
-    worst_haw = np.abs(haw - sc.mass).max()
-    verdicts.append(Verdict("def34-hawking", 1e-10 * max(1.0, sc.mass) - worst_haw))
+    verdicts.append(_def34(haw, sc.mass))
     return verdicts
 
 
@@ -244,47 +246,36 @@ _MODE_RUNNERS = {
 }
 
 
-def apply_overrides(plan: RunPlan, h: float | None, dt: float | None) -> RunPlan:
-    """Apply command-line --h / --dt to every scenario they affect.
+def run_plan(plan: RunPlan, out_root: str, *, h: float | None = None, dt: float | None = None) -> list[ScenarioResult]:
+    """Run every scenario into ``out_root/<name>/``.
 
-    Both must be positive and finite, a grid at the new h must have a
-    finite node count within :data:`~isoflow.measure.MAX_NODES`, and an
-    ``ode-flow`` scenario's sample interval must be a multiple of the new
-    dt; ConfigError names the flag, so the check fails before any
-    scenario runs or any grid is allocated.
+    ``h`` and ``dt`` (--h and --dt) must be positive and finite; they
+    replace every grid's spacing and every flow's time step, and a
+    ConfigError they cause names the flag.  One pass in plan order applies
+    them and checks each scenario: the node count before its grid is
+    sampled, a level set's grid and :class:`FlowRunConfig`, an ode-flow's
+    sampling.  So a ConfigError, like an empty plan, creates nothing, not
+    even the root directory.  With several mistakes the first scenario's
+    is reported; earlier grids may have been sampled and dropped by then.
     """
-    if h is None and dt is None:
-        return plan
     if h is not None:
         h = _number(h, "--h", positive=True)
     if dt is not None:
         dt = _number(dt, "--dt", positive=True)
-    out = []
+    scenarios = []
     for i, sc in enumerate(plan.scenarios):
         if h is not None and sc.grid is not None:
             sc = replace(sc, grid=replace(sc.grid, h=h))
             check_grid_size(sc.grid, f"--h: scenarios[{i}].grid.h ({sc.name})")
         if dt is not None and sc.time is not None:
             sc = replace(sc, time=replace(sc.time, dt=dt))
-            if sc.mode == "ode-flow":
-                sc.time.ode_sampling(f"--dt: scenarios[{i}].time")
-        out.append(sc)
-    return RunPlan(scenarios=tuple(out))
-
-
-def run_plan(plan: RunPlan, out_root: str) -> list[ScenarioResult]:
-    """Run every scenario into ``out_root/<name>/``.
-
-    Every flow's settings are checked first: a ConfigError, like an empty
-    plan, creates nothing, not even the root directory.
-    """
-    for sc in plan.scenarios:
         if sc.mode == "levelset-flow":
             _flow_config(sc)
         elif sc.mode == "ode-flow":
-            sc.time.ode_sampling(f"{sc.name}: time")
+            sc.time.ode_sampling(f"--dt: scenarios[{i}].time" if dt is not None else f"{sc.name}: time")
+        scenarios.append(sc)
     results = []
-    for sc in plan.scenarios:
+    for sc in scenarios:
         out_dir = os.path.join(out_root, sc.name)
         os.makedirs(out_dir, exist_ok=True)
         last_good = None

@@ -176,6 +176,28 @@ def test_a_config_error_found_in_a_later_flow_leaves_no_output(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_a_stability_bound_that_underflows_exits_2_before_any_output(tmp_path, capsys):
+    # h = 1e-170 on a 1e-168 grid: 200 x 100 nodes, and h^2 underflows to 0.0
+    tiny = {
+        "shape": {"kind": "sphere", "r0": 5e-169},
+        "grid": {"h": 1e-170, "rho_max": 1e-168, "z_min": -1e-168, "z_max": 1e-168},
+    }
+    plan = write_plan(tmp_path, [{**small_levelset_scenario("a"), **tiny}])
+    assert main(["run", plan, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad config: a: sample_interval: too long for steps of the stability bound 0.0 at h = 1e-170" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("h", 0.0), ("dt", math.nan)])
+def test_run_plan_names_the_flag_of_a_bad_override_and_creates_nothing(tmp_path, flag, value):
+    plan = parse_plan(json.dumps({"scenarios": [small_levelset_scenario()]}))
+    with pytest.raises(ConfigError, match=f"^--{flag}: "):
+        runner_mod.run_plan(plan, str(tmp_path / "out"), **{flag: value})
+    assert not (tmp_path / "out").exists()
+
+
 BAD_NAMES = ["a\u0000b", "a\ud800", "x" * 300]  # a NUL byte, a lone surrogate, 300 bytes
 
 

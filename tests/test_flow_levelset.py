@@ -106,6 +106,14 @@ def test_step_rejects_unstable_dt():
         run_modified_flow(FlowRunConfig(metric=EUCLID, grid=g, t_max=0.1, sample_interval=0.05, dt=dt))
 
 
+def test_a_stability_bound_that_underflows_is_a_config_error():
+    # h = 1e-170 squares to 0.0: no step count covers the sample interval
+    g = sphere_grid(5e-169, 1e-170, pad=5e-169)
+    assert cfl_time_step(EUCLID, g) == 0.0
+    with pytest.raises(ConfigError, match="sample_interval: too long for steps of the stability bound 0.0"):
+        FlowRunConfig(metric=EUCLID, grid=g, t_max=0.1, sample_interval=0.05)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     dt_scale=st.none() | st.floats(0.5, 1.5),

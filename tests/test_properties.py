@@ -1,4 +1,5 @@
-"""Property tests of the config parser and the area-to-radius inversion."""
+"""Property tests of the config parser, the area-to-radius inversion, the
+profile above its threshold and the lemma suite, over many mass scales."""
 
 import json
 import math
@@ -9,9 +10,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isoflow.config import METRIC_KINDS, MODES, SHAPE_KINDS, ConfigError, parse_plan
+from isoflow.config import METRIC_KINDS, MODES, SHAPE_KINDS, ConfigError, Scenario, parse_plan
 from isoflow.metric import AmbientMetric, sphere_area
-from isoflow.profile import radius_from_area
+from isoflow.profile import convexity_threshold, profile_convexity_sign, profile_slope, radius_from_area
+from isoflow.runner import _run_lemma_suite
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -83,3 +85,24 @@ def test_radius_from_area_inverts_sphere_area(m, scale):
     r = max(m, 1e-3) * scale
     area = sphere_area(AmbientMetric(m), r)
     assert math.isclose(float(radius_from_area(m, area)), r, rel_tol=16 * 2.0**-52)
+
+
+@PROPERTY
+@given(st.floats(-150.0, 150.0), st.floats(1.001, 100.0))
+def test_the_profile_is_increasing_and_convex_above_its_threshold_at_every_mass_scale(log_m, scale):
+    # the horizon check's slack is relative to the horizon area, so it
+    # rejects no area above the threshold at any mass
+    m = 10.0**log_m
+    area = scale * convexity_threshold(m)
+    slope = float(profile_slope(m, area))
+    assert math.isfinite(slope) and slope > 0.0
+    assert profile_convexity_sign(m, area) == 1
+
+
+@PROPERTY
+@given(st.floats(-50.0, 40.0))
+def test_every_lemma_suite_verdict_passes_at_every_mass_scale(log_m):
+    # the suite writes no file, so it needs no output directory
+    sc = Scenario(name="suite", mode="lemma-suite", mass=10.0**log_m)
+    failed = [v.line() for v in _run_lemma_suite(sc, "") if not v.passed]
+    assert not failed
