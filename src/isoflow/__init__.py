@@ -31,6 +31,7 @@ from .measure import AxiGrid, ComponentMeasure, measure_components
 from .flow_levelset import (
     FlowRunConfig,
     FlowTrace,
+    RunFailure,
     cfl_time_step,
     initial_state,
     run_modified_flow,

@@ -6,8 +6,9 @@
 ``--out`` (or $ISOFLOW_OUT, or ./isoflow-out).
 
 Exit status: 0 when every checked invariant passes, 1 when any verdict
-fails, 2 on a malformed configuration, 3 when a run produced non-finite
-values (the message carries the last good sample time).
+fails, 2 on a malformed configuration, 3 when a run failed: its values
+went non-finite or its region reached the grid's outer edge (the message
+carries the reason and the last good sample time).
 """
 
 from __future__ import annotations
@@ -66,11 +67,11 @@ def main(argv: list[str] | None = None) -> int:
 
     status = 0
     for res in results:
-        if res.blowup_last_good is not None:
-            t = res.blowup_last_good
+        if res.failure is not None:
+            t = res.failure.last_good
             shown = "none" if math.isnan(t) else f"{t:.17g}"
             print(
-                f"isoflow: {res.name}: numerical blow-up; last good sample t={shown}",
+                f"isoflow: {res.name}: numerical blow-up ({res.failure}); last good sample t={shown}",
                 file=sys.stderr,
             )
             return 3

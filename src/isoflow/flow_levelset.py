@@ -17,6 +17,7 @@ is the ordinary weak flow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -40,6 +41,14 @@ from .profile import convexity_threshold, isoperimetric_ratio, profile_volume_or
 
 # explicit-step stability margin: dt = CFL_SAFETY * h^2 * min(w^4)
 CFL_SAFETY = 0.2
+
+# Without a configured dt, an interval that needs many explicit steps is
+# covered by RKL2 super-steps of at most MAX_STAGES kernel calls each
+# (:func:`_super_steps`); the first SETTLE_STEPS steps after every
+# distance rebuild are explicit, since RKL2 barely damps the rebuild's
+# noisy second differences.
+MAX_STAGES = 6
+SETTLE_STEPS = 8
 
 # Under the flow a component's area falls at dA/dt = -int H^2 dA
 # (Huisken 1984).  A cadence sweep is skipped while every live record's
@@ -78,6 +87,10 @@ class TraceSample:
     n_frozen: int
     components: list[ComponentRecord]
 
+    @property
+    def finite(self) -> bool:
+        return all(map(math.isfinite, (self.t, self.area, self.volume, self.profile_gap)))
+
 
 @dataclass
 class FlowTrace:
@@ -87,6 +100,19 @@ class FlowTrace:
     freeze_all_time: float | None = None
     incomplete: bool = False
     arrival_time: np.ndarray | None = None
+
+
+class RunFailure(RuntimeError):
+    """A run that cannot go on: its field or a sample went non-finite, or
+    its region reached the grid's outer edge.  ``samples`` are the ones
+    taken before; ``last_good`` is the time of the latest finite one (NaN
+    when there is none)."""
+
+    def __init__(self, reason: str, samples: list[TraceSample]):
+        super().__init__(reason)
+        self.samples = samples
+        good = [s.t for s in samples if s.finite]
+        self.last_good = good[-1] if good else math.nan
 
 
 @dataclass
@@ -204,6 +230,33 @@ def _speed(near: np.ndarray, coef: np.ndarray, h: float, work: np.ndarray) -> np
         np.multiply(c_x, x, out=t)
         num += t
     return num
+
+
+def _stretch(stages: int) -> float:
+    """Explicit steps one RKL2 super-step of ``stages`` kernel calls
+    covers: the ratio of its stable step to the explicit one."""
+    return (stages * stages + stages - 2) / 4
+
+
+@functools.cache
+def _rkl2_coefficients(stages: int) -> tuple[float, tuple[tuple[float, float, float, float], ...]]:
+    """RKL2 (Meyer, Balsara & Aslam 2014) with s = ``stages``: the weight
+    b_1 w_1 of Y_1 = Y_0 + b_1 w_1 dt L(Y_0), and for j = 2..s the
+    (mu_j, nu_j, mu~_j, gamma~_j) of
+
+        Y_j = mu_j Y_{j-1} + nu_j Y_{j-2} + (1 - mu_j - nu_j) Y_0
+              + mu~_j dt L(Y_{j-1}) + gamma~_j dt L(Y_0),
+
+    from b_0 = b_1 = b_2 = 1/3, b_j = (j^2 + j - 2) / (2 j (j + 1)) and
+    w_1 = 1 / :func:`_stretch`; gamma~_j = -(1 - b_{j-1}) mu~_j.
+    """
+    b = [1 / 3] * 3 + [(j * j + j - 2) / (2 * j * (j + 1)) for j in range(3, stages + 1)]
+    w1 = 1.0 / _stretch(stages)
+    later = []
+    for j in range(2, stages + 1):
+        mu, nu = (2 * j - 1) / j * b[j] / b[j - 1], -(j - 1) / j * b[j] / b[j - 2]
+        later.append((mu, nu, mu * w1, -(1.0 - b[j - 1]) * mu * w1))
+    return b[1] * w1, tuple(later)
 
 
 def _match_ids(state: LevelSetState, measures: list[ComponentMeasure]) -> tuple[list[int], np.ndarray, int]:
@@ -468,6 +521,13 @@ class _BandedStepper:
     (:func:`cfl_time_step`) times grid max K / band max K, with K =
     1/(h^2 w^4) the first coefficient row.  At m = 0 every K is equal and
     the scale is exactly 1.
+
+    A step of ``stages`` s >= 2 is one RKL2 super-step (Meyer, Balsara &
+    Aslam 2014; :func:`_rkl2_coefficients`): s kernel calls, each on the
+    last stage's values, which it writes into u's band nodes, stable up
+    to :func:`_stretch`(s) = (s^2 + s - 2)/4 times the explicit bound.
+    Its four extra (band size) rows, Y_0, dt L(Y_0) and two stages, are
+    allocated with the step buffers.
     """
 
     WIDTH = 12.0  # band half-width in cells
@@ -488,6 +548,7 @@ class _BandedStepper:
         self.coef: np.ndarray | None = None  # (4, band size), aligned with stencil[0]
         self.near: np.ndarray | None = None  # (9, band size) stencil values
         self.work: np.ndarray | None = None  # (9, band size) _speed's rows
+        self.rows: np.ndarray | None = None  # (4, band size) a super-step's stages
         self._age = self.REBUILD
 
     def refresh(self, u: np.ndarray, frozen_mask: np.ndarray) -> None:
@@ -516,6 +577,7 @@ class _BandedStepper:
         if self.near is None or self.near.shape != self.stencil.shape:
             self.near = np.empty(self.stencil.shape)
             self.work = np.empty(self.stencil.shape)
+            self.rows = np.empty((4, centre.size))
 
     def refresh_if_due(self, u: np.ndarray, frozen_mask: np.ndarray) -> None:
         """Refresh the band when the next step would, so that
@@ -523,8 +585,12 @@ class _BandedStepper:
         if self._age >= self.REBUILD:
             self.refresh(u, frozen_mask)
 
-    def step(self, u: np.ndarray, frozen_mask: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """Advance ``u`` in place by one banded explicit step.
+    def step(
+        self, u: np.ndarray, frozen_mask: np.ndarray, dt: float, stages: int = 1
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Advance ``u`` in place by one banded step of ``dt``: explicit
+        with ``stages`` = 1, else one RKL2 super-step of ``stages`` kernel
+        calls.  Only band nodes change.
 
         Returns the band values before and after the step (aligned with
         ``stencil[0]``), or None when the band is empty.  Both are views
@@ -534,25 +600,47 @@ class _BandedStepper:
         self._age += 1
         if self.stencil.shape[1] == 0:
             return None
+        # u is C-contiguous (refresh checks it: the loop's copy or a
+        # rebuild's fresh array), so reshape is a view and writes land in u
+        flat, band = u.reshape(-1), self.stencil[0]
         # the indices are in range, so "wrap" only skips take's buffered copy
         near = np.take(u, self.stencil, out=self.near, mode="wrap")
         u_new = _speed(near, self.coef, self.h, self.work)
-        u_new *= dt
-        u_new += near[0]
-        # u is C-contiguous (refresh checks it: the loop's copy or a
-        # rebuild's fresh array), so reshape is a view and this writes u
-        u.reshape(-1)[self.stencil[0]] = u_new
-        return near[0], u_new
+        if stages == 1:
+            u_new *= dt
+            u_new += near[0]
+            flat[band] = u_new
+            return near[0], u_new
+        first, later = _rkl2_coefficients(stages)
+        y0, dt_l0, y, y_prev = self.rows  # Y_0, dt L(Y_0), Y_j, Y_{j-1}
+        np.copyto(y0, near[0])
+        np.multiply(u_new, dt, out=dt_l0)
+        np.copyto(y_prev, y0)  # Y_{j-2} of stage 2
+        np.multiply(dt_l0, first, out=y)
+        y += y0
+        for mu, nu, mu_w, gamma_w in later:
+            flat[band] = y
+            y, y_prev = y_prev, y  # y holds Y_{j-2} until overwritten by Y_j
+            near = np.take(u, self.stencil, out=self.near, mode="wrap")
+            speed = _speed(near, self.coef, self.h, self.work)
+            speed *= mu_w * dt
+            y *= nu
+            y += speed
+            for c, row in ((mu, y_prev), (1.0 - mu - nu, y0), (gamma_w, dt_l0)):
+                np.multiply(row, c, out=speed)
+                y += speed
+        flat[band] = y
+        return y0, y
 
 
-def _sweep_can_change(state: LevelSetState, u: np.ndarray, m_thr: float, t: float) -> bool:
-    """Whether a freeze sweep of the field ``u`` at time ``t`` could freeze
-    a component or change the component count; when it cannot, the loop
+def _sweep_can_change(state: LevelSetState, grid: AxiGrid, m_thr: float, t: float) -> bool:
+    """Whether a freeze sweep of ``grid`` at time ``t`` could freeze a
+    component or change the component count; when it cannot, the loop
     leaves the state as the last sweep left it.
 
     It can when, with ``m_thr`` > 0, some live record's perimeter P and
     int H^2 from the last sweep give P - KAPPA int H^2 (t - state.t) at or
-    below 36 pi m_thr^2, or when one labelling of ``u`` counts another
+    below 36 pi m_thr^2, or when one labelling of ``grid`` counts another
     number of measured components than the state holds.
     """
     if m_thr > 0.0:
@@ -561,8 +649,20 @@ def _sweep_can_change(state: LevelSetState, u: np.ndarray, m_thr: float, t: floa
         for c in state.components:
             if not c.frozen and c.perimeter - KAPPA * c.h_sq_integral * elapsed <= threshold:
                 return True
-    _, deep = _deep_labels(state.grid.replace_values(u))
+    _, deep = _deep_labels(grid)
     return np.count_nonzero(deep) != len(state.components)
+
+
+def _checked_grid(state: LevelSetState, u: np.ndarray) -> AxiGrid:
+    """The state's grid holding the field ``u``.  A field that is not
+    finite, or whose region reaches the grid's outer edge, ends the run:
+    :class:`RunFailure`, with the samples taken so far."""
+    if not np.isfinite(u).all():
+        raise RunFailure("non-finite field", state.trace.samples)
+    try:
+        return state.grid.replace_values(u)
+    except ValueError as e:  # the region touches the outer domain boundary
+        raise RunFailure(str(e), state.trace.samples) from e
 
 
 def _axis_run_count(u: np.ndarray) -> int:
@@ -598,6 +698,20 @@ def _snap(span: float, limit: float) -> float:
     return span / math.ceil(span / limit)
 
 
+def _super_steps(span: float, limit: float, n: int) -> tuple[int, float] | None:
+    """RKL2 super-steps for ``span``, as (stages, dt): the fewest steps of
+    at most MAX_STAGES stages, each within ``_stretch(stages) * limit``,
+    that cover it, with the fewest stages that do.  None unless they make
+    fewer kernel calls than the ``n`` explicit steps at ``limit`` they
+    replace, and None when round-off puts dt past the MAX_STAGES bound."""
+    k = math.ceil(span / (_stretch(MAX_STAGES) * limit))
+    dt = span / k
+    for stages in range(2, MAX_STAGES + 1):
+        if _stretch(stages) * limit >= dt:
+            return (stages, dt) if k * stages < n else None
+    return None
+
+
 def _periods(grid_steps: float, cadence: int) -> int:
     """Whole ``cadence`` periods in a count of grid-bound steps.  The slack
     absorbs the round-off of summing dt / dt_grid; a count of whole steps
@@ -631,31 +745,48 @@ def _sample(state: LevelSetState, m_profile: float) -> None:
 def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     """Run the component-freezing flow and return its sampled trace.
 
-    Steps explicitly at the configured dt or, without one, at the CFL
-    bound of the band each step moves: :func:`cfl_time_step`'s grid bound
-    times :attr:`_BandedStepper.bound_scale`.  That dt is snapped so the
-    rest of the sample interval is a whole number of steps, at each
-    sample where the band's bound or dt differs from the grid's, and at
-    any refresh that takes the band's bound below dt.  Time is
-    ``t_anchor + steps * dt``, the anchor moving only when dt does; at
+    A configured dt pins the steps: every step is explicit, at that dt.
+    Without one, a step's bound is the CFL bound of the band it moves:
+    :func:`cfl_time_step`'s grid bound times
+    :attr:`_BandedStepper.bound_scale`.  The explicit dt is that bound
+    snapped so the rest of the sample interval is a whole number of
+    steps, at each sample where the band's bound or dt differs from the
+    grid's, and at any refresh that takes the band's bound below dt.  Time
+    is ``t_anchor + steps * dt``, the anchor moving only when dt does; at
     m = 0 the band's bound is the grid's, so dt never changes.
+
+    At each sample the rest of the interval may instead take RKL2
+    super-steps (:func:`_super_steps`), when they make fewer kernel calls
+    than its explicit steps; a run with few steps per sample never does.
+    A super-step runs until the next sample, until a refresh takes its
+    bound (:func:`_stretch` times the band's) below its dt, or until a
+    distance rebuild; then the interval re-snaps as above.  The first
+    ``SETTLE_STEPS`` steps after every rebuild are explicit, and then the
+    rest of the interval is planned again.
 
     Sweeps for freezable components at every sample and whenever the
     axis pinch count changes, and samples totals on the configured
     interval.  ``reinit_cadence`` and ``sweep_cadence`` count grid-bound
     steps, dt_grid: the configured dt, or the grid's bound snapped to the
     sample interval.  Each step advances them by dt / dt_grid, so they
-    keep their model time when the band lets dt grow.  The distance
-    field is rebuilt every ``reinit_cadence`` of them; every
+    keep their model time when the band or a super-step lets dt grow.  The
+    distance field is rebuilt every ``reinit_cadence`` of them; every
     ``sweep_cadence`` of them a freeze check (:func:`_sweep_can_change`)
     runs the sweep only when it could freeze a component or change the
     component count, so a run's trace is the one a sweep at every such
-    step would give.  The run ends when every component is frozen or
-    gone (that time is ``freeze_all_time``) or at ``t_max`` (then the
-    trace is flagged incomplete).
+    step would give.  With threshold mass > 0 the first check after a
+    rebuild always sweeps: a rebuild moves the zero set by up to half a
+    cell, which the check's area-rate bound does not cover (next to the
+    origin of a massive metric, where w^4 is huge, one rebuild halved a
+    component's measured area).  The run ends when every component is
+    frozen or gone (that time is ``freeze_all_time``) or at ``t_max``
+    (then the trace is flagged incomplete).
 
     The config made every check when it was built, so what a run raises
     is a fault of the run, never :class:`~isoflow.config.ConfigError`.
+    A field that turns non-finite, or whose region reaches the grid's
+    outer edge, raises :class:`RunFailure` at the next check, sweep or
+    rebuild.
 
     The loop steps the working array ``u`` in place and wraps it in the
     state's grid only for a sweep; a sample always follows a sweep at the
@@ -678,7 +809,10 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     grid_steps = 0.0  # grid-bound steps so far
     # whole cadence periods so far; reinit_cadence 0 is an endless period
     rebuilds = checks = 0
-    snap_due = True  # a sample was just taken: re-snap a band-bound dt
+    stages, settle = 1, 0  # kernel calls per step; explicit steps owed to the last rebuild
+    rebuilt = False  # a rebuild since the last sweep
+    # a sample was just taken: re-snap a band-bound dt, and plan super-steps
+    snap_due = replan = True
     runs = runs_prev = _axis_run_count(u)
     t_end = config.t_max - 1e-12 * max(config.t_max, 1.0)
     while t < t_end and state.live_count:
@@ -688,17 +822,34 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
         # just-rebuilt field.
         rebuilds_before, rebuilds = rebuilds, _periods(grid_steps, config.reinit_cadence or math.inf)
         if rebuilds > rebuilds_before:
+            _checked_grid(state, u)  # fail before a rebuild reads a bad field
             u = reinitialize(u, config.grid.h, state.frozen_mask)
             stepper.refresh(u, state.frozen_mask)
+            settle, rebuilt = SETTLE_STEPS, True
         if config.dt is None:
             stepper.refresh_if_due(u, state.frozen_mask)
             limit = bound * stepper.bound_scale
-            if limit < dt or (snap_due and (limit != bound or dt != dt_grid)):
-                snapped = _snap(next_sample - t, limit)
+            span = next_sample - t
+            if stages > 1:
+                # a rebuild, a sample or a bound below dt ends the super-steps
+                if settle or snap_due or _stretch(stages) * limit < dt:
+                    stages, replan = 1, True
+                    t_anchor, steps, dt = t, 0, _snap(span, limit)
+            elif limit < dt or (snap_due and (limit != bound or dt != dt_grid)):
+                snapped = _snap(span, limit)
                 if snapped != dt:
                     t_anchor, steps, dt = t, 0, snapped
-            snap_due = False
-        band = stepper.step(u, state.frozen_mask, dt)
+            if replan and not settle:
+                # the explicit steps' own count: a dt kept from an earlier
+                # snap need not divide the span to the last bit
+                plan = _super_steps(span, limit, round(span / dt))
+                if plan is not None:
+                    (stages, dt), t_anchor, steps = plan, t, 0
+            snap_due = replan = False
+        band = stepper.step(u, state.frozen_mask, dt, stages)
+        if settle:
+            settle -= 1
+            replan = not settle  # settled: plan the rest of the interval
         steps += 1
         t = t_anchor + steps * dt
         grid_steps += dt / dt_grid
@@ -717,20 +868,23 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
                 runs = _axis_run_count(u)
         checks_before, checks = checks, _periods(grid_steps, config.sweep_cadence)
         sample_due = t >= next_sample - 0.5 * dt
-        if sample_due or runs != runs_prev or (checks > checks_before and _sweep_can_change(state, u, m_thr, t)):
-            frozen_before = state.frozen_count
-            state = freeze_sweep(replace(state, grid=state.grid.replace_values(u), t=t), metric, m_thr)
-            runs_prev = runs
-            if state.frozen_count != frozen_before:
-                stepper.refresh(u, state.frozen_mask)
+        sweep_due = sample_due or runs != runs_prev
+        if sweep_due or checks > checks_before:
+            grid = _checked_grid(state, u)
+            if sweep_due or (rebuilt and m_thr > 0.0) or _sweep_can_change(state, grid, m_thr, t):
+                frozen_before = state.frozen_count
+                state = freeze_sweep(replace(state, grid=grid, t=t), metric, m_thr)
+                runs_prev, rebuilt = runs, False
+                if state.frozen_count != frozen_before:
+                    stepper.refresh(u, state.frozen_mask)
         if sample_due:
             _sample(state, m_thr)
             next_sample += config.sample_interval
-            snap_due = True
+            snap_due = replan = True
     if state.live_count:
         # time limit: a final sweep (one may already have run at this
         # step; a repeated sweep changes nothing)
-        state = freeze_sweep(replace(state, grid=state.grid.replace_values(u), t=t), metric, m_thr)
+        state = freeze_sweep(replace(state, grid=_checked_grid(state, u), t=t), metric, m_thr)
     if state.trace.samples[-1].t < t:
         _sample(state, m_thr)
     if state.live_count:

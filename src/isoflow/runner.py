@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigError, RunPlan, Scenario, _number, check_grid_size
-from .flow_levelset import ComponentRecord, FlowRunConfig, TraceSample, run_modified_flow
+from .flow_levelset import ComponentRecord, FlowRunConfig, RunFailure, TraceSample, run_modified_flow
 from .flow_ode import run_symmetric_flow
 from .mass import ISO_ADM_FIT_C, quasilocal_mass
 from .measure import AxiGrid
@@ -67,21 +67,13 @@ class Verdict:
 class ScenarioResult:
     name: str
     verdicts: tuple[Verdict, ...]
-    # time of the last finite sample when the run blew up, else None
-    blowup_last_good: float | None = None
+    # the run's failure (a non-finite field or sample, or a region at the
+    # outer edge), which carries the last finite sample's time, else None
+    failure: RunFailure | None = None
 
     @property
     def ok(self) -> bool:
-        return self.blowup_last_good is None and all(v.passed for v in self.verdicts)
-
-
-class _BlowUp(Exception):
-    """A run produced non-finite samples; carries the latest finite sample's
-    time (NaN when there is none)."""
-
-    def __init__(self, last_good: float):
-        super().__init__(last_good)
-        self.last_good = last_good
+        return self.failure is None and all(v.passed for v in self.verdicts)
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -193,12 +185,15 @@ def _flow_config(sc: Scenario) -> FlowRunConfig:
 
 def _run_levelset_flow(sc: Scenario, out_dir: str) -> list[Verdict]:
     cfg = _flow_config(sc)
-    trace = run_modified_flow(cfg)
+    try:
+        trace = run_modified_flow(cfg)
+    except RunFailure as e:
+        _write_flow(out_dir, e.samples)  # the record up to the failure
+        raise
     samples = trace.samples
     _write_flow(out_dir, samples)
-    good = [s.t for s in samples if all(map(math.isfinite, (s.t, s.area, s.volume, s.profile_gap)))]
-    if len(good) < len(samples):
-        raise _BlowUp(good[-1] if good else math.nan)
+    if not all(s.finite for s in samples):
+        raise RunFailure("non-finite sample", samples)
 
     # monotone decrease of the profile-gap up to a grid-resolution slack
     q = np.array([s.profile_gap for s in samples])
@@ -278,11 +273,11 @@ def run_plan(plan: RunPlan, out_root: str, *, h: float | None = None, dt: float 
     for sc in scenarios:
         out_dir = os.path.join(out_root, sc.name)
         os.makedirs(out_dir, exist_ok=True)
-        last_good = None
+        failure = None
         try:
             verdicts = _MODE_RUNNERS[sc.mode](sc, out_dir)
-        except _BlowUp as e:
-            verdicts, last_good = [Verdict("blow-up", -math.inf)], e.last_good
+        except RunFailure as e:
+            verdicts, failure = [Verdict("blow-up", -math.inf)], e
         _write_lines(os.path.join(out_dir, "verdicts.txt"), [v.line() for v in verdicts])
-        results.append(ScenarioResult(sc.name, tuple(verdicts), last_good))
+        results.append(ScenarioResult(sc.name, tuple(verdicts), failure))
     return results

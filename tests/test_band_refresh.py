@@ -22,7 +22,7 @@ STILL_BAND_R0 = 3.5
 
 
 def tables(stepper):
-    return stepper.stencil, stepper.coef, stepper.near, stepper.work
+    return stepper.stencil, stepper.coef, stepper.near, stepper.work, stepper.rows
 
 
 def test_an_unchanged_band_keeps_its_tables_and_buffers():

@@ -655,7 +655,7 @@ def test_blowup_writes_its_verdict_and_reports_the_latest_finite_sample(tmp_path
 
 
 def test_a_nan_in_the_real_loop_exits_3_with_the_last_finite_sample(tmp_path, monkeypatch, capsys):
-    # one NaN in the 30th step's speeds, while the second sample interval runs
+    # one NaN in the 30th kernel call's speeds, while the third sample interval runs
     speed, calls = flow_levelset_mod._speed, []
 
     def poisoned(*args):
@@ -670,8 +670,32 @@ def test_a_nan_in_the_real_loop_exits_3_with_the_last_finite_sample(tmp_path, mo
     sc["time"] = {"t_max": 0.15, "sample_interval": 0.01}
     out = tmp_path / "out"
     assert main(["run", write_plan(tmp_path, [sc]), "--out", str(out)]) == 3
-    shown = re.search(r"last good sample t=(\S+)", capsys.readouterr().err).group(1)
+    shown = re.search(r"\(non-finite field\); last good sample t=(\S+)", capsys.readouterr().err).group(1)
+    assert (out / "ball" / "verdicts.txt").read_text(encoding="utf-8") == "FAIL blow-up slack=-inf\n"
+    # the run stops at the next check, within the sample interval of the
+    # NaN (20 steps at the bound), not at t_max; its trace holds the
+    # finite samples taken before, the last of them the one shown
+    assert 30 <= len(calls) <= 30 + 20
     rows = (out / "ball" / "trace.csv").read_text(encoding="utf-8").splitlines()[1:]
-    finite = [row.split(",")[0] for row in rows if all(map(math.isfinite, map(float, row.split(","))))]
-    assert len(finite) < len(rows)
-    assert float(shown) == float(finite[-1])
+    assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+    assert float(shown) == float(rows[-1].split(",")[0]) < 0.05
+
+
+def test_a_region_reaching_the_outer_edge_mid_run_exits_3(tmp_path, monkeypatch, capsys):
+    # the 10th kernel call pulls every band node 0.5 down: the ball's
+    # region reaches the grid's outer edge, 6 cells out
+    speed, calls = flow_levelset_mod._speed, []
+
+    def pulled(*args):
+        calls.append(None)
+        out = speed(*args)
+        if len(calls) == 10:
+            out[:] = -1e3
+        return out
+
+    monkeypatch.setattr(flow_levelset_mod, "_speed", pulled)
+    out = tmp_path / "out"
+    assert main(["run", write_plan(tmp_path, [small_levelset_scenario()]), "--out", str(out)]) == 3
+    assert "(region touches the outer domain boundary); last good sample t=0\n" in capsys.readouterr().err
+    assert (out / "ball" / "verdicts.txt").read_text(encoding="utf-8") == "FAIL blow-up slack=-inf\n"
+    assert len((out / "ball" / "trace.csv").read_text(encoding="utf-8").splitlines()) == 2

@@ -15,6 +15,7 @@ from isoflow.flow_levelset import (
     CFL_SAFETY,
     FlowRunConfig,
     _BandedStepper,
+    _stretch,
     cfl_time_step,
     freeze_sweep,
     initial_state,
@@ -169,18 +170,24 @@ def test_a_tiny_threshold_mass_runs():
     assert trace.samples and all(math.isfinite(s.profile_gap) for s in trace.samples)
 
 
-def spied_run(config):
+def spied_run(config, steps=None):
     """Run ``config``; return the trace, each step's (dt, min w^4 over the
-    nodes it moved), and the run's rebuild and cadence-check counts."""
-    steps, counts = [], {"reinitialize": 0, "_sweep_can_change": 0}
-    step = _BandedStepper.step
+    nodes it moved, stages), appended to ``steps`` as the run goes, and
+    the run's rebuild and cadence-check counts, with the whole periods of
+    each cadence that elapsed (under "periods", keyed by cadence)."""
+    steps, counts = [] if steps is None else steps, {"reinitialize": 0, "_sweep_can_change": 0}
+    step, periods, elapsed = _BandedStepper.step, flow_levelset_mod._periods, {}
     g, mass = config.grid, config.metric.mass
 
-    def spy_step(self, u, frozen_mask, dt):
-        moved = step(self, u, frozen_mask, dt)
+    def spy_periods(grid_steps, cadence):
+        elapsed[cadence] = periods(grid_steps, cadence)
+        return elapsed[cadence]
+
+    def spy_step(self, u, frozen_mask, dt, stages=1):
+        moved = step(self, u, frozen_mask, dt, stages)
         i, j = np.divmod(self.stencil[0], g.n_z)
         r = np.hypot(i * g.h, g.z_min + j * g.h)
-        steps.append((dt, float(np.min((1.0 + mass / (2.0 * r)) ** 4))))
+        steps.append((dt, float(np.min((1.0 + mass / (2.0 * r)) ** 4)), stages))
         return moved
 
     def counted(name):
@@ -196,12 +203,19 @@ def spied_run(config):
         mp.setattr(_BandedStepper, "step", spy_step)
         for name in counts:
             mp.setattr(flow_levelset_mod, name, counted(name))
+        mp.setattr(flow_levelset_mod, "_periods", spy_periods)
         trace = run_modified_flow(config)
-    return trace, steps, counts
+    return trace, steps, {**counts, "periods": elapsed}
 
 
 def snapped_grid_dt(metric, grid, sample_interval):
     return sample_interval / math.ceil(sample_interval / cfl_time_step(metric, grid))
+
+
+def step_bound(explicit, stages):
+    """The bound on a step of ``stages`` given the ``explicit`` bound: that
+    bound, or _stretch(stages) times it for a super-step."""
+    return explicit * (1.0 if stages == 1 else _stretch(stages))
 
 
 def test_m1_steps_at_the_band_bound_on_the_grid_bound_schedule():
@@ -211,45 +225,63 @@ def test_m1_steps_at_the_band_bound_on_the_grid_bound_schedule():
     # happens at the same times in both runs below.
     times = dict(t_max=0.2, sample_interval=0.05, sweep_cadence=5, reinit_cadence=30)
     trace, steps, counts = spied_run(FlowRunConfig(metric=SCHW, grid=g, **times))
-    # the band's CFL bound holds at every step (to round-off in its scaling)
-    assert all(dt <= CFL_SAFETY * g.h**2 * w4 * (1.0 + 1e-12) for dt, w4 in steps)
+    # the band's CFL bound holds at every step, explicit or super (to
+    # round-off in its scaling)
+    assert all(dt <= step_bound(CFL_SAFETY * g.h**2 * w4, s) * (1.0 + 1e-12) for dt, w4, s in steps)
     grid_dt = snapped_grid_dt(SCHW, g, times["sample_interval"])
-    assert max(dt for dt, _ in steps) > 1.1 * grid_dt
+    assert max(dt for dt, _, s in steps if s == 1) > 1.1 * grid_dt
+    assert {s for _, _, s in steps} > {1}
     assert [s.t for s in trace.samples] == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2], rel=0.0, abs=1e-12)
-    # a run at an explicit dt, the grid bound, takes it at every step and
-    # reaches the same t with as many rebuilds and cadence checks
+    # a run at an explicit dt, the grid bound, takes it at every step,
+    # never a super-step, and reaches the same t with as many rebuilds
+    # and cadence periods.  A super-step may span several check periods
+    # and checks once, so the band-bound run makes fewer checks.
     fixed, fixed_steps, fixed_counts = spied_run(FlowRunConfig(metric=SCHW, grid=g, dt=grid_dt, **times))
     assert fixed.samples[-1].t == pytest.approx(trace.samples[-1].t, rel=0.0, abs=1e-12)
-    assert counts == fixed_counts and counts["reinitialize"] > 0 and counts["_sweep_can_change"] > 0
+    assert counts["periods"] == fixed_counts["periods"] == {30: 8, 5: 52}
+    assert counts["reinitialize"] == fixed_counts["reinitialize"] > 0
+    assert 0 < counts["_sweep_can_change"] < fixed_counts["_sweep_can_change"]
     assert len(steps) < len(fixed_steps)
-    assert all(dt == grid_dt for dt, _ in fixed_steps)
+    assert all(dt == grid_dt and s == 1 for dt, _, s in fixed_steps)
 
 
 def test_a_band_bound_falling_mid_interval_takes_dt_down_at_once(monkeypatch):
-    # from the fourth refresh (before step 25 of about 60 in the first
-    # sample interval) the band's bound reads as the grid's
+    # from the second refresh, after the eighth super-step (mid-way
+    # through the second sample interval), the band's bound reads as the grid's
     g = sphere_grid(2.5, 0.05, pad=0.6)
-    refresh, refreshes = _BandedStepper.refresh, []
+    refresh, steps, fell_at = _BandedStepper.refresh, [], []
 
     def refresh_then_fall(self, u, frozen_mask):
         refresh(self, u, frozen_mask)
-        refreshes.append(None)
-        if len(refreshes) >= 4:
+        fell_at.append(len(steps))
+        if len(fell_at) >= 2:
             self.bound_scale = 1.0
 
     monkeypatch.setattr(_BandedStepper, "refresh", refresh_then_fall)
-    trace, steps, _ = spied_run(FlowRunConfig(metric=SCHW, grid=g, t_max=0.1, sample_interval=0.05))
-    bound = cfl_time_step(SCHW, g)
-    assert all(dt > bound for dt, _ in steps[:24])
-    assert all(dt <= bound for dt, _ in steps[24:])
+    trace, _, _ = spied_run(FlowRunConfig(metric=SCHW, grid=g, t_max=0.1, sample_interval=0.05), steps)
+    bound, fall = cfl_time_step(SCHW, g), fell_at[1]
+    assert 0.05 < sum(dt for dt, _, _ in steps[:fall]) < 0.1 and fall < len(steps)
+    # before the fall every step exceeds the grid's bound for its stages;
+    # from the fall every step keeps it
+    assert all(dt > step_bound(bound, s) for dt, _, s in steps[:fall])
+    assert all(dt <= step_bound(bound, s) for dt, _, s in steps[fall:])
     assert [s.t for s in trace.samples] == pytest.approx([0.0, 0.05, 0.1], rel=0.0, abs=1e-12)
 
 
 def test_m0_steps_at_the_snapped_grid_bound():
     g = sphere_grid(0.5, 0.02)
-    _, steps, _ = spied_run(FlowRunConfig(metric=EUCLID, grid=g, t_max=0.01, sample_interval=0.0025))
+    times = dict(t_max=0.01, sample_interval=0.0025)
+    trace, steps, _ = spied_run(FlowRunConfig(metric=EUCLID, grid=g, **times))
+    # at m = 0 the band's bound is the grid's: each step keeps it, an
+    # explicit step exactly (w^4 = 1) and a super-step _stretch(s) times over
+    bound = cfl_time_step(EUCLID, g)
+    assert steps and all(dt <= step_bound(bound, s) for dt, _, s in steps)
+    assert {s for _, _, s in steps} > {1}
+    assert [s.t for s in trace.samples] == pytest.approx([0.0, 0.0025, 0.005, 0.0075, 0.01], rel=0.0, abs=1e-12)
+    # a configured dt, the snapped grid bound, pins every step: explicit, at that dt
     grid_dt = snapped_grid_dt(EUCLID, g, 0.0025)
-    assert steps and all(dt == grid_dt for dt, _ in steps)
+    _, fixed_steps, _ = spied_run(FlowRunConfig(metric=EUCLID, grid=g, dt=grid_dt, **times))
+    assert fixed_steps and all(dt == grid_dt and s == 1 for dt, _, s in fixed_steps)
 
 
 def test_fully_frozen_state_never_changes():
@@ -349,12 +381,13 @@ def test_steps_between_refreshes_allocate_no_band_sized_array():
     dt = cfl_time_step(SCHW, g)
     stepper = _BandedStepper(SCHW, g)
     stepper.refresh(u, frozen)
-    steps = 6
-    assert steps < _BandedStepper.REBUILD  # no refresh runs among them
+    # explicit steps and RKL2 super-steps at their bounds
+    stages = (1, 6, 1, 2, 3, 1)
+    assert len(stages) < _BandedStepper.REBUILD  # no refresh runs among them
     tracemalloc.start()
     try:
-        for _ in range(steps):
-            stepper.step(u, frozen, dt)
+        for s in stages:
+            stepper.step(u, frozen, step_bound(dt, s), s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
