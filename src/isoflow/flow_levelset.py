@@ -562,8 +562,11 @@ class _BandedStepper:
         if not u.flags.c_contiguous:
             raise ValueError("the stepped field must be a C-contiguous array")
         width = self.WIDTH * self.h
-        band = u < width  # |u| < width, without a float temporary
-        band &= u > -width
+        # not |u| >= width, without a float temporary: a NaN stays in the
+        # band, where the run loop's finite check (_check_band) sees it
+        band = u >= width
+        band |= u <= -width
+        np.logical_not(band, out=band)
         if frozen_mask.any():
             band &= ~frozen_mask
         self._age = 0
@@ -653,12 +656,19 @@ def _sweep_can_change(state: LevelSetState, grid: AxiGrid, m_thr: float, t: floa
     return np.count_nonzero(deep) != len(state.components)
 
 
-def _checked_grid(state: LevelSetState, u: np.ndarray) -> AxiGrid:
-    """The state's grid holding the field ``u``.  A field that is not
-    finite, or whose region reaches the grid's outer edge, ends the run:
-    :class:`RunFailure`, with the samples taken so far."""
-    if not np.isfinite(u).all():
+def _check_band(state: LevelSetState, u: np.ndarray, stepper: _BandedStepper) -> None:
+    """End the run when a band node of ``u`` is not finite:
+    :class:`RunFailure`, with the samples taken so far.  Only band nodes
+    change in a step, and a refresh keeps a NaN in the band, so a value a
+    step spoiled is still there."""
+    if stepper.stencil is not None and not np.isfinite(np.take(u, stepper.stencil[0])).all():
         raise RunFailure("non-finite field", state.trace.samples)
+
+
+def _checked_grid(state: LevelSetState, u: np.ndarray, stepper: _BandedStepper) -> AxiGrid:
+    """The state's grid holding the field ``u``, after :func:`_check_band`.
+    A region that reaches the grid's outer edge ends the run the same way."""
+    _check_band(state, u, stepper)
     try:
         return state.grid.replace_values(u)
     except ValueError as e:  # the region touches the outer domain boundary
@@ -698,13 +708,14 @@ def _snap(span: float, limit: float) -> float:
     return span / math.ceil(span / limit)
 
 
-def _super_steps(span: float, limit: float, n: int) -> tuple[int, float] | None:
+def _super_steps(span: float, limit: float, n: int, cap: float) -> tuple[int, float] | None:
     """RKL2 super-steps for ``span``, as (stages, dt): the fewest steps of
-    at most MAX_STAGES stages, each within ``_stretch(stages) * limit``,
-    that cover it, with the fewest stages that do.  None unless they make
-    fewer kernel calls than the ``n`` explicit steps at ``limit`` they
-    replace, and None when round-off puts dt past the MAX_STAGES bound."""
-    k = math.ceil(span / (_stretch(MAX_STAGES) * limit))
+    at most MAX_STAGES stages, each within ``_stretch(stages) * limit``
+    and ``cap``, that cover it, with the fewest stages that do.  None
+    unless they make fewer kernel calls than the ``n`` explicit steps
+    they replace, and None when round-off puts dt past the MAX_STAGES
+    bound."""
+    k = math.ceil(span / min(_stretch(MAX_STAGES) * limit, cap))
     dt = span / k
     for stages in range(2, MAX_STAGES + 1):
         if _stretch(stages) * limit >= dt:
@@ -748,19 +759,21 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     A configured dt pins the steps: every step is explicit, at that dt.
     Without one, a step's bound is the CFL bound of the band it moves:
     :func:`cfl_time_step`'s grid bound times
-    :attr:`_BandedStepper.bound_scale`.  The explicit dt is that bound
-    snapped so the rest of the sample interval is a whole number of
-    steps, at each sample where the band's bound or dt differs from the
-    grid's, and at any refresh that takes the band's bound below dt.  Time
-    is ``t_anchor + steps * dt``, the anchor moving only when dt does; at
+    :attr:`_BandedStepper.bound_scale`, and at most one period of the
+    shorter cadence (below).  The explicit dt is that bound snapped so
+    the rest of the sample interval is a whole number of steps, at each
+    sample where the band's bound or dt differs from the grid's, and at
+    any refresh that takes the bound below dt.  Time is
+    ``t_anchor + steps * dt``, the anchor moving only when dt does; at
     m = 0 the band's bound is the grid's, so dt never changes.
 
     At each sample the rest of the interval may instead take RKL2
     super-steps (:func:`_super_steps`), when they make fewer kernel calls
     than its explicit steps; a run with few steps per sample never does.
-    A super-step runs until the next sample, until a refresh takes its
-    bound (:func:`_stretch` times the band's) below its dt, or until a
-    distance rebuild; then the interval re-snaps as above.  The first
+    A super-step's bound is :func:`_stretch` times the band's, and at
+    most one cadence period.  Super-steps run until the next sample,
+    until a refresh takes their bound below dt, or until a distance
+    rebuild; then the interval re-snaps as above.  The first
     ``SETTLE_STEPS`` steps after every rebuild are explicit, and then the
     rest of the interval is planned again.
 
@@ -769,7 +782,9 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     interval.  ``reinit_cadence`` and ``sweep_cadence`` count grid-bound
     steps, dt_grid: the configured dt, or the grid's bound snapped to the
     sample interval.  Each step advances them by dt / dt_grid, so they
-    keep their model time when the band or a super-step lets dt grow.  The
+    keep their model time when the band or a super-step lets dt grow, and
+    no step spans more than one period of either, so each period has its
+    rebuild or check, at the first step that reaches it.  The
     distance field is rebuilt every ``reinit_cadence`` of them; every
     ``sweep_cadence`` of them a freeze check (:func:`_sweep_can_change`)
     runs the sweep only when it could freeze a component or change the
@@ -784,9 +799,9 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
 
     The config made every check when it was built, so what a run raises
     is a fault of the run, never :class:`~isoflow.config.ConfigError`.
-    A field that turns non-finite, or whose region reaches the grid's
-    outer edge, raises :class:`RunFailure` at the next check, sweep or
-    rebuild.
+    A band value that turns non-finite raises :class:`RunFailure` at the
+    next check, sweep or rebuild, and a region that reaches the grid's
+    outer edge at the next check or sweep.
 
     The loop steps the working array ``u`` in place and wraps it in the
     state's grid only for a sweep; a sample always follows a sweep at the
@@ -809,10 +824,12 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     grid_steps = 0.0  # grid-bound steps so far
     # whole cadence periods so far; reinit_cadence 0 is an endless period
     rebuilds = checks = 0
-    stages, settle = 1, 0  # kernel calls per step; explicit steps owed to the last rebuild
+    # no step spans more than one period of either cadence
+    cap = min(config.sweep_cadence, config.reinit_cadence or math.inf) * dt_grid
+    stages = 1  # kernel calls per step
+    fresh = SETTLE_STEPS  # steps since the last rebuild; the start counts as settled
     rebuilt = False  # a rebuild since the last sweep
-    # a sample was just taken: re-snap a band-bound dt, and plan super-steps
-    snap_due = replan = True
+    snap_due = True  # a sample was just taken: re-snap a band-bound dt, plan the interval
     runs = runs_prev = _axis_run_count(u)
     t_end = config.t_max - 1e-12 * max(config.t_max, 1.0)
     while t < t_end and state.live_count:
@@ -822,34 +839,31 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
         # just-rebuilt field.
         rebuilds_before, rebuilds = rebuilds, _periods(grid_steps, config.reinit_cadence or math.inf)
         if rebuilds > rebuilds_before:
-            _checked_grid(state, u)  # fail before a rebuild reads a bad field
+            _check_band(state, u, stepper)  # fail before a rebuild reads a bad field
             u = reinitialize(u, config.grid.h, state.frozen_mask)
             stepper.refresh(u, state.frozen_mask)
-            settle, rebuilt = SETTLE_STEPS, True
+            fresh, rebuilt = 0, True
         if config.dt is None:
             stepper.refresh_if_due(u, state.frozen_mask)
             limit = bound * stepper.bound_scale
             span = next_sample - t
-            if stages > 1:
-                # a rebuild, a sample or a bound below dt ends the super-steps
-                if settle or snap_due or _stretch(stages) * limit < dt:
-                    stages, replan = 1, True
-                    t_anchor, steps, dt = t, 0, _snap(span, limit)
-            elif limit < dt or (snap_due and (limit != bound or dt != dt_grid)):
-                snapped = _snap(span, limit)
+            settling = fresh < SETTLE_STEPS
+            step_bound = min(limit if stages == 1 else _stretch(stages) * limit, cap)
+            # a sample, a rebuild or a bound below dt ends the super-steps
+            ended = stages > 1 and (snap_due or settling or dt > step_bound)
+            if ended or dt > step_bound or (snap_due and (limit != bound or dt != dt_grid)):
+                stages, snapped = 1, _snap(span, min(limit, cap))
                 if snapped != dt:
                     t_anchor, steps, dt = t, 0, snapped
-            if replan and not settle:
+            if not settling and (snap_due or ended or fresh == SETTLE_STEPS):
                 # the explicit steps' own count: a dt kept from an earlier
                 # snap need not divide the span to the last bit
-                plan = _super_steps(span, limit, round(span / dt))
+                plan = _super_steps(span, limit, round(span / dt), cap)
                 if plan is not None:
                     (stages, dt), t_anchor, steps = plan, t, 0
-            snap_due = replan = False
+            snap_due = False
         band = stepper.step(u, state.frozen_mask, dt, stages)
-        if settle:
-            settle -= 1
-            replan = not settle  # settled: plan the rest of the interval
+        fresh += 1
         steps += 1
         t = t_anchor + steps * dt
         grid_steps += dt / dt_grid
@@ -870,7 +884,7 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
         sample_due = t >= next_sample - 0.5 * dt
         sweep_due = sample_due or runs != runs_prev
         if sweep_due or checks > checks_before:
-            grid = _checked_grid(state, u)
+            grid = _checked_grid(state, u, stepper)
             if sweep_due or (rebuilt and m_thr > 0.0) or _sweep_can_change(state, grid, m_thr, t):
                 frozen_before = state.frozen_count
                 state = freeze_sweep(replace(state, grid=grid, t=t), metric, m_thr)
@@ -880,11 +894,11 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
         if sample_due:
             _sample(state, m_thr)
             next_sample += config.sample_interval
-            snap_due = replan = True
+            snap_due = True
     if state.live_count:
         # time limit: a final sweep (one may already have run at this
         # step; a repeated sweep changes nothing)
-        state = freeze_sweep(replace(state, grid=_checked_grid(state, u), t=t), metric, m_thr)
+        state = freeze_sweep(replace(state, grid=_checked_grid(state, u, stepper), t=t), metric, m_thr)
     if state.trace.samples[-1].t < t:
         _sample(state, m_thr)
     if state.live_count:

@@ -80,3 +80,18 @@ def test_steps_across_an_unchanged_band_refresh_allocate_no_band_sized_array():
     assert all(a is b for a, b in zip(tables(stepper), before))
     assert peak < stepper.stencil.shape[1] * np.dtype(float).itemsize
     assert not np.array_equal(u, g.values)
+
+
+def test_a_refresh_keeps_a_nan_in_the_band():
+    # the band is the nodes with |u| < WIDTH cells, and a NaN: a value a
+    # step spoiled stays where the run loop's finite check reads
+    g = sphere_freeze_grid()
+    u = g.values.copy()
+    frozen = np.zeros(u.shape, dtype=bool)
+    width = _BandedStepper.WIDTH * g.h
+    far = np.flatnonzero(np.abs(u) >= width)[0]
+    u.reshape(-1)[far] = np.nan
+    stepper = _BandedStepper(SCHW, g)
+    stepper.refresh(u, frozen)
+    inside = np.flatnonzero(np.abs(g.values) < width)
+    assert np.array_equal(stepper.stencil[0], np.union1d(inside, [far]))

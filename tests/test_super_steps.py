@@ -98,7 +98,9 @@ def test_the_first_steps_after_every_rebuild_are_explicit():
         events.append("rebuild")
         return rebuild(*args)
 
-    config = FlowRunConfig(metric=AmbientMetric.euclidean(), grid=g, t_max=0.1, sample_interval=0.05, reinit_cadence=30)
+    # a check period as long as the rebuild's, so that super-steps pay
+    times = dict(t_max=0.1, sample_interval=0.05, sweep_cadence=30, reinit_cadence=30)
+    config = FlowRunConfig(metric=AmbientMetric.euclidean(), grid=g, **times)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_BandedStepper, "step", spy_step)
         mp.setattr(flow_levelset_mod, "reinitialize", spy_rebuild)
@@ -116,12 +118,12 @@ def test_the_first_steps_after_every_rebuild_are_explicit():
 def test_an_interval_of_five_explicit_steps_or_fewer_takes_none(n):
     # k super-steps of s stages take k s kernel calls, at least 5 for
     # the five steps _stretch(5) = 7 covers
-    assert _super_steps(n * 1e-3, 1e-3, n) is None
+    assert _super_steps(n * 1e-3, 1e-3, n, math.inf) is None
 
 
 def test_super_steps_cover_the_interval_within_their_bound():
     for span, limit, n in ((6e-3, 1e-3, 6), (0.05, 7.7e-4, 65), (0.1, 2.08e-3, 49)):
-        stages, dt = _super_steps(span, limit, n)
+        stages, dt = _super_steps(span, limit, n, math.inf)
         k = round(span / dt)
         assert k * stages < n and dt <= _stretch(stages) * limit
         assert k * dt == pytest.approx(span, rel=1e-12)
@@ -133,5 +135,14 @@ def test_super_steps_cover_the_interval_within_their_bound():
 @pytest.mark.parametrize("span", [1.4e15, 1e300])
 def test_the_stage_search_ends_on_any_span(span):
     # a huge span needs as many super-steps, never more stages than MAX_STAGES
-    plan = _super_steps(span, 2e-3, math.ceil(span / 2e-3))
+    plan = _super_steps(span, 2e-3, math.ceil(span / 2e-3), math.inf)
     assert plan is None or plan[1] <= _stretch(plan[0]) * 2e-3
+
+
+def test_super_steps_keep_within_the_cap():
+    # a cap of one cadence period, below the MAX_STAGES bound, sets the
+    # step count; the stages are still the fewest that cover the step
+    span, limit, cap = 0.05, 9e-4, 3.85e-3
+    stages, dt = _super_steps(span, limit, math.ceil(span / limit), cap)
+    assert dt <= cap and round(span / dt) == math.ceil(span / cap)
+    assert _stretch(stages - 1) * limit < dt <= _stretch(stages) * limit
