@@ -118,17 +118,19 @@ class TimeSpec:
         _integer(self.sweep_cadence, "sweep_cadence", minimum=1)
         _integer(self.reinit_cadence, "reinit_cadence", minimum=0)
 
-    def ode_sampling(self, path: str) -> tuple[float, int]:
-        """An ode-flow's RK4 step and steps per sample; ConfigError under
-        ``path``, the time object's, unless the interval is a finite whole
-        number of at least one step.  Without a dt the step is fine enough
-        that RK4 error sits far below every reported tolerance."""
+    def ode_sampling(self, mass: float, path: str) -> tuple[float, int]:
+        """An ode-flow's RK4 step and steps per sample at ``mass``;
+        ConfigError under ``path``, the time object's, unless the interval
+        is a finite whole number of at least one step.  Without a dt the
+        step is at most 1e-3 max(1, m^2), flow time scaling as m^2: fine
+        enough that RK4 error sits far below every reported tolerance."""
         interval, dt = self.sample_interval, self.dt
         if dt is None:
+            longest = 1e-3 * max(1.0, mass * mass)
             try:
-                dt = interval / max(200, math.ceil(interval / 1e-3))
-            except OverflowError:  # interval / 1e-3 is inf
-                raise ConfigError(f"{path}.sample_interval: too long for steps of at most 1e-3") from None
+                dt = interval / max(200, math.ceil(interval / longest))
+            except OverflowError:  # interval / longest is inf
+                raise ConfigError(f"{path}.sample_interval: too long for steps of at most {longest}") from None
         steps = interval / dt if dt > 0 else math.inf
         every = round(steps) if math.isfinite(steps) else 0
         if every < 1 or abs(every * dt - interval) > 1e-9 * interval:
@@ -260,7 +262,7 @@ def check_grid_size(grid: GridSpec, path: str) -> None:
         raise ConfigError(f"{path}: {e}") from e
 
 
-def _parse_time(obj, path: str, mode: str) -> TimeSpec:
+def _parse_time(obj, path: str, mode: str, mass: float) -> TimeSpec:
     _reject_unknown(obj, TIME_FIELDS, path)
     if mode == "ode-flow":
         _reject_unread(obj, TIME_FIELDS[:3], path, mode)
@@ -271,7 +273,7 @@ def _parse_time(obj, path: str, mode: str) -> TimeSpec:
     except ConfigError as e:
         raise ConfigError(f"{path}.{e}") from e
     if mode == "ode-flow":
-        time.ode_sampling(path)
+        time.ode_sampling(mass, path)
     return time
 
 
@@ -305,7 +307,7 @@ def _parse_scenario(obj, path: str, seen_names: set) -> Scenario:
             q_slack = _number(q_slack, f"{path}.q_slack", positive=True)
         shape = _parse_shape(_require(obj, "shape", path), f"{path}.shape")
         grid = _parse_grid(_require(obj, "grid", path), f"{path}.grid")
-        time = _parse_time(_require(obj, "time", path), f"{path}.time", mode)
+        time = _parse_time(_require(obj, "time", path), f"{path}.time", mode, mass)
         rho_extent, z_extent = shape.extents()
         for key, room, extent in (
             ("rho_max", grid.rho_max, rho_extent),
@@ -319,7 +321,7 @@ def _parse_scenario(obj, path: str, seen_names: set) -> Scenario:
         r0 = _number(_require(obj, "r0", path), f"{path}.r0", positive=True)
         if r0 <= 0.5 * mass:
             raise ConfigError(f"{path}.r0: must exceed the horizon radius m/2 = {0.5 * mass}")
-        read = dict(r0=r0, time=_parse_time(_require(obj, "time", path), f"{path}.time", mode))
+        read = dict(r0=r0, time=_parse_time(_require(obj, "time", path), f"{path}.time", mode, mass))
     elif mode == "mass-table":
         raw = _require(obj, "r_values", path)
         if not isinstance(raw, list) or not raw:

@@ -691,12 +691,14 @@ class FlowRunConfig(TimeSpec):
     metric: AmbientMetric
     grid: AxiGrid
     threshold_mass: float | None = None  # default: the metric's mass
+    bound: float = field(init=False)  # the grid's stability bound, cfl_time_step
 
     def __post_init__(self):
         super().__post_init__()
         m_thr = self.metric.mass if self.threshold_mass is None else self.threshold_mass
         object.__setattr__(self, "threshold_mass", _number(m_thr, "threshold_mass", minimum=0.0))
         bound = cfl_time_step(self.metric, self.grid)
+        object.__setattr__(self, "bound", bound)
         if self.dt is None and not (bound > 0.0 and math.isfinite(self.sample_interval / bound)):
             raise ConfigError(f"sample_interval: too long for steps of the stability bound {bound}")
         if self.dt is not None and self.dt > bound * (1.0 + 1e-9):
@@ -721,13 +723,6 @@ def _super_steps(span: float, limit: float, n: int, cap: float) -> tuple[int, fl
         if _stretch(stages) * limit >= dt:
             return (stages, dt) if k * stages < n else None
     return None
-
-
-def _periods(grid_steps: float, cadence: int) -> int:
-    """Whole ``cadence`` periods in a count of grid-bound steps.  The slack
-    absorbs the round-off of summing dt / dt_grid; a count of whole steps
-    divides exactly."""
-    return math.floor((grid_steps + 1e-9) / cadence)
 
 
 def _totals(records: list[ComponentRecord]) -> tuple[float, float]:
@@ -781,10 +776,10 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     axis pinch count changes, and samples totals on the configured
     interval.  ``reinit_cadence`` and ``sweep_cadence`` count grid-bound
     steps, dt_grid: the configured dt, or the grid's bound snapped to the
-    sample interval.  Each step advances them by dt / dt_grid, so they
-    keep their model time when the band or a super-step lets dt grow, and
-    no step spans more than one period of either, so each period has its
-    rebuild or check, at the first step that reaches it.  The
+    sample interval.  Their periods are times on t, so they keep their
+    model time when the band or a super-step lets dt grow, and no step
+    spans more than one period of either, so each period has its rebuild
+    or check, at the first step that reaches it.  The
     distance field is rebuilt every ``reinit_cadence`` of them; every
     ``sweep_cadence`` of them a freeze check (:func:`_sweep_can_change`)
     runs the sweep only when it could freeze a component or change the
@@ -809,7 +804,7 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     """
     metric, m_thr = config.metric, config.threshold_mass
     state = initial_state(metric, config.grid)
-    bound = cfl_time_step(metric, config.grid)
+    bound = config.bound
     dt = _snap(config.sample_interval, bound) if config.dt is None else config.dt
     dt_grid = dt  # the step the cadences count in
     state = freeze_sweep(state, metric, m_thr)
@@ -821,9 +816,12 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     arrival_flat = state.trace.arrival_time.ravel()
     next_sample = config.sample_interval
     t_anchor, steps, t = 0.0, 0, 0.0  # t = t_anchor + steps * dt
-    grid_steps = 0.0  # grid-bound steps so far
-    # whole cadence periods so far; reinit_cadence 0 is an endless period
-    rebuilds = checks = 0
+    # rebuilds and sweep checks fall due on t, one period apart: cadence *
+    # dt_grid less a slack for t's round-off; reinit_cadence 0 never falls due
+    slack = 1e-9 * dt_grid
+    rebuild_period = (config.reinit_cadence or math.inf) * dt_grid - slack
+    check_period = config.sweep_cadence * dt_grid - slack
+    next_rebuild, next_check = rebuild_period, check_period
     # no step spans more than one period of either cadence
     cap = min(config.sweep_cadence, config.reinit_cadence or math.inf) * dt_grid
     stages = 1  # kernel calls per step
@@ -837,8 +835,8 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
         # the fast-swept distance field has clean first derivatives but
         # noisy second ones, so curvature must never be measured off a
         # just-rebuilt field.
-        rebuilds_before, rebuilds = rebuilds, _periods(grid_steps, config.reinit_cadence or math.inf)
-        if rebuilds > rebuilds_before:
+        if t >= next_rebuild:
+            next_rebuild += rebuild_period
             _check_band(state, u, stepper)  # fail before a rebuild reads a bad field
             u = reinitialize(u, config.grid.h, state.frozen_mask)
             stepper.refresh(u, state.frozen_mask)
@@ -866,7 +864,6 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
         fresh += 1
         steps += 1
         t = t_anchor + steps * dt
-        grid_steps += dt / dt_grid
         if band is not None:
             band_prev, band_vals = band
             # Only band nodes move in a step, and a rebuild keeps every
@@ -880,10 +877,12 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
                     flat = stepper.stencil[0][flip]
                     arrival_flat[flat[np.isinf(arrival_flat[flat])]] = t
                 runs = _axis_run_count(u)
-        checks_before, checks = checks, _periods(grid_steps, config.sweep_cadence)
+        check_due = t >= next_check
+        if check_due:
+            next_check += check_period
         sample_due = t >= next_sample - 0.5 * dt
         sweep_due = sample_due or runs != runs_prev
-        if sweep_due or checks > checks_before:
+        if sweep_due or check_due:
             grid = _checked_grid(state, u, stepper)
             if sweep_due or (rebuilt and m_thr > 0.0) or _sweep_can_change(state, grid, m_thr, t):
                 frozen_before = state.frozen_count

@@ -134,29 +134,22 @@ def sphere_area_derivative(metric: AmbientMetric, r):
 def enclosed_volume(metric: AmbientMetric, r):
     """g-volume between the horizon and the coordinate sphere of radius r.
 
-    Closed form of int_{m/2}^r 4 pi rho^2 (1 + m/2rho)^6 drho: a polynomial
-    in r plus the logarithmic term 10 pi m^3 log(2r/m) coming from the 1/rho
-    monomial of the expanded conformal density.
+    Closed form of int_a^r 4 pi rho^2 (1 + a/rho)^6 drho, a = m/2, in y =
+    a/r <= 1, so no power overflows at any mass: the monomial c a^k
+    rho^(2-k) gives r^3 c (y^k - y^3)/(3-k) for k < 3, a^3 c (y^(k-3) -
+    1)/(3-k) for k > 3, and 20 a^3 (log r - log a) for k = 3 (r/a may
+    overflow at a subnormal a).
     """
     r = _check_radius(metric, r)
     # np.power, not _pow: see _pow; the radial flow's swept volume starts here
     a = 0.5 * metric.mass
-    if a == 0.0:  # m = 0, or a subnormal m whose terms are below an ulp
+    if a == 0.0:  # m = 0, or a subnormal m halved to 0
         return (4.0 / 3.0) * math.pi * np.power(r, 3)
-    total = 0.0
-    for k, c in enumerate(_BINOM6):
-        coeff = c * a**k
-        if k == 3:
-            if coeff:  # else a**3 underflowed to 0 and r / a may overflow
-                total = total + coeff * np.log(r / a)
-        else:
-            p = 3.0 - k
-            try:
-                term = coeff * (np.power(r, p) - a**p) / p
-            except OverflowError:  # a**p at a tiny mass; coeff * a**p = c * a**3
-                term = c * (a**k * np.power(r, p) - a**3) / p
-            total = total + term
-    return 4.0 * math.pi * total
+    y = a / r
+    y3 = np.power(y, 3)
+    outer = sum(c * (np.power(y, k) - y3) / (3 - k) for k, c in enumerate(_BINOM6[:3]))
+    inner = sum(c * (np.power(y, k - 3) - 1.0) / (3 - k) for k, c in enumerate(_BINOM6[4:], 4))
+    return 4.0 * math.pi * (np.power(r, 3) * outer + a * a * a * (20.0 * (np.log(r) - np.log(a)) + inner))
 
 
 def sphere_mean_curvature(metric: AmbientMetric, r):

@@ -119,7 +119,7 @@ def _def34(haw: np.ndarray, mass: float) -> Verdict:
     return Verdict("def34-hawking", 1e-10 * max(1.0, mass) - float(np.max(np.abs(haw - mass))))
 
 
-def _run_lemma_suite(sc: Scenario, out_dir: str) -> list[Verdict]:
+def _run_lemma_suite(sc: Scenario, out_dir: str, _built: None = None) -> list[Verdict]:
     """Closed-form profile checks at a given mass (scales from m = 1)."""
     mass = sc.mass
     m3 = mass**3
@@ -134,12 +134,13 @@ def _run_lemma_suite(sc: Scenario, out_dir: str) -> list[Verdict]:
         Verdict("lemma51-radius", 1e-9 * max(1.0, mass) - abs(radius - convexity_threshold_radius(mass)))
     )
 
-    # O(A^{-1/2}) mass recovery: the scaled error is nearly flat in A
-    scaled = [
+    # O(A^{-1/2}) mass recovery: the scaled error is nearly flat in A; numpy's
+    # max and min keep a NaN, so a non-finite error fails (Python's skip one)
+    scaled = np.array([
         abs(mass_from_region(a, profile_volume(mass, a)) - mass) * math.sqrt(a)
         for a in (1e3 * mass**2, 1e5 * mass**2, 1e7 * mass**2)
-    ]
-    verdicts.append(Verdict("lemma31-decay", 2.0 - max(scaled) / min(scaled)))
+    ])
+    verdicts.append(Verdict("lemma31-decay", 2.0 - float(scaled.max() / scaled.min())))
 
     # every radius lies outside the horizon m/2
     radii = np.geomspace(0.6 * mass, 50.0 * max(mass, 1.0), 17)
@@ -147,9 +148,9 @@ def _run_lemma_suite(sc: Scenario, out_dir: str) -> list[Verdict]:
     return verdicts
 
 
-def _run_ode_flow(sc: Scenario, out_dir: str) -> list[Verdict]:
+def _run_ode_flow(sc: Scenario, out_dir: str, sampling: tuple[float, int]) -> list[Verdict]:
     metric = AmbientMetric(mass=sc.mass)
-    dt, every = sc.time.ode_sampling(f"{sc.name}: time")
+    dt, every = sampling
     states = run_symmetric_flow(metric, sc.r0, dt, sc.time.t_max, sample_every=every)
     # one array call per closed form; the sphere's volume is the swept one, its gap the defect
     r, swept = np.array([s.r for s in states]), np.array([s.swept_volume for s in states])
@@ -183,8 +184,7 @@ def _flow_config(sc: Scenario) -> FlowRunConfig:
         raise ConfigError(f"{sc.name}: {e} at h = {g.h}") from e
 
 
-def _run_levelset_flow(sc: Scenario, out_dir: str) -> list[Verdict]:
-    cfg = _flow_config(sc)
+def _run_levelset_flow(sc: Scenario, out_dir: str, cfg: FlowRunConfig) -> list[Verdict]:
     try:
         trace = run_modified_flow(cfg)
     except RunFailure as e:
@@ -213,7 +213,7 @@ def _run_levelset_flow(sc: Scenario, out_dir: str) -> list[Verdict]:
     return verdicts
 
 
-def _run_mass_table(sc: Scenario, out_dir: str) -> list[Verdict]:
+def _run_mass_table(sc: Scenario, out_dir: str, _built: None = None) -> list[Verdict]:
     metric = AmbientMetric(mass=sc.mass)
     r = np.array(sc.r_values, dtype=float)  # one array call per closed form
     area, volume = sphere_area(metric, r), enclosed_volume(metric, r)
@@ -251,31 +251,35 @@ def run_plan(plan: RunPlan, out_root: str, *, h: float | None = None, dt: float 
     sampled, a level set's grid and :class:`FlowRunConfig`, an ode-flow's
     sampling.  So a ConfigError, like an empty plan, creates nothing, not
     even the root directory.  With several mistakes the first scenario's
-    is reported; earlier grids may have been sampled and dropped by then.
+    is reported.  Each run is handed what the pass built, its config or
+    its (dt, every), so every level-set grid is held until its own run.
     """
     if h is not None:
         h = _number(h, "--h", positive=True)
     if dt is not None:
         dt = _number(dt, "--dt", positive=True)
-    scenarios = []
+    ready = []
     for i, sc in enumerate(plan.scenarios):
         if h is not None and sc.grid is not None:
             sc = replace(sc, grid=replace(sc.grid, h=h))
             check_grid_size(sc.grid, f"--h: scenarios[{i}].grid.h ({sc.name})")
         if dt is not None and sc.time is not None:
             sc = replace(sc, time=replace(sc.time, dt=dt))
+        built = None
         if sc.mode == "levelset-flow":
-            _flow_config(sc)
+            built = _flow_config(sc)
         elif sc.mode == "ode-flow":
-            sc.time.ode_sampling(f"--dt: scenarios[{i}].time" if dt is not None else f"{sc.name}: time")
-        scenarios.append(sc)
+            path = f"--dt: scenarios[{i}].time" if dt is not None else f"{sc.name}: time"
+            built = sc.time.ode_sampling(sc.mass, path)
+        ready.append((sc, built))
     results = []
-    for sc in scenarios:
+    while ready:  # popped, so a grid is dropped once its run is done
+        sc, built = ready.pop(0)
         out_dir = os.path.join(out_root, sc.name)
         os.makedirs(out_dir, exist_ok=True)
         failure = None
         try:
-            verdicts = _MODE_RUNNERS[sc.mode](sc, out_dir)
+            verdicts = _MODE_RUNNERS[sc.mode](sc, out_dir, built)
         except RunFailure as e:
             verdicts, failure = [Verdict("blow-up", -math.inf)], e
         _write_lines(os.path.join(out_dir, "verdicts.txt"), [v.line() for v in verdicts])

@@ -16,7 +16,7 @@ import isoflow.metric as metric_mod
 import isoflow.profile as profile_mod
 import isoflow.runner as runner_mod
 from isoflow.cli import main
-from isoflow.config import ConfigError, parse_plan
+from isoflow.config import ConfigError, TimeSpec, parse_plan
 from isoflow.flow_levelset import ComponentRecord, FlowTrace, TraceSample
 from isoflow.measure import MAX_NODES, AxiGrid
 
@@ -118,6 +118,19 @@ def test_ode_dt_must_divide_sample_interval(tmp_path, capsys):
     sc["time"]["dt"] = 0.3  # 0.5 / 0.3 is not an integer
     assert main(["run", write_plan(tmp_path, [sc]), "--out", str(tmp_path / "out")]) == 2
     assert "sample_interval" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mass", [1e-40, 1e40])
+def test_the_default_ode_step_scales_with_the_mass(mass):
+    # flow time scales as m^2, so a run scaled with it takes the steps of m = 1
+    def sampling(m):
+        time = TimeSpec(t_max=9.5 * m * m, sample_interval=0.1 * m * m)
+        dt, every = time.ode_sampling(m, "time")
+        return every, round(time.t_max / dt)
+
+    assert sampling(mass) == sampling(1.0) == (200, 19000)
+    # no step at m <= 1 changes: the step is at most 1e-3 there
+    assert TimeSpec(t_max=1.0, sample_interval=0.5).ode_sampling(0.5, "time") == (1e-3, 500)
 
 
 def test_a_nonpositive_h_override_is_rejected_by_flag(tmp_path, capsys):
@@ -465,6 +478,24 @@ def test_an_ode_flow_at_m_0_and_5e_324_writes_the_same_verdicts(tmp_path):
     assert "cor75" in names[0.0]
 
 
+@pytest.mark.parametrize("mass", [1e-60, 1e60])
+def test_the_radial_modes_pass_at_far_mass_scales(tmp_path, capsys, mass):
+    # the lemma suite, a mass table and an ode-flow (its default step), all
+    # scaled with the mass: V ~ m^3, A ~ m^2 and flow time ~ m^2
+    suite = {"name": "suite", "mode": "lemma-suite", "metric": {"kind": "schwarzschild", "mass": mass}}
+    table = mass_table_scenario()
+    table["metric"]["mass"] = mass
+    table["r_values"] = [r * mass for r in table["r_values"]]
+    ode = ode_scenario()
+    ode["metric"]["mass"] = mass
+    ode.update(r0=4.0 * mass, time={"t_max": 9.5 * mass * mass, "sample_interval": 0.1 * mass * mass})
+    plan = write_plan(tmp_path, [suite, table, ode])
+    assert main(["run", plan, "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert {line.split(":")[0] for line in lines} == {"suite", "table-m1", "ode-m1"}
+    assert all(": PASS " in line for line in lines), lines
+
+
 @pytest.mark.parametrize("mass", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("r0_scale", [3.96, 3.98, 3.99, 4.0, 4.01, 4.02, 4.04])
 def test_every_radial_oracle_ode_flow_passes_cor75(tmp_path, mass, r0_scale):
@@ -474,7 +505,8 @@ def test_every_radial_oracle_ode_flow_passes_cor75(tmp_path, mass, r0_scale):
     sc["metric"]["mass"] = mass
     sc.update(r0=r0_scale * mass, time={"t_max": 9.5 * mass * mass, "sample_interval": interval, "dt": interval / 10})
     (parsed,) = parse_plan(json.dumps({"scenarios": [sc]})).scenarios
-    verdicts = {v.anchor: v for v in runner_mod._run_ode_flow(parsed, str(tmp_path))}
+    sampling = parsed.time.ode_sampling(mass, "time")
+    verdicts = {v.anchor: v for v in runner_mod._run_ode_flow(parsed, str(tmp_path), sampling)}
     assert verdicts["cor75"].passed
 
 
@@ -491,9 +523,25 @@ def test_an_ode_flow_evaluates_each_closed_form_once(tmp_path, monkeypatch):
         for mod in (metric_mod, profile_mod, flow_ode_mod, runner_mod):
             monkeypatch.setattr(mod, name, counting, raising=False)
     (sc,) = parse_plan(json.dumps({"scenarios": [ode_scenario()]})).scenarios
-    runner_mod._run_ode_flow(sc, str(tmp_path))
+    runner_mod._run_ode_flow(sc, str(tmp_path), sc.time.ode_sampling(sc.mass, "time"))
     n = len((tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()) - 1
     assert calls == {name: [n] for name in calls}
+
+
+def test_run_plan_hands_each_run_what_its_check_pass_built(tmp_path, monkeypatch):
+    # one stability bound per level set and one sampling per ode-flow: the
+    # runs take the config and (dt, every) that the check pass built
+    plan = parse_plan(json.dumps({"scenarios": [ode_scenario(), small_levelset_scenario()]}))
+    calls = []
+    for owner, name in ((flow_levelset_mod, "cfl_time_step"), (TimeSpec, "ode_sampling")):
+
+        def counting(*args, _wrapped=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _wrapped(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    runner_mod.run_plan(plan, str(tmp_path / "out"))
+    assert sorted(calls) == ["cfl_time_step", "ode_sampling"]
 
 
 def test_the_mass_table_evaluates_each_closed_form_once(tmp_path, monkeypatch):

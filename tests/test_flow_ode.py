@@ -194,7 +194,9 @@ def test_sampling_keeps_endpoints():
 
 # float.hex of every sample of run_symmetric_flow(AmbientMetric(m), 4.0,
 # 0.01, 9.5, sample_every=10) at m = 0.5, 1 and 2, recorded before the
-# closed forms took scalars as np.float64 instead of 0-d arrays.
+# closed forms took scalars as np.float64 instead of 0-d arrays.  m = 2's
+# volume columns were re-recorded when enclosed_volume took its form in
+# y = a/r: its swept volume starts at the enclosed volume of r0 = 4 (2 ulp).
 ORACLE_SAMPLES = os.path.join(os.path.dirname(__file__), "data", "oracle_samples.json")
 
 
@@ -204,7 +206,7 @@ def test_oracle_samples_match_the_recorded_bits(m):
         recorded = json.load(f)[str(m)]
     states = run_symmetric_flow(AmbientMetric(m), 4.0, 0.01, 9.5, sample_every=10)
     assert len(states) == len(recorded["t"])
-    # the integrated columns never touch enclosed_volume: bit-exact
+    # the integrated columns read enclosed_volume only at r0: bit-exact
     for name in ("t", "r", "area", "swept_volume"):
         assert [getattr(s, name).hex() for s in states] == recorded[name], name
     # enclosed_volume may round differently: 4 ulp, and 1e-12 on the defect

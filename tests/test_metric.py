@@ -99,6 +99,18 @@ def test_enclosed_volume_stays_finite_when_r_over_half_the_mass_overflows(m):
     assert abs(float(enclosed_volume(AmbientMetric(m), 5.0)) - want[2]) <= 4 * np.spacing(want[2])
 
 
+@pytest.mark.parametrize("log_m", [-100, -60, -53.5, -20, 20, 51.7, 60, 100])
+def test_enclosed_volume_scales_as_the_mass_cubed(log_m):
+    # one form at every scale: V(x m/2) / m^3 is that of m = 1, to round-off;
+    # near the horizon log r - log a leaves about ulp(log r) a^3 (measured
+    # below 1e-12 m^3), and from x = 1.1 on below 4e-15 relative
+    m = 10.0**log_m
+    x = np.array([1.0, 1.0 + 1e-6, 1.001, 1.1, 3.732, 20.0, 100.0])
+    want = enclosed_volume(AmbientMetric(1.0), 0.5 * x)
+    got = enclosed_volume(AmbientMetric(m), 0.5 * m * x) / m**3
+    assert np.all(np.abs(got - want) <= 1e-14 * want + 1e-11)
+
+
 def test_enclosed_volume_matches_quadrature():
     for m, r in [(1.0, 2.0), (1.0, 1.866), (2.0, 3.0), (0.5, 10.0), (3.0, 1.6)]:
         g = AmbientMetric(m)

@@ -100,9 +100,10 @@ def test_the_profile_is_increasing_and_convex_above_its_threshold_at_every_mass_
 
 
 @PROPERTY
-@given(st.floats(-50.0, 40.0))
+@given(st.floats(-100.0, 99.0))
 def test_every_lemma_suite_verdict_passes_at_every_mass_scale(log_m):
-    # the suite writes no file, so it needs no output directory
+    # the suite writes no file, so it needs no output directory; from about
+    # m = 10^99.5 the volume at the 1e7 m^2 area overflows, and lemma31 fails
     sc = Scenario(name="suite", mode="lemma-suite", mass=10.0**log_m)
     failed = [v.line() for v in _run_lemma_suite(sc, "") if not v.passed]
     assert not failed
