@@ -8,7 +8,8 @@
 Exit status: 0 when every checked invariant passes, 1 when any verdict
 fails, 2 on a malformed configuration, 3 when a run failed: its values
 went non-finite or its region reached the grid's outer edge (the message
-carries the reason and the last good sample time).
+carries the reason and the last good sample time), 4 on a fault of the
+program itself (its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import math
 import os
 import sys
+import traceback
 
 from .config import ConfigError, RunPlan, Scenario, load_plan
 from .runner import run_plan
@@ -64,6 +66,9 @@ def main(argv: list[str] | None = None) -> int:
         # writes; any other error is a fault of the run
         print(f"isoflow: bad config: {e}", file=sys.stderr)
         return 2
+    except Exception:  # neither the config nor a run's values: a fault of the program
+        traceback.print_exc()
+        return 4
 
     status = 0
     for res in results:

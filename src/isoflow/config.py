@@ -16,11 +16,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .measure import AxiGrid
+from .metric import AmbientMetric, sphere_area
 
 # scenario fields each mode reads, besides name, mode and metric
 MODE_FIELDS = {
@@ -39,6 +41,9 @@ MODES = tuple(MODE_FIELDS)
 METRIC_KINDS = ("euclidean", "schwarzschild")
 SHAPE_KINDS = tuple(SHAPE_FIELDS)
 _COMMON_FIELDS = ("name", "mode", "metric")
+# past this area A, A^(3/2), the scale of the volumes and isoperimetric
+# ratios the radial modes form, leaves the float range
+_AREA_LIMIT = sys.float_info.max ** (2 / 3)
 
 
 class ConfigError(ValueError):
@@ -97,16 +102,13 @@ class TimeSpec:
     t_max: float
     sample_interval: float
     dt: float | None = None  # default: the band's CFL bound, or ode_sampling's step
-    # Both cadences count grid-bound steps of a level-set run: steps of
-    # the configured dt, or of the grid's CFL bound snapped to the sample
-    # interval, so a cadence keeps its model time when the band's bound
-    # lets dt grow.
+    # Both cadences count grid-bound steps of a level-set run (of the
+    # configured dt, or of the grid's CFL bound snapped to the sample
+    # interval), so each keeps its model time when the band lets dt grow.
     sweep_cadence: int = 5  # a freeze check every k grid-bound steps
-    # rebuild the distance field every k grid-bound steps (0 disables).
-    # The curvature stencils are near-exact on a fresh distance field but
-    # pick up a systematic speed bias as the field distorts, so rebuilds
-    # must come well before the distortion does.  Rebuilds move the interface
-    # too: back to back, a 20-cell sphere's area grows ~0.11% in 10, ~5% in 100.
+    # a distance rebuild every k (0: none), well before the field distorts
+    # enough to bias the curvature stencils; back to back, rebuilds grow a
+    # 20-cell sphere's area 0.04-0.08% in 100
     reinit_cadence: int = 100
 
     def __post_init__(self):
@@ -209,6 +211,11 @@ def _reject_unread(obj: dict, read, path: str, mode: str) -> None:
             raise ConfigError(f"{path}.{key}: not used by {mode}")
 
 
+def _area(mass: float, radii) -> np.ndarray:
+    with np.errstate(over="ignore"):  # centred spheres' areas, inf past the float range
+        return sphere_area(AmbientMetric(mass), np.asarray(radii, dtype=float))
+
+
 def _parse_metric(obj, path: str) -> float:
     _reject_unknown(obj, {"kind", "mass"}, path)
     kind = obj.get("kind", "schwarzschild")
@@ -306,6 +313,9 @@ def _parse_scenario(obj, path: str, seen_names: set) -> Scenario:
         if q_slack is not None:
             q_slack = _number(q_slack, f"{path}.q_slack", positive=True)
         shape = _parse_shape(_require(obj, "shape", path), f"{path}.shape")
+        # the zero set's distance from the origin (for the dumbbell, a lower bound)
+        if mass > 0.0 and abs(shape.signed_distance(0.0, 0.0)) <= 0.5 * mass:
+            raise ConfigError(f"{path}.shape: comes within the horizon radius m/2 = {0.5 * mass}")
         grid = _parse_grid(_require(obj, "grid", path), f"{path}.grid")
         time = _parse_time(_require(obj, "time", path), f"{path}.time", mode, mass)
         rho_extent, z_extent = shape.extents()
@@ -321,6 +331,8 @@ def _parse_scenario(obj, path: str, seen_names: set) -> Scenario:
         r0 = _number(_require(obj, "r0", path), f"{path}.r0", positive=True)
         if r0 <= 0.5 * mass:
             raise ConfigError(f"{path}.r0: must exceed the horizon radius m/2 = {0.5 * mass}")
+        if _area(mass, r0) >= _AREA_LIMIT:
+            raise ConfigError(f"{path}.r0: the sphere's volume passes the float range")
         read = dict(r0=r0, time=_parse_time(_require(obj, "time", path), f"{path}.time", mode, mass))
     elif mode == "mass-table":
         raw = _require(obj, "r_values", path)
@@ -332,9 +344,14 @@ def _parse_scenario(obj, path: str, seen_names: set) -> Scenario:
         )
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ConfigError(f"{path}.r_values: must be strictly increasing")
+        past = np.flatnonzero(_area(mass, vals) >= _AREA_LIMIT)
+        if past.size:
+            raise ConfigError(f"{path}.r_values[{past[0]}]: the sphere's volume passes the float range")
         read = dict(r_values=vals)
     elif mass == 0.0:  # lemma-suite: only the metric matters
         raise ConfigError(f"{path}.metric: the lemma suite needs a positive mass")
+    elif 1e7 * mass * mass >= _AREA_LIMIT:  # the suite's largest area
+        raise ConfigError(f"{path}.metric.mass: the lemma suite's volumes pass the float range")
     return Scenario(name=name, mode=mode, mass=mass, **read)
 
 

@@ -26,12 +26,14 @@ from scipy import ndimage
 
 from .config import ConfigError, TimeSpec, _number
 from .measure import (
+    _CHORD,
     _GRAD_EPS,
     AxiGrid,
     ComponentMeasure,
     _conformal_power,
     _deep_labels,
     _normal_geometry,
+    _pieces,
     _stencil_indices,
     measure_components,
 )
@@ -42,13 +44,13 @@ from .profile import convexity_threshold, isoperimetric_ratio, profile_volume_or
 # explicit-step stability margin: dt = CFL_SAFETY * h^2 * min(w^4)
 CFL_SAFETY = 0.2
 
-# Without a configured dt, an interval that needs many explicit steps is
-# covered by RKL2 super-steps of at most MAX_STAGES kernel calls each
-# (:func:`_super_steps`); the first SETTLE_STEPS steps after every
-# distance rebuild are explicit, since RKL2 barely damps the rebuild's
-# noisy second differences.
-MAX_STAGES = 6
-SETTLE_STEPS = 8
+MAX_STAGES = 6  # kernel calls per RKL2 super-step, at most (:func:`_super_steps`)
+
+# a rebuild's zeros fitted either side, and Newton steps, whose second
+# derivative (below 1 + slope^2 only past the centre of curvature) is floored
+FIT_SIDE = 4
+NEWTON_STEPS = 4
+_CURVATURE_FLOOR = 1e-2
 
 # Under the flow a component's area falls at dA/dt = -int H^2 dA
 # (Huisken 1984).  A cadence sweep is skipped while every live record's
@@ -340,28 +342,21 @@ def freeze_sweep(
     )
 
 
-def _edge_curvature(a: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The second difference along the first axis of ``a`` (at least three
-    rows, as on every grid), averaged over the two ends of each edge
-    (i, j)-(i + 1, j); an end node on the border takes its inner
-    neighbour's."""
-
-    def second_difference(k):
-        k = np.clip(k, 1, a.shape[0] - 2)
-        return a[k + 1, j] - 2.0 * a[k, j] + a[k - 1, j]
-
-    return 0.5 * (second_difference(i) + second_difference(i + 1))
-
-
-def _edge_zero(lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Zero position (in [0, 1]) along edges with end values ``lo``, ``hi``
-    and averaged second difference ``q`` (:func:`_edge_curvature`).
-
-    Quadratic interpolation through the endpoints with ``q`` as curvature;
-    falls back to the linear root where the quadratic is degenerate.  Only
-    meaningful on sign-changing edges; elsewhere the value is arbitrary
-    but finite.
+def _edge_zero(flat: np.ndarray, low: np.ndarray, along: np.ndarray, step: int, size: int) -> np.ndarray:
+    """Zero positions (in [0, 1]) along edges of a grid held ``flat``: edge
+    k runs from flat index ``low[k]`` to ``low[k] + step`` on an axis of
+    ``size`` >= 3 nodes, ``along[k]`` being low's index on it.  The
+    quadratic through the end values with the second difference along the
+    axis, averaged over both ends (a border end takes its inner
+    neighbour's), as curvature: a linear root is biased by the field's
+    curvature, a bias that accumulates over many rebuilds.  The linear
+    root where the quadratic degenerates; arbitrary but finite on an edge
+    whose sign does not change.
     """
+    lo, hi = flat[low], flat[low + step]
+    d2 = [flat[c + step] - 2.0 * flat[c] + flat[c - step]
+          for c in (low + (np.clip(e, 1, size - 2) - along) * step for e in (along, along + 1))]
+    q = 0.5 * (d2[0] + d2[1])
     diff = hi - lo
     safe = np.where(diff != 0.0, diff, 1.0)
     linear = np.clip(-lo / safe, 0.0, 1.0)
@@ -378,117 +373,112 @@ def _edge_zero(lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def reinitialize(u: np.ndarray, h: float, frozen_mask: np.ndarray) -> np.ndarray:
-    """An approximate signed flat distance field with the zero set of the
-    level-set values ``u`` (grid spacing ``h``), as a new array.
+    """A signed flat distance field with the zero set and signs (``u < 0``)
+    of the level-set values ``u`` (spacing ``h``), as a new array, from
+    closest points on local interpolants (Chopp 2001); ``frozen_mask``
+    nodes keep their values.
 
-    Sub-cell seeds at sign changes, then Godunov relaxation outward from
-    them on the nodes a band can read: those within ``WIDTH + 4`` cells
-    of a seed by the node distance transform.  The relaxation runs to its
-    fixed point; further out, a node takes its distance to the nearest
-    seed's edge zero.  The zero set moves by less than half a cell, no
-    node changes sign (by ``< 0``), and nodes of ``frozen_mask`` keep their
-    values.
-
-    Edge zeros are taken on the crossing edges only, and seeded by
-    scatter.  The relaxation holds its values in compact slots (the reach
-    nodes first), which a pass updates in place; its passes run in
-    buffers allocated once per call, through ``out=`` in the order of the
-    plain expressions.
+    Each sign-changing edge's zero (:func:`_edge_zero`) gets a
+    least-squares parabola in the principal-axis frame of itself and
+    ``FIT_SIDE`` zeros either side along the contour: chained through the
+    marching-squares pieces (:func:`~isoflow.measure._pieces`, whose saddle
+    rule keeps a thin neck's sides apart), on across the axis mirrored.  A
+    node within ``WIDTH + 4`` cells of a seed (an end of a crossing edge)
+    takes its closest point, by ``NEWTON_STEPS`` Newton steps, on the
+    parabola of the zero its nearest seed took, or within two cells the
+    nearest of its own and its four neighbours' (the nearest seed may lie
+    across a thin neck); further out, its distance to that zero.
     """
     inside = u < 0.0
-    d = np.full(u.shape, np.inf)
-    foot = np.zeros(u.shape, dtype=complex)  # rho + i z offset (cells) to a seed's zero
-
-    # sub-cell seeds on every sign-changing edge; the zero is located by
-    # a quadratic fit along the edge (linear roots are biased by the
-    # field's curvature, and that bias accumulates over many rebuilds).
-    # A node is the low end of at most one edge per axis, so each scatter
-    # writes a node once; a later seed wins only when strictly closer.
-    for a, da, fa, unit in ((u, d, foot, 1.0), (u.T, d.T, foot.T, 1j)):  # writes land in d, foot
-        ei, ej = np.nonzero((a[:-1, :] < 0.0) != (a[1:, :] < 0.0))
-        if ei.size:
-            theta = _edge_zero(a[ei, ej], a[ei + 1, ej], _edge_curvature(a, ei, ej))
-            for ni, offset, dist in ((ei, theta, theta * h), (ei + 1, theta - 1.0, (1.0 - theta) * h)):
-                closer = dist < da[ni, ej]
-                ci, cj = ni[closer], ej[closer]
-                da[ci, cj] = dist[closer]
-                fa[ci, cj] = offset[closer] * unit
-
-    seeds = np.isfinite(d)
-    if not seeds.any():
-        return u.copy()  # no interface: nothing to rebuild against
-
-    # Godunov eikonal relaxation outward from the seeds, one cell per
-    # pass, to its fixed point on the nodes a band and its stencils can
-    # read.  Every other node stays "unknown" (big): values may only be
-    # pulled down from there, never locked to a low first guess.  An
-    # update only reads smaller neighbours, so near the interface the
-    # fixed point is the whole grid's.
-    near_seed, (si, sj) = ndimage.distance_transform_edt(~seeds, return_indices=True)
-    big = 1e12
     n, m = u.shape
-    ii, jj = np.nonzero((near_seed <= _BandedStepper.WIDTH + 4) & ~seeds)
-    node = ii * m + jj
-    seed_node = np.flatnonzero(seeds)
-    # the relaxation's values in compact slots: the reach, the seeds, then
-    # one slot held at big, read for every other node and past the outer edges
-    reach, held = node.size, node.size + seed_node.size
-    slot = np.full(u.size + 1, held)
-    slot[node] = np.arange(reach)
-    slot[seed_node] = np.arange(reach, held)
-    neighbours = slot[np.stack([
-        np.where(ii > 0, node - m, node + m),  # rho-, mirrored across the axis
-        np.where(jj > 0, node - 1, u.size),  # z-
-        np.where(ii < n - 1, node + m, u.size),  # rho+
-        np.where(jj < m - 1, node + 1, u.size),  # z+
-    ])]
-    vals = np.full(held + 1, big)
-    vals[reach:held] = d.reshape(-1)[seed_node]
-    current = vals[:reach]  # updated in place, once per pass
-    near = np.empty(neighbours.shape)
-    ab = np.empty((2, reach))
-    a, b = ab
-    lo, s, upd = np.empty((3, reach))
-    mask = np.empty(reach, dtype=bool)
-    while True:
-        # the indices are in range, so "wrap" only skips take's buffered copy
-        np.take(vals, neighbours, out=near, mode="wrap")
-        np.minimum(near[:2], near[2:], out=ab)  # a over rho, b over z
-        np.minimum(a, b, out=lo)
-        # upd = lo + h where |a - b| >= h, else
-        # 0.5 * (a + b + sqrt(max(2 h^2 - (a - b)^2, 0)))
-        np.subtract(a, b, out=s)
-        np.abs(s, out=s)
-        np.greater_equal(s, h, out=mask)
-        np.square(s, out=s)  # |a - b|^2 has the bits of (a - b)^2
-        np.subtract(2 * h * h, s, out=s)
-        np.maximum(s, 0.0, out=s)
-        np.sqrt(s, out=s)
-        np.add(a, b, out=upd)
-        upd += s
-        upd *= 0.5
-        lo += h
-        np.copyto(upd, lo, where=mask)
-        if not np.less(upd, current, out=mask).any():
-            break  # a fixed point: further passes change nothing
-        np.minimum(current, upd, out=current)
-    d[~seeds] = big
-    d.reshape(-1)[node] = current
+    flat = u.reshape(-1)
+    # zero ids by their edge's low end (row 0 rho edges, row 1 z edges), and each seed's zero
+    ids, zero = np.full((2, u.size), -1), np.full(u.size, -1)
+    at, count = [], 0
+    for axis, (ia, step, size) in enumerate(((inside, m, n), (inside.T, 1, m))):
+        ei, ej = np.nonzero(ia[:-1, :] != ia[1:, :])
+        low = ei * m + ej if axis == 0 else ej * m + ei
+        ids[axis, low] = zero[low] = zero[low + step] = count + np.arange(ei.size)
+        count += ei.size
+        theta, (i, j) = _edge_zero(flat, low, ei, step, size), np.divmod(low, m)
+        at.append((i + theta, j) if axis == 0 else (i, j + theta))
+    if not count:
+        return u.copy()  # no interface: nothing to rebuild against
+    px, py = (np.concatenate(c).astype(float) for c in zip(*at))  # (rho, z), cells
 
-    # past the reach (only the gradient matters there): the distance to
-    # the nearest seed's zero, which meets the relaxed values without a step
-    far = d >= 0.9 * big
-    if far.any():
-        fi, fj = np.nonzero(far)
-        ni, nj = si[fi, fj], sj[fi, fj]
-        d[fi, fj] = h * np.abs(fi - ni + 1j * (fj - nj) - foot[ni, nj])
+    # Contour neighbours: a piece's chord joins the zeros on two sides of
+    # its cell (S, E, N, W: walk positions 1, 3, 5, 7, edges from corners
+    # 00, 10, 01, 00), row 0 across the cell a zero is the S or W side of.
+    # An axis z edge, in one cell only, goes on in row 1 to the mirror image
+    # (zeros count .. 2 count - 1; an axis zero is its own) of its row 0.
+    _, (_, _, corner, _), (cell, slot, entry) = _pieces(u)
+    side = _CHORD[entry, slot] // 2
+    joined = ids[np.array([0, 1, 0, 1])[side], corner[np.array([0, 1, 2, 0])[side], cell[:, None]]]
+    chain = np.full((2, count), -1)
+    for end in (0, 1):
+        chain[np.array([0, 1, 1, 0])[side[:, end]], joined[:, end]] = joined[:, 1 - end]
+    image = np.concatenate([np.arange(count, 2 * count), np.arange(count)])
+    axis = np.flatnonzero(chain[1] < 0)
+    image[axis] = axis
+    chain[1, axis] = image[chain[0, axis]]
+    chain = np.concatenate([chain, image[chain]], axis=1)
+    # FIT_SIDE zeros each way: a walk leaves a zero x by link
+    # row * 2 count + x, and the zero it reaches by its other link
+    reached = chain.ravel()
+    onward = reached + 2 * count * (chain[0, reached] == np.tile(np.arange(2 * count), 2))
+    link, walk = np.concatenate([np.arange(count), 2 * count + np.arange(count)]), [np.arange(count)]
+    for _ in range(FIT_SIDE):
+        walk += np.split(reached[link], 2)
+        link = onward[link]
+    dx, dy = np.concatenate([px, -px])[walk] - px, np.concatenate([py, py])[walk] - py
+    # (s, r) along and across the points' principal axis, from the zero;
+    # r = c0 + c1 s + c2 s^2 by least squares (a line where they coincide)
+    ex, ey = dx - dx.mean(axis=0), dy - dy.mean(axis=0)
+    angle = 0.5 * np.arctan2(2.0 * (ex * ey).sum(axis=0), (ex * ex - ey * ey).sum(axis=0))
+    cos, sin = np.cos(angle), np.sin(angle)
+    s, r = cos * dx + sin * dy, cos * dy - sin * dx
+    powers = np.stack([np.ones_like(s), s, s * s, s * s * s, (s * s) ** 2]).sum(axis=1)
+    normal = powers.T[:, np.add.outer(np.arange(3), np.arange(3))] + 1e-12 * np.eye(3)
+    fit = np.linalg.solve(normal, np.stack([r, r * s, r * s * s]).sum(axis=1).T[..., None])
+    # a closest point may lie in the points' span, or as far again either side
+    s_lo, s_hi = s.min(axis=0), s.max(axis=0)
+    zeros = np.stack([px, py, cos, sin, *fit[..., 0].T, 2.0 * s_lo - s_hi, 2.0 * s_hi - s_lo])
 
-    # an inside node's distance must stay strictly positive so no node
-    # changes sign, even when a crossing sits on top of a node
-    signed = np.where(inside, -np.maximum(d, np.finfo(float).tiny), d)
-    if frozen_mask.any():
-        signed = np.where(frozen_mask, u, signed)
-    return signed
+    def parabola(k, i, j):
+        """Nodes (i, j) as (s, r) in zeros k's frames, and their fits and spans."""
+        x, y, cos, sin, c0, c1, c2, lo, hi = np.take(zeros, k, axis=1)
+        return cos * (i - x) + sin * (j - y), cos * (j - y) - sin * (i - x), (c0, c1, c2), (lo, hi)
+
+    si, sj = ndimage.distance_transform_edt((zero < 0).reshape(u.shape), return_distances=False, return_indices=True)
+    k = zero[si * m + sj]  # the zero each node's nearest seed took
+    rows, cols = np.arange(n)[:, None], np.arange(m)
+    di, dj = rows - px[k], cols - py[k]
+    dist = np.sqrt(di * di + dj * dj).reshape(-1)  # past the reach; np.hypot costs tenfold
+    seed_sq = ((rows - si) ** 2 + (cols - sj) ** 2).reshape(-1)
+    k = k.reshape(-1)
+    close = np.flatnonzero(seed_sq <= 4)  # these take the nearest of five parabolas
+    ci, cj = np.divmod(close, m)
+    around = k[np.stack([close, np.maximum(ci - 1, 0) * m + cj, np.minimum(ci + 1, n - 1) * m + cj,
+                         ci * m + np.maximum(cj - 1, 0), ci * m + np.minimum(cj + 1, m - 1)])]
+    s, r, (c0, c1, c2), _ = parabola(around, ci, cj)
+    gap, slope = c0 + (c1 + c2 * s) * s - r, c1 + 2.0 * c2 * s
+    k[close] = around[(gap * gap / (1.0 + slope * slope)).argmin(axis=0), np.arange(close.size)]
+    reach = np.flatnonzero(seed_sq <= (_BandedStepper.WIDTH + 4) ** 2)  # these, Newton steps
+    s_node, r_node, (c0, c1, c2), (lo, hi) = parabola(k[reach], *np.divmod(reach, m))
+    s = np.minimum(np.maximum(s_node, lo), hi)
+    for _ in range(NEWTON_STEPS):
+        # half the squared distance's first and (floored) second derivatives
+        gap, slope = c0 + (c1 + c2 * s) * s - r_node, c1 + 2.0 * c2 * s
+        curv = np.maximum(1.0 + slope * slope + 2.0 * c2 * gap, _CURVATURE_FLOOR)
+        s = np.minimum(np.maximum(s - (s - s_node + gap * slope) / curv, lo), hi)
+    gap = c0 + (c1 + c2 * s) * s - r_node
+    dist[reach] = np.sqrt((s - s_node) ** 2 + gap * gap)
+    dist = dist.reshape(u.shape) * h
+    # an inside distance stays positive even where a crossing is on a node
+    np.maximum(dist, np.finfo(float).tiny, out=dist, where=inside)
+    np.negative(dist, out=dist, where=inside)
+    np.copyto(dist, u, where=frozen_mask)
+    return dist
 
 
 class _BandedStepper:
@@ -499,13 +489,8 @@ class _BandedStepper:
     measurement's, in the cancelled form of :func:`_speed`), so the zero
     set moves inward with normal speed H_g in the metric.  The kernel runs
     only on unfrozen nodes within a dozen cells of the interface;
-    everything further keeps its value until the next
-    distance rebuild.  A rebuild (:func:`reinitialize`) writes every
-    node, but relaxes only those within ``WIDTH + 4`` cells of a seed;
-    beyond them it writes the far-field distance to the nearest seed's
-    zero.  Far values influence nothing measured — the stencils that
-    matter live next to the zero set — and skipping them makes long runs
-    an order of magnitude cheaper.
+    everything further keeps its value until the next distance rebuild
+    (:func:`reinitialize`), and influences nothing measured.
 
     The flat indices into ``u.ravel()`` of each node's nine-point stencil
     and the speed coefficients depend only on node position, so the
@@ -638,13 +623,12 @@ class _BandedStepper:
 
 def _sweep_can_change(state: LevelSetState, grid: AxiGrid, m_thr: float, t: float) -> bool:
     """Whether a freeze sweep of ``grid`` at time ``t`` could freeze a
-    component or change the component count; when it cannot, the loop
-    leaves the state as the last sweep left it.
-
-    It can when, with ``m_thr`` > 0, some live record's perimeter P and
-    int H^2 from the last sweep give P - KAPPA int H^2 (t - state.t) at or
-    below 36 pi m_thr^2, or when one labelling of ``grid`` counts another
-    number of measured components than the state holds.
+    component or change the component count (else the loop leaves the
+    state as the last sweep left it): with ``m_thr`` > 0, when some live
+    record's perimeter P and int H^2 from the last sweep give P - KAPPA
+    int H^2 (t - state.t) at or below 36 pi m_thr^2, or when one labelling
+    of ``grid`` counts another number of measured components than the
+    state holds.
     """
     if m_thr > 0.0:
         threshold = convexity_threshold(m_thr)
@@ -752,55 +736,48 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     """Run the component-freezing flow and return its sampled trace.
 
     A configured dt pins the steps: every step is explicit, at that dt.
-    Without one, a step's bound is the CFL bound of the band it moves:
-    :func:`cfl_time_step`'s grid bound times
-    :attr:`_BandedStepper.bound_scale`, and at most one period of the
-    shorter cadence (below).  The explicit dt is that bound snapped so
-    the rest of the sample interval is a whole number of steps, at each
-    sample where the band's bound or dt differs from the grid's, and at
-    any refresh that takes the bound below dt.  Time is
-    ``t_anchor + steps * dt``, the anchor moving only when dt does; at
-    m = 0 the band's bound is the grid's, so dt never changes.
-
-    At each sample the rest of the interval may instead take RKL2
-    super-steps (:func:`_super_steps`), when they make fewer kernel calls
-    than its explicit steps; a run with few steps per sample never does.
-    A super-step's bound is :func:`_stretch` times the band's, and at
-    most one cadence period.  Super-steps run until the next sample,
-    until a refresh takes their bound below dt, or until a distance
-    rebuild; then the interval re-snaps as above.  The first
-    ``SETTLE_STEPS`` steps after every rebuild are explicit, and then the
-    rest of the interval is planned again.
+    Without one, a step's bound is the CFL bound of the band it moves
+    (:func:`cfl_time_step`'s grid bound times
+    :attr:`_BandedStepper.bound_scale`), and at most one period of the
+    shorter cadence (below).  The explicit dt is that bound snapped so the
+    rest of the sample interval is a whole number of steps, at each sample
+    where the band's bound or dt differs from the grid's, and at any
+    refresh that takes the bound below dt.  Time is ``t_anchor + steps *
+    dt``, the anchor moving only with dt; at m = 0 dt never changes.  At
+    each sample the rest of the interval may instead take RKL2 super-steps
+    (:func:`_super_steps`, each within :func:`_stretch` times the band's
+    bound and one cadence period) where they make fewer kernel calls than
+    its explicit steps.  They run until the next sample, or until a
+    refresh (a rebuild's too) takes their bound below dt; then the
+    interval is snapped and planned again.
 
     Sweeps for freezable components at every sample and whenever the
     axis pinch count changes, and samples totals on the configured
     interval.  ``reinit_cadence`` and ``sweep_cadence`` count grid-bound
     steps, dt_grid: the configured dt, or the grid's bound snapped to the
     sample interval.  Their periods are times on t, so they keep their
-    model time when the band or a super-step lets dt grow, and no step
-    spans more than one period of either, so each period has its rebuild
-    or check, at the first step that reaches it.  The
-    distance field is rebuilt every ``reinit_cadence`` of them; every
-    ``sweep_cadence`` of them a freeze check (:func:`_sweep_can_change`)
-    runs the sweep only when it could freeze a component or change the
-    component count, so a run's trace is the one a sweep at every such
-    step would give.  With threshold mass > 0 the first check after a
-    rebuild always sweeps: a rebuild moves the zero set by up to half a
-    cell, which the check's area-rate bound does not cover (next to the
-    origin of a massive metric, where w^4 is huge, one rebuild halved a
-    component's measured area).  The run ends when every component is
-    frozen or gone (that time is ``freeze_all_time``) or at ``t_max``
-    (then the trace is flagged incomplete).
+    model time when dt grows, and no step spans more than one period of
+    either, so each period has its rebuild or check, at the first step
+    that reaches it.  The distance field is rebuilt every
+    ``reinit_cadence`` of them; every ``sweep_cadence`` of them a freeze
+    check (:func:`_sweep_can_change`) runs the sweep only when it could
+    freeze a component or change the component count, so a run's trace is
+    the one a sweep at every such step would give.  With threshold mass >
+    0 the first check after a rebuild always sweeps: a rebuild moves the
+    zero set a little, which the check's area-rate bound does not cover
+    (next to the origin of a massive metric, where w^4 is huge, one
+    rebuild halved a component's measured area).  The run ends when every
+    component is frozen or gone (that time is ``freeze_all_time``) or at
+    ``t_max`` (then the trace is flagged incomplete).
 
     The config made every check when it was built, so what a run raises
-    is a fault of the run, never :class:`~isoflow.config.ConfigError`.
-    A band value that turns non-finite raises :class:`RunFailure` at the
+    is a fault of the run, never :class:`~isoflow.config.ConfigError`: a
+    band value that turns non-finite raises :class:`RunFailure` at the
     next check, sweep or rebuild, and a region that reaches the grid's
-    outer edge at the next check or sweep.
-
-    The loop steps the working array ``u`` in place and wraps it in the
-    state's grid only for a sweep; a sample always follows a sweep at the
-    same step, so the state's grid is the current field at every sample.
+    outer edge at the next check or sweep.  The loop steps the working
+    array ``u`` in place and wraps it in the state's grid only for a
+    sweep; a sample always follows a sweep at the same step, so the
+    state's grid is the current field at every sample.
     """
     metric, m_thr = config.metric, config.threshold_mass
     state = initial_state(metric, config.grid)
@@ -825,35 +802,31 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     # no step spans more than one period of either cadence
     cap = min(config.sweep_cadence, config.reinit_cadence or math.inf) * dt_grid
     stages = 1  # kernel calls per step
-    fresh = SETTLE_STEPS  # steps since the last rebuild; the start counts as settled
     rebuilt = False  # a rebuild since the last sweep
     snap_due = True  # a sample was just taken: re-snap a band-bound dt, plan the interval
     runs = runs_prev = _axis_run_count(u)
     t_end = config.t_max - 1e-12 * max(config.t_max, 1.0)
     while t < t_end and state.live_count:
-        # Rebuild only before a step, never between a step and its sweep:
-        # the fast-swept distance field has clean first derivatives but
-        # noisy second ones, so curvature must never be measured off a
-        # just-rebuilt field.
+        # rebuild only before a step, never between a step and its sweep,
+        # so no sample is read off a just-rebuilt field
         if t >= next_rebuild:
             next_rebuild += rebuild_period
             _check_band(state, u, stepper)  # fail before a rebuild reads a bad field
             u = reinitialize(u, config.grid.h, state.frozen_mask)
             stepper.refresh(u, state.frozen_mask)
-            fresh, rebuilt = 0, True
+            rebuilt = True
         if config.dt is None:
             stepper.refresh_if_due(u, state.frozen_mask)
             limit = bound * stepper.bound_scale
             span = next_sample - t
-            settling = fresh < SETTLE_STEPS
             step_bound = min(limit if stages == 1 else _stretch(stages) * limit, cap)
-            # a sample, a rebuild or a bound below dt ends the super-steps
-            ended = stages > 1 and (snap_due or settling or dt > step_bound)
+            # a sample or a bound below dt ends the super-steps
+            ended = stages > 1 and (snap_due or dt > step_bound)
             if ended or dt > step_bound or (snap_due and (limit != bound or dt != dt_grid)):
                 stages, snapped = 1, _snap(span, min(limit, cap))
                 if snapped != dt:
                     t_anchor, steps, dt = t, 0, snapped
-            if not settling and (snap_due or ended or fresh == SETTLE_STEPS):
+            if snap_due or ended:
                 # the explicit steps' own count: a dt kept from an earlier
                 # snap need not divide the span to the last bit
                 plan = _super_steps(span, limit, round(span / dt), cap)
@@ -861,7 +834,6 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
                     (stages, dt), t_anchor, steps = plan, t, 0
             snap_due = False
         band = stepper.step(u, state.frozen_mask, dt, stages)
-        fresh += 1
         steps += 1
         t = t_anchor + steps * dt
         if band is not None:

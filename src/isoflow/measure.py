@@ -301,27 +301,36 @@ class _Sweep:
     full_volume: np.ndarray
 
 
+def _pieces(u: np.ndarray):
+    """Every cell's case; the mixed cells' (i, j) in scan order, with their
+    corners' (00, 10, 01, 11) flat indices and values; and a (cell, slot,
+    entry) row per piece, a saddle's two in the table's order, entry being
+    the case plus ``_CONNECTED`` where a saddle's centre mean is negative."""
+    inside = (u < 0).view(np.uint8)
+    case = inside[:-1, :-1] | inside[1:, :-1] << 1 | inside[:-1, 1:] << 2 | inside[1:, 1:] << 3
+    ii, jj = np.nonzero((case > 0) & (case < 15))
+    mixed = case[ii, jj]
+    n_z = u.shape[1]
+    corner = ii * n_z + jj + np.array([[0], [n_z], [1], [n_z + 1]])
+    v00, v10, v01, v11 = values = np.take(u, corner)
+    saddle = (mixed == 6) | (mixed == 9)
+    mixed = np.where(saddle & (0.25 * (v00 + v10 + v01 + v11) < 0.0), mixed + _CONNECTED, mixed)
+    cell = np.repeat(np.arange(ii.size), _SLOTS[mixed])
+    slot = np.zeros(cell.size, dtype=np.intp)
+    slot[1:] = cell[1:] == cell[:-1]
+    return case, (ii, jj, corner, values), (cell, slot, mixed[cell])
+
+
 def _sweep(metric: AmbientMetric, grid: AxiGrid, labels: np.ndarray, n_comp: int) -> _Sweep:
     """The one marching-squares pass: chords and sub-cell volumes of every
     mixed cell in scan order (a saddle's two in the table's corner order),
     and the full-cell volume of each label."""
-    u = grid.values
-    h = grid.h
-    inside = (u < 0).view(np.uint8)
-    case = inside[:-1, :-1] | inside[1:, :-1] << 1 | inside[:-1, 1:] << 2 | inside[1:, 1:] << 3
+    u, h = grid.values, grid.h
+    case, (ii, jj, corner, (v00, v10, v01, v11)), (cell, slot, entry) = _pieces(u)
     horizon, contrib = _cell_geometry(metric, h, grid.z_min, u.shape)
     # each label's full cells in scan order
     full = case == 15
     full_volume = np.bincount(labels[:-1, :-1][full], weights=contrib[full], minlength=n_comp + 1)
-    ii, jj = np.nonzero((case > 0) & (case < 15))
-    case = case[ii, jj]
-    # flat indices of each mixed cell's corners 00, 10, 01, 11 (the
-    # corner bits' order)
-    n_z = u.shape[1]
-    corner = ii * n_z + jj + np.array([[0], [n_z], [1], [n_z + 1]])
-    v00, v10, v01, v11 = np.take(u, corner)
-    saddle = (case == 6) | (case == 9)
-    case = np.where(saddle & (0.25 * (v00 + v10 + v01 + v11) < 0.0), case + _CONNECTED, case)
 
     # local (xi, eta) of the eight walk positions, [coordinate, position,
     # cell]; edges the contour does not cross are never read
@@ -334,11 +343,6 @@ def _sweep(metric: AmbientMetric, grid: AxiGrid, labels: np.ndarray, n_comp: int
         pts[0, 5] = v01 / (v01 - v11)  # N
         pts[1, 7] = v00 / (v00 - v01)  # W
 
-    # one row per (cell, slot): saddle cells fill two slots
-    cell = np.repeat(np.arange(ii.size), _SLOTS[case])
-    slot = np.zeros(cell.size, dtype=np.intp)
-    slot[1:] = cell[1:] == cell[:-1]
-    entry = case[cell]
     ends = _CHORD[entry, slot]
     ci, cj = ii[cell], jj[cell]
 

@@ -280,14 +280,18 @@ def test_the_node_cap_bounds_the_node_count():
 
 
 def test_a_value_error_mid_run_is_not_a_config_error(tmp_path, monkeypatch, capsys):
+    # a fault of the program exits 4, with its traceback, neither 2 (bad
+    # config) nor 1 (some verdict failed)
     def broken_speed(*args):
         raise ValueError("fault inside the step")
 
     monkeypatch.setattr(flow_levelset_mod, "_speed", broken_speed)
     plan = write_plan(tmp_path, [small_levelset_scenario()])
-    with pytest.raises(ValueError, match="fault inside the step"):
-        main(["run", plan, "--out", str(tmp_path / "out")])
-    assert "bad config" not in capsys.readouterr().err
+    assert main(["run", plan, "--out", str(tmp_path / "out")]) == 4
+    captured = capsys.readouterr()
+    assert "bad config" not in captured.err
+    assert "Traceback" in captured.err and "ValueError: fault inside the step" in captured.err
+    assert captured.out == ""
 
 
 def test_dumbbell_fits_a_grid_narrower_than_its_length():
@@ -340,6 +344,57 @@ def test_lemma_suite_needs_a_positive_mass(tmp_path, capsys):
     assert main(["run", write_plan(tmp_path, [sc]), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "bad config" in err and "scenarios[0].metric" in err
+
+
+def lemma_suite_scenario(mass):
+    return {"name": "lemmas", "mode": "lemma-suite", "metric": {"mass": mass}}
+
+
+@pytest.mark.parametrize(
+    "scenario, field",
+    [
+        # m^3 and the volume at the suite's largest area, 1e7 m^2, overflow
+        (lemma_suite_scenario(1e103), "metric.mass"),
+        # the volume inside r = 1e200 overflows at any mass
+        ({**mass_table_scenario(), "metric": {"mass": 1e103}, "r_values": [1e200]}, "r_values[0]"),
+        # r0 > m/2 has an area past the float range
+        ({**ode_scenario(), "metric": {"mass": 1e160}, "r0": 4e160}, "r0"),
+    ],
+    ids=["lemma-suite", "mass-table", "ode-flow"],
+)
+def test_a_radial_scale_past_the_float_range_is_rejected_by_field(tmp_path, capsys, scenario, field):
+    path = re.escape(f"scenarios[0].{field}")
+    with pytest.raises(ConfigError, match=path):
+        parse_plan(json.dumps({"scenarios": [scenario]}))
+    assert main(["run", write_plan(tmp_path, [scenario]), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and f"scenarios[0].{field}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {"kind": "sphere", "r0": 0.5},
+        {"kind": "oval", "a": 2.0, "b": 0.4},
+        {"kind": "dumbbell", "ball_radius": 1.0, "separation": 3.0, "neck_radius": 0.3},
+    ],
+    ids=["sphere", "oval", "dumbbell"],
+)
+def test_a_levelset_shape_within_the_horizon_is_rejected(tmp_path, capsys, shape):
+    # at m = 1 the horizon radius is 0.5; each zero set comes that close
+    # to the origin (the dumbbell's neck at 0.3)
+    sc = small_levelset_scenario()
+    sc["metric"] = {"mass": 1.0}
+    sc["shape"] = shape
+    sc["grid"] = {"h": 0.1, "rho_max": 3.0, "z_min": -3.0, "z_max": 3.0}
+    with pytest.raises(ConfigError, match=r"scenarios\[0\]\.shape"):
+        parse_plan(json.dumps({"scenarios": [sc]}))
+    assert main(["run", write_plan(tmp_path, [sc]), "--out", str(tmp_path / "out")]) == 2
+    assert "scenarios[0].shape" in capsys.readouterr().err
+    # just outside the horizon the shape runs
+    sc["shape"] = {"kind": "sphere", "r0": 0.5 + 1e-9}
+    parse_plan(json.dumps({"scenarios": [sc]}))
 
 
 def full_scenarios():

@@ -268,7 +268,7 @@ def test_m0_steps_at_the_snapped_grid_bound():
     # explicit step exactly (w^4 = 1) and a super-step _stretch(s) times over
     bound = cfl_time_step(EUCLID, g)
     assert steps and all(dt <= step_bound(bound, s) for dt, _, s in steps)
-    assert {s for _, _, s in steps} > {1}
+    assert any(s > 1 for _, _, s in steps)
     assert [s.t for s in trace.samples] == pytest.approx([0.0, 0.0025, 0.005, 0.0075, 0.01], rel=0.0, abs=1e-12)
     # a configured dt, the snapped grid bound, pins every step: explicit, at that dt
     grid_dt = snapped_grid_dt(EUCLID, g, 0.0025)

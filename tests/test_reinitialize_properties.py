@@ -1,4 +1,9 @@
-"""The band-local distance rebuild against the whole-grid one it replaced."""
+"""Properties of the closest-point distance rebuild: signs, frozen nodes,
+the distance near the interface, the far field, and its edge roots."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoflow.flow_levelset import _BandedStepper, _edge_curvature, _edge_zero, reinitialize
+from isoflow.flow_levelset import _BandedStepper, _edge_zero, reinitialize
 from isoflow.measure import AxiGrid
 
 H = 0.05
@@ -41,40 +46,6 @@ def whole_edge_zero(a):
     return np.clip(theta, 0.0, 1.0)
 
 
-def reference_reinitialize(u, h, frozen_mask):
-    """The whole-grid rebuild: sub-cell seeds, 60 Godunov passes over every
-    node, then the node distance transform past the relaxed values."""
-    inside = u < 0.0
-    d = np.full(u.shape, np.inf)
-    for axis in (0, 1):
-        a = u if axis == 0 else u.T
-        da = d if axis == 0 else d.T
-        crossing = (a[:-1, :] < 0.0) != (a[1:, :] < 0.0)
-        if crossing.any():
-            theta = whole_edge_zero(a)
-            da[:-1, :] = np.minimum(da[:-1, :], np.where(crossing, theta * h, np.inf))
-            da[1:, :] = np.minimum(da[1:, :], np.where(crossing, (1.0 - theta) * h, np.inf))
-    seeds = np.isfinite(d)
-    big = 1e12
-    d_band = np.where(seeds, d, big)
-    for _ in range(60):
-        dp = np.full((d_band.shape[0] + 2, d_band.shape[1] + 2), big)
-        dp[1:-1, 1:-1] = d_band
-        dp[0, 1:-1] = d_band[1, :]  # mirror across the axis
-        a = np.minimum(dp[:-2, 1:-1], dp[2:, 1:-1])
-        b = np.minimum(dp[1:-1, :-2], dp[1:-1, 2:])
-        lo = np.minimum(a, b)
-        quad = 0.5 * (a + b + np.sqrt(np.maximum(2 * h * h - (a - b) ** 2, 0.0)))
-        upd = np.where(np.abs(a - b) >= h, lo + h, quad)
-        d_band = np.where(seeds, d_band, np.minimum(d_band, upd))
-    far = np.maximum(
-        ndimage.distance_transform_edt(inside), ndimage.distance_transform_edt(~inside)
-    )
-    d = np.where(d_band < 0.9 * big, d_band, np.maximum(far - 0.5, 0.5) * h)
-    signed = np.where(inside, -np.maximum(d, np.finfo(float).tiny), d)
-    return np.where(frozen_mask, u, signed)
-
-
 @st.composite
 def ball_unions(draw):
     """Level-set values of a union of one to three balls (possibly
@@ -96,54 +67,86 @@ def ball_unions(draw):
         i0 = draw(st.integers(0, n_rho - 2))
         j0 = draw(st.integers(0, n_z - 2))
         frozen[i0 : draw(st.integers(i0 + 1, n_rho)), j0 : draw(st.integers(j0 + 1, n_z))] = True
-    return grid, frozen
+    return grid, frozen, balls
+
+
+def union_distance(balls, rho, z):
+    """The flat distance to the union of ``balls`` in the half-plane, exact
+    outside it, and whether a point's nearest disc is nearer by 6 cells
+    than any other, its mirror image across the axis included: away from
+    the corners where two discs meet."""
+    own = np.array([np.hypot(rho - rc, z - zc) - r for rc, zc, r in balls])
+    mirror = np.min([np.hypot(rho + rc, z - zc) - r for rc, zc, r in balls], axis=0)
+    nearest = own.min(axis=0)
+    second = np.sort(own, axis=0)[1] if len(balls) > 1 else np.inf
+    return nearest, (second - nearest > 6 * H) & (mirror - nearest > 6 * H)
 
 
 @settings(max_examples=25, deadline=None)
 @given(ball_unions())
-def test_band_local_rebuild_matches_the_whole_grid_one_near_the_interface(case):
-    grid, frozen = case
+def test_a_rebuild_keeps_signs_frozen_nodes_and_the_distance(case):
+    grid, frozen, balls = case
     u = grid.values
     rebuilt = reinitialize(u, H, frozen)
-    expected = reference_reinitialize(u, H, frozen)
+    assert np.isfinite(rebuilt).all()
     assert np.array_equal(rebuilt < 0.0, u < 0.0)
     assert np.array_equal(rebuilt[frozen], u[frozen])
-    near = np.abs(expected) < NEAR
-    assert near.any()
-    assert np.array_equal(rebuilt[near], expected[near])
+    # within two cells outside the interface, away from corners, the
+    # parabolas give the distance to a tenth of a cell (measured: 0.052 in 400 draws)
+    exact, smooth = union_distance(balls, grid.rho[:, None], grid.z[None, :])
+    near = (exact > 0.0) & (exact < 2 * H) & smooth & ~frozen
+    assert (np.abs(rebuilt - exact)[near] < 0.1 * H).all()
 
 
 @settings(max_examples=50, deadline=None)
 @given(ball_unions(), st.integers(3, 6))
 def test_crossing_edge_roots_equal_the_whole_edge_ones(case, rows):
-    grid, _ = case
+    grid, _, _ = case
     # the full grid, its transpose, and a thin strip whose border nodes
     # take their inner neighbour's second difference
     crossings = 0
     for a in (grid.values, grid.values.T, grid.values[:rows]):
         ei, ej = np.nonzero((a[:-1, :] < 0.0) != (a[1:, :] < 0.0))
-        roots = _edge_zero(a[ei, ej], a[ei + 1, ej], _edge_curvature(a, ei, ej))
+        flat, step = a.reshape(-1), a.shape[1]
+        low = ei * step + ej
+        roots = _edge_zero(flat, low, ei, step, a.shape[0])
         assert roots.tobytes() == whole_edge_zero(a)[ei, ej].tobytes()
         crossings += ei.size
     assert crossings > 0
 
 
-def seed_feet(u, h):
-    """Each seed node's (rho + i z) offset, in cells, to the zero of its
-    closest crossing edge: the first axis's edges first, low ends before
-    high ones, a later edge winning only when strictly closer."""
-    dist = np.full(u.shape, np.inf)
+def test_the_two_sides_of_a_thin_shell_keep_their_own_parabolas():
+    # a shell 2.4 cells thick: a node's nearest seed may lie on the far
+    # side, so a node within two cells of a seed takes, of its own and its
+    # neighbours' zeros, the one whose parabola passes nearest (measured:
+    # 0.031 cells near the interface; the nearest seed's alone, 0.64)
+    def shell(rho, z):
+        return np.abs(np.hypot(rho, z) - 1.5) - 0.06
+
+    grid = AxiGrid.sample(H, 2.0, -2.0, 2.0, lambda rho, z: 3.0 * shell(rho, z) * (1.0 + 0.2 * np.sin(2.0 * z)))
+    rebuilt = reinitialize(grid.values, H, np.zeros(grid.values.shape, dtype=bool))
+    exact = shell(grid.rho[:, None], grid.z[None, :])
+    near = np.abs(exact) < 2 * H
+    assert np.abs(rebuilt - exact)[near].max() < 0.1 * H
+
+
+def seed_feet(u):
+    """Each seed node's (rho + i z) offset, in cells, to the zero of the
+    crossing edge it takes: of the first axis's edges, then the second's,
+    low ends before high ones, the last written."""
+    seeds = np.zeros(u.shape, dtype=bool)
     foot = np.zeros(u.shape, dtype=complex)
     for axis, unit in ((0, 1.0), (1, 1j)):
         a = u if axis == 0 else u.T
         ei, ej = np.nonzero((a[:-1, :] < 0.0) != (a[1:, :] < 0.0))
-        theta = _edge_zero(a[ei, ej], a[ei + 1, ej], _edge_curvature(a, ei, ej))
-        for ends, offsets, dists in ((ei, theta, theta * h), (ei + 1, theta - 1.0, (1.0 - theta) * h)):
-            for i, j, offset, d in zip(ends, ej, offsets, dists):
+        flat, step = a.reshape(-1), a.shape[1]
+        low = ei * step + ej
+        theta = _edge_zero(flat, low, ei, step, a.shape[0])
+        for ends, offsets in ((ei, theta), (ei + 1, theta - 1.0)):
+            for i, j, offset in zip(ends, ej, offsets):
                 node = (i, j) if axis == 0 else (j, i)
-                if d < dist[node]:
-                    dist[node], foot[node] = d, offset * unit
-    return np.isfinite(dist), foot
+                seeds[node], foot[node] = True, offset * unit
+    return seeds, foot
 
 
 def test_a_frozen_block_on_the_interface_keeps_its_values():
@@ -153,24 +156,47 @@ def test_a_frozen_block_on_the_interface_keeps_its_values():
     u = grid.values
     assert ((u[frozen] < 0.0).any()) and ((u[frozen] > 0.0).any())
     rebuilt = reinitialize(u, H, frozen)
-    expected = reference_reinitialize(u, H, frozen)
     assert np.array_equal(rebuilt[frozen], u[frozen])
-    near = np.abs(expected) < NEAR
-    assert np.array_equal(rebuilt[near], expected[near])
+    assert np.array_equal(rebuilt < 0.0, u < 0.0)
+    # the rest of the interface takes its distance as without the block
+    free = reinitialize(u, H, np.zeros(u.shape, dtype=bool))
+    assert np.array_equal(rebuilt[~frozen], free[~frozen])
+    exact = u / 2.0
+    near = (np.abs(exact) < 2 * H) & ~frozen
+    assert (np.abs(rebuilt - exact)[near] < 1e-3 * H).all()
 
 
-def test_reach_nodes_the_relaxation_leaves_far_take_the_far_formula():
-    # at this spacing a few cells of relaxation pass 0.9 of the "unknown"
-    # value, so the outer reach must fall back to the far-field formula
+def test_nodes_past_the_reach_take_the_distance_to_their_seeds_zero():
+    # at this spacing any absolute slack would be lost: the far field is
+    # the distance to the zero the nearest seed took, up to round-off
     h = 1e11
     i, j = np.ogrid[0:40, 0:60]
     u = (np.hypot(i, j - 30.0) - 6.3) * h
     rebuilt = reinitialize(u, h, np.zeros(u.shape, dtype=bool))
-    seeds, foot = seed_feet(u, h)
+    seeds, foot = seed_feet(u)
     near_seed, (si, sj) = ndimage.distance_transform_edt(~seeds, return_indices=True)
-    reach = _BandedStepper.WIDTH + 4
-    fi, fj = np.nonzero((near_seed >= 12) & (near_seed <= reach) & (u > 0.0))
+    fi, fj = np.nonzero((near_seed > _BandedStepper.WIDTH + 4) & (u > 0.0))
     assert fi.size
     ni, nj = si[fi, fj], sj[fi, fj]
     expected = h * np.abs(fi - ni + 1j * (fj - nj) - foot[ni, nj])
-    assert rebuilt[fi, fj].tobytes() == expected.tobytes()
+    np.testing.assert_allclose(rebuilt[fi, fj], expected, rtol=1e-12)
+    # nearer in, the closest point on a circle of 6.3 cells
+    reach = (near_seed <= _BandedStepper.WIDTH + 4) & (u > 0.0)
+    np.testing.assert_allclose(rebuilt[reach], u[reach], rtol=0.0, atol=0.01 * h)
+
+
+def test_a_rebuild_leaves_scipy_spatial_unloaded():
+    # scipy.spatial's trees would add about 10 MB to a run's peak memory
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from isoflow.flow_levelset import reinitialize\n"
+        "i, j = np.ogrid[0:40, 0:60]\n"
+        "reinitialize(np.hypot(i, j - 30.0) - 6.3, 1.0, np.zeros((40, 60), dtype=bool))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -10,7 +10,6 @@ import pytest
 import isoflow.flow_levelset as flow_levelset_mod
 from isoflow.flow_levelset import (
     MAX_STAGES,
-    SETTLE_STEPS,
     FlowRunConfig,
     _BandedStepper,
     _stretch,
@@ -63,12 +62,29 @@ def test_a_super_step_matches_the_explicit_steps_over_its_dt(metric, stages):
     # one super-step of n explicit bounds (n the whole part of
     # _stretch(stages)) against n explicit steps, on a smooth field: near
     # the zero set the two agree to 1e-3 of the motion (measured: below
-    # 2e-4).  On a rebuilt field they differ by up to a quarter of it,
-    # which is why the run settles with explicit steps after a rebuild.
+    # 2e-4)
     g = circle_grid()
+    assert super_step_gap(g, g.values, metric, stages) < 1e-3
+
+
+@pytest.mark.parametrize("metric", [AmbientMetric.euclidean(), SCHW], ids=["m0", "m1"])
+def test_a_super_step_on_a_rebuilt_field_matches_the_explicit_steps(metric):
+    # a rebuild of a distorted field leaves second differences clean
+    # enough for super-steps right after it: measured below 3.6e-3 of the
+    # motion at every stage count (a relaxation's rebuild read 0.15-0.27)
+    g = AxiGrid.sample(0.05, 2.6, -2.6, 2.6, lambda rho, z: (np.hypot(rho, z) - 2.0) * (1.5 + 0.4 * np.sin(3 * z + rho)))
+    rebuilt = reinitialize(g.values, g.h, np.zeros(g.values.shape, dtype=bool))
+    assert max(super_step_gap(g, rebuilt, metric, stages) for stages in STAGES) < 1e-2
+
+
+def super_step_gap(g, u0, metric, stages):
+    """The largest gap, near the zero set, between one super-step of
+    ``stages`` over n explicit bounds from ``u0`` (on ``g``'s lattice) and
+    those n explicit steps, over the largest motion; only band nodes may
+    move."""
     frozen = np.zeros(g.values.shape, dtype=bool)
     bound, n = cfl_time_step(metric, g), math.floor(_stretch(stages))
-    fields = g.values.copy(), g.values.copy()
+    fields = u0.copy(), u0.copy()
     steppers = _BandedStepper(metric, g), _BandedStepper(metric, g)
     for u, stepper in zip(fields, steppers):
         stepper.refresh(u, frozen)
@@ -76,16 +92,14 @@ def test_a_super_step_matches_the_explicit_steps_over_its_dt(metric, stages):
     for _ in range(n):
         steppers[1].step(fields[1], frozen, bound)
     band = steppers[0].stencil[0]
-    motion = np.abs(fields[1] - g.values).reshape(-1)[band]
+    motion = np.abs(fields[1] - u0).reshape(-1)[band]
     gap = np.abs(fields[0] - fields[1]).reshape(-1)[band]
-    near = np.abs(g.values.reshape(-1)[band]) < 2.0 * g.h
-    assert gap[near].max() < 1e-3 * motion.max()
-    # and only band nodes moved
-    moved = np.flatnonzero(fields[0] != g.values)
-    assert np.isin(moved, band).all()
+    near = np.abs(u0.reshape(-1)[band]) < 2.0 * g.h
+    assert np.isin(np.flatnonzero(fields[0] != u0), band).all()
+    return gap[near].max() / motion.max()
 
 
-def test_the_first_steps_after_every_rebuild_are_explicit():
+def test_super_steps_run_on_through_a_rebuild():
     g = circle_grid(r0=1.0)
     events = []
     step, rebuild = _BandedStepper.step, flow_levelset_mod.reinitialize
@@ -107,10 +121,9 @@ def test_the_first_steps_after_every_rebuild_are_explicit():
         run_modified_flow(config)
     rebuilds = [k for k, e in enumerate(events) if e == "rebuild"]
     assert len(rebuilds) >= 3
+    # at m = 0 a refresh keeps the bound, so a rebuild leaves the step as it was
     for k in rebuilds:
-        assert events[k + 1 : k + 1 + SETTLE_STEPS] == [1] * SETTLE_STEPS
-    # then the rest of the interval takes super-steps again
-    assert any(isinstance(e, int) and e > 1 for e in events[rebuilds[0] + 1 + SETTLE_STEPS :])
+        assert events[k + 1] == events[k - 1] > 1
     assert events[0] > 1
 
 
