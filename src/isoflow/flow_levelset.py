@@ -44,7 +44,7 @@ from .profile import convexity_threshold, isoperimetric_ratio, profile_volume_or
 # explicit-step stability margin: dt = CFL_SAFETY * h^2 * min(w^4)
 CFL_SAFETY = 0.2
 
-MAX_STAGES = 6  # kernel calls per RKL2 super-step, at most (:func:`_super_steps`)
+MAX_STAGES = 6  # kernel calls per RKL2 super-step, at most (:func:`_plan`)
 
 # a rebuild's zeros fitted either side, and Newton steps, whose second
 # derivative (below 1 + slope^2 only past the centre of curvature) is floored
@@ -100,8 +100,12 @@ class FlowTrace:
 
     samples: list[TraceSample] = field(default_factory=list)
     freeze_all_time: float | None = None
-    incomplete: bool = False
     arrival_time: np.ndarray | None = None
+
+    @property
+    def incomplete(self) -> bool:
+        """The run reached t_max with a live component."""
+        return self.freeze_all_time is None
 
 
 class RunFailure(RuntimeError):
@@ -236,8 +240,9 @@ def _speed(near: np.ndarray, coef: np.ndarray, h: float, work: np.ndarray) -> np
 
 def _stretch(stages: int) -> float:
     """Explicit steps one RKL2 super-step of ``stages`` kernel calls
-    covers: the ratio of its stable step to the explicit one."""
-    return (stages * stages + stages - 2) / 4
+    covers: the ratio of its stable step to the explicit one; 1 for the
+    explicit step itself."""
+    return max(1.0, (stages * stages + stages - 2) / 4)
 
 
 @functools.cache
@@ -689,24 +694,23 @@ class FlowRunConfig(TimeSpec):
             raise ConfigError(f"dt={self.dt} exceeds the stability bound {bound}")
 
 
-def _snap(span: float, limit: float) -> float:
-    """The largest step at most ``limit`` that covers ``span`` in whole steps."""
-    return span / math.ceil(span / limit)
+def _plan(span: float, limit: float, cap: float, dt: float) -> tuple[int, float]:
+    """Steps for ``span``, the rest of a sample interval, as (stages, dt).
 
-
-def _super_steps(span: float, limit: float, n: int, cap: float) -> tuple[int, float] | None:
-    """RKL2 super-steps for ``span``, as (stages, dt): the fewest steps of
-    at most MAX_STAGES stages, each within ``_stretch(stages) * limit``
-    and ``cap``, that cover it, with the fewest stages that do.  None
-    unless they make fewer kernel calls than the ``n`` explicit steps
-    they replace, and None when round-off puts dt past the MAX_STAGES
-    bound."""
+    The explicit plan keeps ``dt`` while it is within ``limit`` and
+    ``cap``; else it takes the largest step within both that covers the
+    span in whole steps.  RKL2 super-steps replace it where they make
+    fewer kernel calls than its round(span / dt) steps (a kept dt need not
+    divide the span to the last bit): the fewest steps of at most
+    MAX_STAGES stages, each within ``_stretch(stages) * limit`` and
+    ``cap``, that cover the span, with the fewest stages that do.
+    """
+    if dt > min(limit, cap):
+        dt = span / math.ceil(span / min(limit, cap))
     k = math.ceil(span / min(_stretch(MAX_STAGES) * limit, cap))
-    dt = span / k
-    for stages in range(2, MAX_STAGES + 1):
-        if _stretch(stages) * limit >= dt:
-            return (stages, dt) if k * stages < n else None
-    return None
+    # round-off may put span / k past the MAX_STAGES bound: no super-step then
+    stages = next((s for s in range(2, MAX_STAGES + 1) if _stretch(s) * limit >= span / k), None)
+    return (stages, span / k) if stages and k * stages < round(span / dt) else (1, dt)
 
 
 def _totals(records: list[ComponentRecord]) -> tuple[float, float]:
@@ -736,20 +740,16 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     """Run the component-freezing flow and return its sampled trace.
 
     A configured dt pins the steps: every step is explicit, at that dt.
-    Without one, a step's bound is the CFL bound of the band it moves
+    Without one, :func:`_plan` plans the rest of the sample interval at
+    each sample, and whenever a refresh (a rebuild's too) takes the band's
+    bound below the step: explicit steps, or RKL2 super-steps where they
+    make fewer kernel calls.  A step of s stages keeps within
+    :func:`_stretch`(s) times the CFL bound of the band it moves
     (:func:`cfl_time_step`'s grid bound times
-    :attr:`_BandedStepper.bound_scale`), and at most one period of the
-    shorter cadence (below).  The explicit dt is that bound snapped so the
-    rest of the sample interval is a whole number of steps, at each sample
-    where the band's bound or dt differs from the grid's, and at any
-    refresh that takes the bound below dt.  Time is ``t_anchor + steps *
-    dt``, the anchor moving only with dt; at m = 0 dt never changes.  At
-    each sample the rest of the interval may instead take RKL2 super-steps
-    (:func:`_super_steps`, each within :func:`_stretch` times the band's
-    bound and one cadence period) where they make fewer kernel calls than
-    its explicit steps.  They run until the next sample, or until a
-    refresh (a rebuild's too) takes their bound below dt; then the
-    interval is snapped and planned again.
+    :attr:`_BandedStepper.bound_scale`) and one period of the shorter
+    cadence (below).  While the band's bound is the grid's, explicit steps
+    keep the grid's dt.  Time is ``t_anchor + steps * dt``, the anchor
+    moving only with dt.
 
     Sweeps for freezable components at every sample and whenever the
     axis pinch count changes, and samples totals on the configured
@@ -782,8 +782,9 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     metric, m_thr = config.metric, config.threshold_mass
     state = initial_state(metric, config.grid)
     bound = config.bound
-    dt = _snap(config.sample_interval, bound) if config.dt is None else config.dt
-    dt_grid = dt  # the step the cadences count in
+    # the step the cadences count in: the configured dt, or the grid's bound
+    # snapped to the sample interval
+    dt = dt_grid = config.dt or config.sample_interval / math.ceil(config.sample_interval / bound)
     state = freeze_sweep(state, metric, m_thr)
     _sample(state, m_thr)
 
@@ -803,7 +804,6 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     cap = min(config.sweep_cadence, config.reinit_cadence or math.inf) * dt_grid
     stages = 1  # kernel calls per step
     rebuilt = False  # a rebuild since the last sweep
-    snap_due = True  # a sample was just taken: re-snap a band-bound dt, plan the interval
     runs = runs_prev = _axis_run_count(u)
     t_end = config.t_max - 1e-12 * max(config.t_max, 1.0)
     while t < t_end and state.live_count:
@@ -818,21 +818,13 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
         if config.dt is None:
             stepper.refresh_if_due(u, state.frozen_mask)
             limit = bound * stepper.bound_scale
-            span = next_sample - t
-            step_bound = min(limit if stages == 1 else _stretch(stages) * limit, cap)
-            # a sample or a bound below dt ends the super-steps
-            ended = stages > 1 and (snap_due or dt > step_bound)
-            if ended or dt > step_bound or (snap_due and (limit != bound or dt != dt_grid)):
-                stages, snapped = 1, _snap(span, min(limit, cap))
-                if snapped != dt:
-                    t_anchor, steps, dt = t, 0, snapped
-            if snap_due or ended:
-                # the explicit steps' own count: a dt kept from an earlier
-                # snap need not divide the span to the last bit
-                plan = _super_steps(span, limit, round(span / dt), cap)
-                if plan is not None:
-                    (stages, dt), t_anchor, steps = plan, t, 0
-            snap_due = False
+            # plan at a sample, or when a refresh took the bound below the step
+            if t == state.trace.samples[-1].t or dt > min(_stretch(stages) * limit, cap):
+                # keep the grid's dt while the band's bound is the grid's
+                kept = dt if limit == bound and dt == dt_grid else math.inf
+                stages, planned = _plan(next_sample - t, limit, cap, kept)
+                if stages > 1 or planned != dt:
+                    t_anchor, steps, dt = t, 0, planned
         band = stepper.step(u, state.frozen_mask, dt, stages)
         steps += 1
         t = t_anchor + steps * dt
@@ -865,15 +857,12 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
         if sample_due:
             _sample(state, m_thr)
             next_sample += config.sample_interval
-            snap_due = True
     if state.live_count:
         # time limit: a final sweep (one may already have run at this
         # step; a repeated sweep changes nothing)
         state = freeze_sweep(replace(state, grid=_checked_grid(state, u, stepper), t=t), metric, m_thr)
     if state.trace.samples[-1].t < t:
         _sample(state, m_thr)
-    if state.live_count:
-        state.trace.incomplete = True
-    else:
+    if not state.live_count:
         state.trace.freeze_all_time = t
     return state.trace

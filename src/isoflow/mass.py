@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import AmbientMetric, _as_float, _hawking_mass, enclosed_volume, sphere_area
+from .metric import AmbientMetric, _as_float, enclosed_volume, sphere_area
 from .profile import convexity_threshold, isoperimetric_ratio, mass_from_region
 
 # Largest rescaled overshoot (qlm(B_r) - m) * sqrt(area) over the
@@ -56,7 +56,7 @@ def hawking_mass(area, h_sq_integral):
     a = _as_float(area)
     if (a <= 0.0 if isinstance(a, float) else np.any(a <= 0.0)):
         raise ValueError("area must be positive")
-    return _hawking_mass(a, _as_float(h_sq_integral))
+    return np.sqrt(a / (16.0 * math.pi)) * (1.0 - _as_float(h_sq_integral) / (16.0 * math.pi))
 
 
 @dataclass(frozen=True)

@@ -166,17 +166,14 @@ def sphere_mean_curvature(metric: AmbientMetric, r):
 def sphere_hawking_mass(metric: AmbientMetric, r):
     """Hawking mass sqrt(A/16pi) (1 - A H^2 / 16pi) of a coordinate sphere.
 
-    Identically equal to the metric mass m, for every r >= m/2.
+    Identically equal to the metric mass m, for every r >= m/2.  On the
+    sphere 1 - A H^2 / 16pi is 4 (w - 1) / w^2, with w - 1 = m/(2r) taken
+    from m and r: formed as a difference, it cancels to nothing as r/m
+    grows.
     """
     r = _check_radius(metric, r)
     w = metric.conformal_factor(r)
-    area, h = _area(r, w), _mean_curvature(r, w)
-    return _hawking_mass(area, area * h * h)
-
-
-def _hawking_mass(area, h_sq_integral):
-    """sqrt(A/16pi) (1 - int H^2 / 16pi), the one Hawking-mass formula."""
-    return np.sqrt(area / (16.0 * math.pi)) * (1.0 - h_sq_integral / (16.0 * math.pi))
+    return np.sqrt(_area(r, w) / (16.0 * math.pi)) * (4.0 * (metric.mass / (2.0 * r)) / (w * w))
 
 
 @dataclass(frozen=True)

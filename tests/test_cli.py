@@ -551,6 +551,30 @@ def test_the_radial_modes_pass_at_far_mass_scales(tmp_path, capsys, mass):
     assert all(": PASS " in line for line in lines), lines
 
 
+@pytest.mark.parametrize(
+    "metric, r_values",
+    [
+        # at m = 0 the bound C m^2 is 0, and qlm is a cancellation
+        ({"kind": "euclidean"}, [0.010034598491478393, 1.0, 998.2745514810883]),
+        # far out both qlm and the Hawking mass's 1 - A H^2 / 16 pi cancel
+        ({"kind": "schwarzschild", "mass": 1.0}, [10.0**k for k in range(3, 96, 4)]),
+    ],
+    ids=["m0", "m1-far"],
+)
+def test_a_mass_table_passes_within_round_off(tmp_path, capsys, metric, r_values):
+    sc = {**mass_table_scenario(), "metric": metric, "r_values": r_values}
+    assert main(["run", write_plan(tmp_path, [sc]), "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1:3] for line in lines] == [["PASS", "thm14"], ["PASS", "def34-hawking"]]
+
+
+def test_thm14_still_fails_a_constant_below_the_overshoot(tmp_path, capsys, monkeypatch):
+    # the table's r = 10 overshoots by 13.35 m^2 at m = 1
+    monkeypatch.setattr(runner_mod, "ISO_ADM_FIT_C", 13.0)
+    assert main(["run", write_plan(tmp_path, [mass_table_scenario()]), "--out", str(tmp_path / "out")]) == 1
+    assert "table-m1: FAIL thm14 slack=-0.34" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("mass", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("r0_scale", [3.96, 3.98, 3.99, 4.0, 4.01, 4.02, 4.04])
 def test_every_radial_oracle_ode_flow_passes_cor75(tmp_path, mass, r0_scale):

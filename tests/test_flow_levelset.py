@@ -206,12 +206,6 @@ def snapped_grid_dt(metric, grid, sample_interval):
     return sample_interval / math.ceil(sample_interval / cfl_time_step(metric, grid))
 
 
-def step_bound(explicit, stages):
-    """The bound on a step of ``stages`` given the ``explicit`` bound: that
-    bound, or _stretch(stages) times it for a super-step."""
-    return explicit * (1.0 if stages == 1 else _stretch(stages))
-
-
 def test_m1_steps_at_the_band_bound_on_the_grid_bound_schedule():
     g = sphere_grid(2.5, 0.05, pad=0.6)
     # 65 grid-bound steps per sample.  A check due at a sample step is
@@ -221,7 +215,7 @@ def test_m1_steps_at_the_band_bound_on_the_grid_bound_schedule():
     trace, steps, counts = spied_run(FlowRunConfig(metric=SCHW, grid=g, **times))
     # the band's CFL bound holds at every step, explicit or super (to
     # round-off in its scaling)
-    assert all(dt <= step_bound(CFL_SAFETY * g.h**2 * w4, s) * (1.0 + 1e-12) for dt, w4, s in steps)
+    assert all(dt <= _stretch(s) * CFL_SAFETY * g.h**2 * w4 * (1.0 + 1e-12) for dt, w4, s in steps)
     grid_dt = snapped_grid_dt(SCHW, g, times["sample_interval"])
     assert max(dt for dt, _, s in steps if s == 1) > 1.1 * grid_dt
     assert {s for _, _, s in steps} > {1}
@@ -236,9 +230,16 @@ def test_m1_steps_at_the_band_bound_on_the_grid_bound_schedule():
     assert all(dt == grid_dt and s == 1 for dt, _, s in fixed_steps)
 
 
-def test_a_band_bound_falling_mid_interval_takes_dt_down_at_once(monkeypatch):
-    # from the second refresh, after the eighth super-step (mid-way
-    # through the first sample interval), the band's bound reads as the grid's
+@pytest.mark.parametrize(
+    "interval, explicit_first",
+    # super-steps over 0.05; five explicit steps of 8e-4 over 0.004, too
+    # few for a super-step
+    [(0.05, False), (0.004, True)],
+    ids=["super-steps", "explicit"],
+)
+def test_a_band_bound_falling_mid_interval_takes_dt_down_at_once(monkeypatch, interval, explicit_first):
+    # from the second refresh, after the eighth step (mid-way through a
+    # sample interval), the band's bound reads as the grid's
     g = sphere_grid(2.5, 0.05, pad=0.6)
     refresh, steps, fell_at = _BandedStepper.refresh, [], []
 
@@ -249,15 +250,16 @@ def test_a_band_bound_falling_mid_interval_takes_dt_down_at_once(monkeypatch):
             self.bound_scale = 1.0
 
     monkeypatch.setattr(_BandedStepper, "refresh", refresh_then_fall)
-    trace, _, _ = spied_run(FlowRunConfig(metric=SCHW, grid=g, t_max=0.1, sample_interval=0.05), steps)
+    config = FlowRunConfig(metric=SCHW, grid=g, t_max=2 * interval, sample_interval=interval)
+    trace, _, _ = spied_run(config, steps)
     bound, fall = cfl_time_step(SCHW, g), fell_at[1]
-    assert 0.0 < sum(dt for dt, _, _ in steps[:fall]) < 0.05 and fall < len(steps)
-    assert all(s > 1 for _, _, s in steps[:fall])
+    assert abs(math.remainder(sum(dt for dt, _, _ in steps[:fall]), interval)) > 1e-9 and fall < len(steps)
+    assert all((s == 1) == explicit_first for _, _, s in steps[:fall])
     # before the fall every step exceeds the grid's bound for its stages;
     # from the fall every step keeps it
-    assert all(dt > step_bound(bound, s) for dt, _, s in steps[:fall])
-    assert all(dt <= step_bound(bound, s) for dt, _, s in steps[fall:])
-    assert [s.t for s in trace.samples] == pytest.approx([0.0, 0.05, 0.1], rel=0.0, abs=1e-12)
+    assert all(dt > _stretch(s) * bound for dt, _, s in steps[:fall])
+    assert all(dt <= _stretch(s) * bound for dt, _, s in steps[fall:])
+    assert [s.t for s in trace.samples] == pytest.approx([0.0, interval, 2 * interval], rel=0.0, abs=1e-12)
 
 
 def test_m0_steps_at_the_snapped_grid_bound():
@@ -267,7 +269,7 @@ def test_m0_steps_at_the_snapped_grid_bound():
     # at m = 0 the band's bound is the grid's: each step keeps it, an
     # explicit step exactly (w^4 = 1) and a super-step _stretch(s) times over
     bound = cfl_time_step(EUCLID, g)
-    assert steps and all(dt <= step_bound(bound, s) for dt, _, s in steps)
+    assert steps and all(dt <= _stretch(s) * bound for dt, _, s in steps)
     assert any(s > 1 for _, _, s in steps)
     assert [s.t for s in trace.samples] == pytest.approx([0.0, 0.0025, 0.005, 0.0075, 0.01], rel=0.0, abs=1e-12)
     # a configured dt, the snapped grid bound, pins every step: explicit, at that dt
@@ -379,7 +381,7 @@ def test_steps_between_refreshes_allocate_no_band_sized_array():
     tracemalloc.start()
     try:
         for s in stages:
-            stepper.step(u, frozen, step_bound(dt, s), s)
+            stepper.step(u, frozen, _stretch(s) * dt, s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -200,17 +200,28 @@ def test_sampling_keeps_endpoints():
 ORACLE_SAMPLES = os.path.join(os.path.dirname(__file__), "data", "oracle_samples.json")
 
 
-@pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+ORACLE_MASSES = (0.5, 1.0, 2.0)
+
+
+def oracle_record(m: float) -> dict:
+    """The recorded form of the oracle run at mass ``m``: float.hex of
+    each sample's value, per column."""
+    states = run_symmetric_flow(AmbientMetric(m), 4.0, 0.01, 9.5, sample_every=10)
+    names = ("t", "r", "area", "volume", "swept_volume", "profile_defect")
+    return {name: [float(getattr(s, name)).hex() for s in states] for name in names}
+
+
+@pytest.mark.parametrize("m", ORACLE_MASSES)
 def test_oracle_samples_match_the_recorded_bits(m):
     with open(ORACLE_SAMPLES, encoding="utf-8") as f:
         recorded = json.load(f)[str(m)]
-    states = run_symmetric_flow(AmbientMetric(m), 4.0, 0.01, 9.5, sample_every=10)
-    assert len(states) == len(recorded["t"])
+    got = oracle_record(m)
+    assert len(got["t"]) == len(recorded["t"])
     # the integrated columns read enclosed_volume only at r0: bit-exact
     for name in ("t", "r", "area", "swept_volume"):
-        assert [getattr(s, name).hex() for s in states] == recorded[name], name
+        assert got[name] == recorded[name], name
     # enclosed_volume may round differently: 4 ulp, and 1e-12 on the defect
-    for s, vol, defect in zip(states, recorded["volume"], recorded["profile_defect"]):
-        want = float.fromhex(vol)
-        assert abs(s.volume - want) <= 4 * np.spacing(want), s.t
-        assert abs(s.profile_defect - float.fromhex(defect)) <= 1e-12, s.t
+    columns = (got["t"], got["volume"], recorded["volume"], got["profile_defect"], recorded["profile_defect"])
+    for t, vol, want, defect, want_defect in zip(*(map(float.fromhex, c) for c in columns)):
+        assert abs(vol - want) <= 4 * np.spacing(want), t
+        assert abs(defect - want_defect) <= 1e-12, t

@@ -13,7 +13,7 @@ from isoflow.flow_levelset import (
     FlowRunConfig,
     _BandedStepper,
     _stretch,
-    _super_steps,
+    _plan,
     cfl_time_step,
     reinitialize,
     run_modified_flow,
@@ -131,12 +131,12 @@ def test_super_steps_run_on_through_a_rebuild():
 def test_an_interval_of_five_explicit_steps_or_fewer_takes_none(n):
     # k super-steps of s stages take k s kernel calls, at least 5 for
     # the five steps _stretch(5) = 7 covers
-    assert _super_steps(n * 1e-3, 1e-3, n, math.inf) is None
+    assert _plan(n * 1e-3, 1e-3, math.inf, 1e-3) == (1, 1e-3)
 
 
 def test_super_steps_cover_the_interval_within_their_bound():
     for span, limit, n in ((6e-3, 1e-3, 6), (0.05, 7.7e-4, 65), (0.1, 2.08e-3, 49)):
-        stages, dt = _super_steps(span, limit, n, math.inf)
+        stages, dt = _plan(span, limit, math.inf, span / n)
         k = round(span / dt)
         assert k * stages < n and dt <= _stretch(stages) * limit
         assert k * dt == pytest.approx(span, rel=1e-12)
@@ -148,14 +148,28 @@ def test_super_steps_cover_the_interval_within_their_bound():
 @pytest.mark.parametrize("span", [1.4e15, 1e300])
 def test_the_stage_search_ends_on_any_span(span):
     # a huge span needs as many super-steps, never more stages than MAX_STAGES
-    plan = _super_steps(span, 2e-3, math.ceil(span / 2e-3), math.inf)
-    assert plan is None or plan[1] <= _stretch(plan[0]) * 2e-3
+    stages, dt = _plan(span, 2e-3, math.inf, math.inf)
+    assert 1 <= stages <= MAX_STAGES and dt <= _stretch(stages) * 2e-3
 
 
 def test_super_steps_keep_within_the_cap():
     # a cap of one cadence period, below the MAX_STAGES bound, sets the
     # step count; the stages are still the fewest that cover the step
     span, limit, cap = 0.05, 9e-4, 3.85e-3
-    stages, dt = _super_steps(span, limit, math.ceil(span / limit), cap)
+    stages, dt = _plan(span, limit, cap, math.inf)
     assert dt <= cap and round(span / dt) == math.ceil(span / cap)
     assert _stretch(stages - 1) * limit < dt <= _stretch(stages) * limit
+
+
+def test_a_kept_dt_counts_its_own_steps():
+    # the dumbbell-m0 pin's samples: the grid's dt 0.002 covers the span
+    # in 5 steps to round-off, while span / limit reads 5 + 3.6e-15, so
+    # a snapped dt takes 6 steps and a 5-stage super-step would beat them
+    span, limit, cap = 0.010000000000000009, 0.0020000000000000005, 0.02
+    assert _plan(span, limit, cap, 0.002) == (1, 0.002)
+    assert _plan(span, limit, cap, math.inf) == (5, span)
+
+
+def test_a_kept_dt_past_the_bound_or_the_cap_is_snapped():
+    assert _plan(4e-3, 1e-3, math.inf, 1.5e-3) == (1, 4e-3 / 4)
+    assert _plan(4e-3, 2e-3, 1e-3, 1.5e-3) == (1, 4e-3 / 4)
