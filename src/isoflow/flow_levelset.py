@@ -44,7 +44,7 @@ from .profile import convexity_threshold, isoperimetric_ratio, profile_volume_or
 # explicit-step stability margin: dt = CFL_SAFETY * h^2 * min(w^4)
 CFL_SAFETY = 0.2
 
-MAX_STAGES = 6  # kernel calls per RKL2 super-step, at most (:func:`_plan`)
+MAX_STAGES = 10  # kernel calls per RKL2 super-step, at most (:func:`_plan`)
 
 # a rebuild's zeros fitted either side, and Newton steps, whose second
 # derivative (below 1 + slope^2 only past the centre of curvature) is floored
@@ -506,11 +506,21 @@ class _BandedStepper:
     gather into the first, the kernel's arithmetic in the second and one
     scatter, and allocates no array.
 
+    The band's edge is soft (Peng, Merriman, Osher, Zhao & Kang 1999): a
+    changed band's coefficient rows, so the speed, are weighted by a
+    cutoff of |u| at that refresh, 1 within two thirds of the width and
+    falling smoothly to 0 at its edge.  At a hard edge, band nodes move
+    while their neighbours outside stay put, and there super-steps of 10
+    stages grow a checkerboard.  The slowed level sets distort the field
+    the zero set moves through until the next rebuild, so they start
+    well away from it (from half the width, criterion 05's worst area
+    error read 1.55%, against 0.21%).
+
     A refresh also takes the band's CFL scale, :attr:`bound_scale`: the
     step's diffusivity is w^-4, so the band's bound is the grid's
     (:func:`cfl_time_step`) times grid max K / band max K, with K =
-    1/(h^2 w^4) the first coefficient row.  At m = 0 every K is equal and
-    the scale is exactly 1.
+    1/(h^2 w^4) the unweighted first coefficient row.  At m = 0 every K is
+    equal and the scale is exactly 1.
 
     A step of ``stages`` s >= 2 is one RKL2 super-step (Meyer, Balsara &
     Aslam 2014; :func:`_rkl2_coefficients`): s kernel calls, each on the
@@ -545,9 +555,10 @@ class _BandedStepper:
         """Take the band anew: the unfrozen nodes with |u| below ``WIDTH``
         cells.  The next refresh comes ``REBUILD`` steps later.
 
-        A band equal to the last one keeps its tables and buffers, the
-        same objects; a changed band gathers new tables, and allocates
-        new step buffers only when its size changed.
+        A band equal to the last one keeps its tables, cutoff weights and
+        buffers, the same objects; a changed band gathers new tables,
+        weights them by the cutoff of this ``u``, and allocates new step
+        buffers only when its size changed.
         """
         if not u.flags.c_contiguous:
             raise ValueError("the stepped field must be a C-contiguous array")
@@ -567,6 +578,21 @@ class _BandedStepper:
         self.stencil = np.take(self.grid_stencil, centre, axis=1)
         self.coef = np.take(self.grid_coef, centre, axis=1)
         self.bound_scale = self._grid_k_max / float(self.coef[0].max()) if centre.size else 1.0
+        # Peng et al. 1999's cutoff of x = |u| / h: 1 up to beta = 2 W / 3,
+        # (x - W)^2 (2x + W - 3 beta) / (W - beta)^3 on to 0 at W = WIDTH;
+        # exactly 1 at x <= beta, where the step keeps its bits
+        w, beta = self.WIDTH, 2.0 * self.WIDTH / 3.0
+        x = np.take(u, centre)
+        np.abs(x, out=x)
+        x /= self.h
+        np.maximum(x, beta, out=x)
+        cutoff = x - w
+        cutoff *= cutoff
+        x *= 2.0
+        x += w - 3.0 * beta
+        cutoff *= x
+        cutoff /= (w - beta) ** 3
+        self.coef *= cutoff
         if self.near is None or self.near.shape != self.stencil.shape:
             self.near = np.empty(self.stencil.shape)
             self.work = np.empty(self.stencil.shape)

@@ -39,6 +39,7 @@ __all__ = [
     "enclosed_volume",
     "sphere_mean_curvature",
     "sphere_hawking_mass",
+    "sphere_qlm_overshoot",
     "sphere_geometry",
     "asymptotic_flatness_checks",
 ]
@@ -174,6 +175,26 @@ def sphere_hawking_mass(metric: AmbientMetric, r):
     r = _check_radius(metric, r)
     w = metric.conformal_factor(r)
     return np.sqrt(_area(r, w) / (16.0 * math.pi)) * (4.0 * (metric.mass / (2.0 * r)) / (w * w))
+
+
+def sphere_qlm_overshoot(metric: AmbientMetric, r):
+    """Rescaled overshoot (qlm - m) sqrt(A) of the coordinate ball of
+    radius r, qlm = (2/A)(V - A^{3/2}/(6 sqrt pi)) (:mod:`isoflow.mass`).
+
+    In y = a/r <= 1, a = m/2, L = log r - log a, the y^0 terms of V -
+    A^{3/2}/(6 sqrt pi) cancel by hand, leaving 4 pi r^3 (y + 10 y^2 + (20 L
+    - 20/3) y^3 - 20 y^4 - 5 y^5 - 2 y^6/3), which leads with 4 pi a r^2;
+    its m A / 2 part cancels too, so the overshoot is 2 sqrt(4 pi) a^2 E /
+    w^2 with E = 6 + (20 L - 38/3) y - 24 y^2 - 6 y^3 - 2 y^4/3.  Formed
+    without a cancellation, it tends to 3 sqrt(4 pi) m^2 at every r.
+    """
+    r = _check_radius(metric, r)
+    a = 0.5 * metric.mass
+    if a == 0.0:  # a Euclidean ball: qlm is exactly 0
+        return 0.0 * r
+    y = a / r
+    e = 6.0 + y * (20.0 * (np.log(r) - np.log(a)) - 38.0 / 3.0 - y * (24.0 + y * (6.0 + y * (2.0 / 3.0))))
+    return 2.0 * math.sqrt(4.0 * math.pi) * a * a * e / ((1.0 + y) * (1.0 + y))
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ import numpy as np
 from .config import ConfigError, RunPlan, Scenario, _number, check_grid_size
 from .flow_levelset import ComponentRecord, FlowRunConfig, RunFailure, TraceSample, run_modified_flow
 from .flow_ode import run_symmetric_flow
-from .mass import ISO_ADM_FIT_C, quasilocal_mass
+from .mass import ISO_ADM_FIT_C
 from .measure import AxiGrid
-from .metric import AmbientMetric, enclosed_volume, sphere_area, sphere_hawking_mass
+from .metric import AmbientMetric, enclosed_volume, sphere_area, sphere_hawking_mass, sphere_qlm_overshoot
 from .profile import (
     convexity_threshold,
     convexity_threshold_radius,
@@ -42,12 +42,6 @@ MASS_TABLE_HEADER = "r,area,volume,qlm,hawking,qlm_gap_scaled"
 # prop36's round-off scale for an ode-flow's profile gap, relative to the
 # first volume; cor75 reads the same scale
 _PROP36_ROUNDOFF = 1e-8
-
-# thm14's round-off allowance at each radius, in units of eps V / sqrt(P):
-# the float error of qlm_gap_scaled, whose qlm cancels V against
-# P^(3/2) / 6 sqrt(pi).  Over 4e5 radii from 1e-100 to 1e100 at m = 0,
-# where the exact gap is 0, the error read at most 5.6 of them.
-_THM14_ROUNDOFF = 8.0
 
 
 def fmt(x: float) -> str:
@@ -223,9 +217,9 @@ def _run_mass_table(sc: Scenario, out_dir: str, _built: None = None) -> list[Ver
     metric = AmbientMetric(mass=sc.mass)
     r = np.array(sc.r_values, dtype=float)  # one array call per closed form
     area, volume = sphere_area(metric, r), enclosed_volume(metric, r)
-    qlm = quasilocal_mass(area, volume)
+    gap_scaled = sphere_qlm_overshoot(metric, r)  # qlm's two cancellations done by hand
+    qlm = sc.mass + gap_scaled / np.sqrt(area)
     haw = sphere_hawking_mass(metric, r)
-    gap_scaled = (qlm - sc.mass) * np.sqrt(area)
     rows = [MASS_TABLE_HEADER]
     rows += [",".join(map(fmt, row)) for row in zip(r, area, volume, qlm, haw, gap_scaled)]
     _write_lines(os.path.join(out_dir, "mass_table.csv"), rows)
@@ -234,8 +228,7 @@ def _run_mass_table(sc: Scenario, out_dir: str, _built: None = None) -> list[Ver
     above = area >= convexity_threshold(sc.mass)
     if above.any():
         # the fitted constant is frozen at unit mass and scales exactly as m^2
-        roundoff = _THM14_ROUNDOFF * np.finfo(float).eps * volume / np.sqrt(area)
-        slack = ISO_ADM_FIT_C * sc.mass**2 + roundoff - gap_scaled
+        slack = ISO_ADM_FIT_C * sc.mass**2 - gap_scaled
         verdicts.append(Verdict("thm14", float(slack[above].min())))
     verdicts.append(_def34(haw, sc.mass))
     return verdicts

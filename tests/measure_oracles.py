@@ -1,6 +1,7 @@
 """Test oracles for :func:`isoflow.measure.measure_components`: the zero
 contour as (rho, z) polylines, area and H^2 integrals over a polyline,
-one component's volume, and the labeled node sets.
+one component's volume, and the labeled node sets; and the banded
+step's edge weights.
 
 The ``reference_*`` functions are the measurement pass as it was before
 the sweep gathered corners by flat index and added its shoelace terms as
@@ -353,3 +354,15 @@ def g_volume(metric: AmbientMetric, grid: AxiGrid, component: Component) -> floa
     sweep = _sweep(metric, grid, *label_regions(grid))
     pieces = sweep.volume[sweep.owner == component.id]
     return float(sweep.full_volume[component.id]) + math.fsum(pieces.tolist())
+
+
+# ---------------------------------------------------------------------------
+# the banded step's soft edge
+
+
+def band_cutoff(u: np.ndarray, h: float, width: float) -> np.ndarray:
+    """Peng et al. 1999's cutoff of x = |u| / h for a band of half-width
+    ``width`` cells: 1 up to beta = 2 width / 3, then (x - width)^2 (2x +
+    width - 3 beta) / (width - beta)^3, 0 at the band's edge."""
+    x, beta = np.abs(u) / h, 2.0 * width / 3.0
+    return np.where(x <= beta, 1.0, (x - width) ** 2 * (2 * x + (width - 3 * beta)) / (width - beta) ** 3)

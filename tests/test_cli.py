@@ -1,5 +1,6 @@
 """CLI contract: exit codes, artifact layout, determinism, overrides."""
 
+import csv
 import hashlib
 import json
 import math
@@ -554,9 +555,10 @@ def test_the_radial_modes_pass_at_far_mass_scales(tmp_path, capsys, mass):
 @pytest.mark.parametrize(
     "metric, r_values",
     [
-        # at m = 0 the bound C m^2 is 0, and qlm is a cancellation
+        # at m = 0 the bound C m^2 is 0, and the overshoot reads exactly 0
         ({"kind": "euclidean"}, [0.010034598491478393, 1.0, 998.2745514810883]),
-        # far out both qlm and the Hawking mass's 1 - A H^2 / 16 pi cancel
+        # far out qlm and the Hawking mass's 1 - A H^2 / 16 pi are formed
+        # without their cancellations
         ({"kind": "schwarzschild", "mass": 1.0}, [10.0**k for k in range(3, 96, 4)]),
     ],
     ids=["m0", "m1-far"],
@@ -566,6 +568,20 @@ def test_a_mass_table_passes_within_round_off(tmp_path, capsys, metric, r_values
     assert main(["run", write_plan(tmp_path, [sc]), "--out", str(tmp_path / "out")]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1:3] for line in lines] == [["PASS", "thm14"], ["PASS", "def34-hawking"]]
+
+
+def test_thm14_binds_at_every_radius(tmp_path, capsys, monkeypatch):
+    # from r = 1e3 to 1e95 at m = 1 the overshoot reads its limit 3 sqrt(4 pi)
+    # = 10.635 (to 1.1% at 1e3), so a constant of 10 fails there
+    r_values = [10.0**k for k in range(3, 96, 4)]
+    sc = {**mass_table_scenario(), "r_values": r_values}
+    out = tmp_path / "out"
+    monkeypatch.setattr(runner_mod, "ISO_ADM_FIT_C", 10.0)
+    assert main(["run", write_plan(tmp_path, [sc]), "--out", str(out)]) == 1
+    assert "table-m1: FAIL thm14" in capsys.readouterr().out
+    with open(out / "table-m1" / "mass_table.csv", encoding="utf-8") as f:
+        gaps = [float(row["qlm_gap_scaled"]) for row in csv.DictReader(f)]
+    assert gaps == pytest.approx([3.0 * math.sqrt(4.0 * math.pi)] * len(r_values), rel=0.011)
 
 
 def test_thm14_still_fails_a_constant_below_the_overshoot(tmp_path, capsys, monkeypatch):

@@ -29,8 +29,9 @@ from isoflow.metric import (
     sphere_geometry,
     sphere_hawking_mass,
     sphere_mean_curvature,
+    sphere_qlm_overshoot,
 )
-from isoflow.mass import hawking_mass, quasilocal_mass
+from isoflow.mass import ISO_ADM_FIT_C, hawking_mass, quasilocal_mass
 from isoflow.profile import profile_slope, profile_volume, radius_from_area
 
 PROPERTY = settings(max_examples=200, deadline=None)
@@ -41,6 +42,7 @@ RADIUS_FORMS = (
     enclosed_volume,
     sphere_mean_curvature,
     sphere_hawking_mass,
+    sphere_qlm_overshoot,
     sphere_geometry,
 )
 MASSES = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(1e-6, 1e3)
@@ -95,6 +97,7 @@ SCALAR_FORMS = {
     "enclosed_volume": lambda m, r: enclosed_volume(AmbientMetric(m), r),
     "sphere_mean_curvature": lambda m, r: sphere_mean_curvature(AmbientMetric(m), r),
     "sphere_hawking_mass": lambda m, r: sphere_hawking_mass(AmbientMetric(m), r),
+    "sphere_qlm_overshoot": lambda m, r: sphere_qlm_overshoot(AmbientMetric(m), r),
     "radius_from_area": radius_from_area,
     "profile_volume": profile_volume,
     "profile_slope": profile_slope,
@@ -167,12 +170,30 @@ def test_array_closed_forms_match_their_scalar_calls_to_the_bit(m, data):
         "sphere_area": lambda x: sphere_area(metric, x),
         "enclosed_volume": lambda x: enclosed_volume(metric, x),
         "sphere_hawking_mass": lambda x: sphere_hawking_mass(metric, x),
+        "sphere_qlm_overshoot": lambda x: sphere_qlm_overshoot(metric, x),
     }
     for name, form in forms.items():
         assert [v.hex() for v in form(r)] == [float(form(float(x))).hex() for x in r], name
     area, volume = sphere_area(metric, r), enclosed_volume(metric, r)
     want = [float(quasilocal_mass(float(a), float(v))).hex() for a, v in zip(area, volume)]
     assert [v.hex() for v in quasilocal_mass(area, volume)] == want
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+def test_the_qlm_overshoot_matches_its_cancelled_form_and_tends_to_its_limit(m):
+    # (qlm - m) sqrt(A) from quasilocal_mass cancels V against A^{3/2} /
+    # 6 sqrt(pi), which costs about 2e-9 m^2 by r = 1e3 m; far out the
+    # closed form keeps reading 3 sqrt(4 pi) m^2 (6 sqrt(pi) m^2)
+    metric = AmbientMetric(m)
+    r = np.geomspace(0.5 * m, 1e3 * m, 400)
+    area = sphere_area(metric, r)
+    cancelled = (quasilocal_mass(area, enclosed_volume(metric, r)) - m) * np.sqrt(area)
+    overshoot = sphere_qlm_overshoot(metric, r)
+    assert np.abs(overshoot - cancelled).max() <= 1e-8 * m * m
+    assert overshoot.max() <= ISO_ADM_FIT_C * m * m
+    far = sphere_qlm_overshoot(metric, m * 10.0 ** np.arange(20, 100, 5))
+    assert far == pytest.approx(6.0 * math.sqrt(math.pi) * m * m, rel=1e-12)
+    assert sphere_qlm_overshoot(AmbientMetric(0.0), np.array([1e-100, 1.0, 1e100])).tolist() == [0.0] * 3
 
 
 # Recorded before the closed forms were rewritten on w: the (1 - m/2r)

@@ -26,7 +26,7 @@ from isoflow.flow_ode import run_symmetric_flow
 from isoflow.measure import AxiGrid, _curvature_stencil, _normal_geometry
 from isoflow.metric import AmbientMetric, enclosed_volume, sphere_area
 from isoflow.profile import radius_from_area
-from measure_oracles import interface_contour
+from measure_oracles import band_cutoff, interface_contour
 
 EUCLID = AmbientMetric.euclidean()
 SCHW = AmbientMetric(mass=1.0)
@@ -315,16 +315,20 @@ def reference_step(metric, grid, dt):
 @pytest.mark.parametrize("metric", [EUCLID, SCHW])
 def test_banded_step_matches_the_measurement_stencil(metric):
     # the cancelled speed kernel reorders the arithmetic; it may differ
-    # from the stencil's form by round-off only
+    # from the stencil's form by round-off only, at full weight, and
+    # moves an edge node by its cutoff weight times the stencil's motion
     g = sphere_grid(2.5, 0.05, pad=0.6)
     dt = cfl_time_step(metric, g)
     u = g.values.copy()
     stepper = _BandedStepper(metric, g)
     stepper.step(u, np.zeros(u.shape, dtype=bool), dt)
     band = band_mask(stepper, u.shape)
-    expected = reference_step(metric, g, dt)[band] - g.values[band]
+    weight = band_cutoff(g.values[band], g.h, _BandedStepper.WIDTH)
+    expected = weight * (reference_step(metric, g, dt)[band] - g.values[band])
     moved = u[band] - g.values[band]
-    assert np.abs(expected).max() > 0.0
+    full = weight == 1.0
+    assert full.any() and not full.all()
+    assert np.abs(expected[full]).max() > 0.0
     assert np.abs(moved - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -361,7 +365,8 @@ def test_band_refresh_after_freeze_drops_the_frozen_halo():
     assert np.array_equal(centre, np.flatnonzero(expected))
     assert centre.size < before.size
     assert stepper.stencil.shape == stepper.near.shape == stepper.work.shape == (9, centre.size)
-    assert np.array_equal(stepper.coef, stepper.grid_coef[:, centre])
+    weight = band_cutoff(u.reshape(-1)[centre], h, _BandedStepper.WIDTH)
+    assert np.array_equal(stepper.coef, stepper.grid_coef[:, centre] * weight)
     # off the axis and the edges, row 1 is the rho + h neighbour
     inner = (centre // g.n_z > 0) & (centre // g.n_z < g.n_rho - 1)
     assert np.array_equal(stepper.stencil[1][inner], centre[inner] + g.n_z)
