@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import AmbientMetric, _as_float, enclosed_volume, sphere_area
+from .metric import AmbientMetric, _as_float, enclosed_volume, sphere_area, sphere_qlm_overshoot
 from .profile import convexity_threshold, isoperimetric_ratio, mass_from_region
 
 # Largest rescaled overshoot (qlm(B_r) - m) * sqrt(area) over the
@@ -83,6 +83,9 @@ class RegionSummary:
 
     @classmethod
     def coordinate_ball(cls, metric: AmbientMetric, r: float) -> "RegionSummary":
+        """The coordinate ball's perimeter and volume.  Its :attr:`qlm` is
+        any region's, a cancellation; :func:`exhaustion_mass` has the
+        ball's without one."""
         return cls(
             perimeter=float(sphere_area(metric, r)),
             volume=float(enclosed_volume(metric, r)),
@@ -98,14 +101,16 @@ def exhaustion_mass(metric: AmbientMetric, radii) -> np.ndarray:
 
     For the positive-mass model this converges to the mass parameter
     with error O(perimeter^{-1/2}); the canonical ball exhaustion
-    attains the limit, so its tail *is* the total mass.
+    attains the limit, so its tail *is* the total mass.  Each is m plus
+    :func:`~isoflow.metric.sphere_qlm_overshoot` over sqrt(area), the
+    coordinate ball's qlm without a cancellation.
     """
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1 or r.size == 0:
         raise ValueError("radii must be a non-empty 1-d sequence")
     if np.any(np.diff(r) <= 0):
         raise ValueError("radii must be strictly increasing")
-    return quasilocal_mass(sphere_area(metric, r), enclosed_volume(metric, r))
+    return metric.mass + sphere_qlm_overshoot(metric, r) / np.sqrt(sphere_area(metric, r))
 
 
 def check_iso_adm_bound(summary: RegionSummary, m_adm: float, fit_constant: float) -> float:

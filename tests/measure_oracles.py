@@ -362,7 +362,7 @@ def g_volume(metric: AmbientMetric, grid: AxiGrid, component: Component) -> floa
 
 def band_cutoff(u: np.ndarray, h: float, width: float) -> np.ndarray:
     """Peng et al. 1999's cutoff of x = |u| / h for a band of half-width
-    ``width`` cells: 1 up to beta = 2 width / 3, then (x - width)^2 (2x +
+    ``width`` cells: 1 up to beta = width / 2, then (x - width)^2 (2x +
     width - 3 beta) / (width - beta)^3, 0 at the band's edge."""
-    x, beta = np.abs(u) / h, 2.0 * width / 3.0
+    x, beta = np.abs(u) / h, 0.5 * width
     return np.where(x <= beta, 1.0, (x - width) ** 2 * (2 * x + (width - 3 * beta)) / (width - beta) ** 3)

@@ -102,6 +102,14 @@ def test_exhaustion_mass_overshoots_and_converges():
     assert errors[-1] * math.sqrt(p_last) == pytest.approx(SIX_SQRT_PI, rel=0.01)
 
 
+def test_exhaustion_mass_reads_m_far_out():
+    # the overshoot falls below m's last bit from r ~ 1e17; qlm as the
+    # cancellation V - P^{3/2} / (6 sqrt pi) read -1.1e4 at r = 1e20 and
+    # 8.4e78 at r = 1e95
+    est = exhaustion_mass(AmbientMetric(1.0), 10.0 ** np.arange(20, 100, 5))
+    assert est.tolist() == [1.0] * est.size
+
+
 def test_exhaustion_mass_scaling_to_other_masses():
     r1 = np.array([5.0, 50.0, 500.0])
     one = exhaustion_mass(AmbientMetric(1.0), r1)
