@@ -504,7 +504,8 @@ class _BandedStepper:
     nodes and sizes the step's two (9, band size) buffers: the gathered
     stencil values and :func:`_speed`'s work rows.  A step is then one
     gather into the first, the kernel's arithmetic in the second and one
-    scatter, and allocates no array.
+    scatter, and allocates no array.  Only the run loop refreshes the
+    band, at the events that change it (:func:`run_modified_flow`).
 
     The band's edge is soft (Peng, Merriman, Osher, Zhao & Kang 1999): a
     changed band's coefficient rows, so the speed, are weighted by a
@@ -534,7 +535,6 @@ class _BandedStepper:
     """
 
     WIDTH = 12.0  # band half-width in cells
-    REBUILD = 8  # steps between band refreshes
 
     def __init__(self, metric: AmbientMetric, grid: AxiGrid):
         self.h = grid.h
@@ -552,19 +552,16 @@ class _BandedStepper:
         self.near: np.ndarray | None = None  # (9, band size) stencil values
         self.work: np.ndarray | None = None  # (9, band size) _speed's rows
         self.rows: np.ndarray | None = None  # (4, band size) a super-step's stages
-        self._age = self.REBUILD
 
     def refresh(self, u: np.ndarray, frozen_mask: np.ndarray) -> None:
         """Take the band anew: the unfrozen nodes with |u| below ``WIDTH``
-        cells.  The next refresh comes ``REBUILD`` steps later.
+        cells.  The band holds until the next refresh.
 
         A band equal to the last one keeps its tables, cutoff weights and
         buffers, the same objects; a changed band gathers new tables,
         weights them by the cutoff of this ``u``, and allocates new step
         buffers only when its size changed.
         """
-        if not u.flags.c_contiguous:
-            raise ValueError("the stepped field must be a C-contiguous array")
         width = self.WIDTH * self.h
         # not |u| >= width, without a float temporary: a NaN stays in the
         # band, where the run loop's finite check (_check_band) sees it
@@ -573,7 +570,6 @@ class _BandedStepper:
         np.logical_not(band, out=band)
         if frozen_mask.any():
             band &= ~frozen_mask
-        self._age = 0
         if self._band is not None and np.array_equal(band, self._band):
             return
         self._band = band
@@ -601,29 +597,20 @@ class _BandedStepper:
             self.work = np.empty(self.stencil.shape)
             self.rows = np.empty((4, centre.size))
 
-    def refresh_if_due(self, u: np.ndarray, frozen_mask: np.ndarray) -> None:
-        """Refresh the band when the next step would, so that
-        :attr:`bound_scale` is the scale of the band that step moves."""
-        if self._age >= self.REBUILD:
-            self.refresh(u, frozen_mask)
-
-    def step(
-        self, u: np.ndarray, frozen_mask: np.ndarray, dt: float, stages: int = 1
-    ) -> tuple[np.ndarray, np.ndarray] | None:
+    def step(self, u: np.ndarray, dt: float, stages: int = 1) -> tuple[np.ndarray, np.ndarray] | None:
         """Advance ``u`` in place by one banded step of ``dt``: explicit
         with ``stages`` = 1, else one RKL2 super-step of ``stages`` kernel
-        calls.  Only band nodes change.
+        calls.  Only band nodes change; ``u`` must be C-contiguous.
 
         Returns the band values before and after the step (aligned with
         ``stencil[0]``), or None when the band is empty.  Both are views
         of the stepper's buffers, valid until the next step.
         """
-        self.refresh_if_due(u, frozen_mask)
-        self._age += 1
+        if not u.flags.c_contiguous:
+            raise ValueError("the stepped field must be a C-contiguous array")
         if self.stencil.shape[1] == 0:
             return None
-        # u is C-contiguous (refresh checks it: the loop's copy or a
-        # rebuild's fresh array), so reshape is a view and writes land in u
+        # u is C-contiguous, so reshape is a view and writes land in u
         flat, band = u.reshape(-1), self.stencil[0]
         # the indices are in range, so "wrap" only skips take's buffered copy
         near = np.take(u, self.stencil, out=self.near, mode="wrap")
@@ -679,7 +666,7 @@ def _check_band(state: LevelSetState, u: np.ndarray, stepper: _BandedStepper) ->
     :class:`RunFailure`, with the samples taken so far.  Only band nodes
     change in a step, and a refresh keeps a NaN in the band, so a value a
     step spoiled is still there."""
-    if stepper.stencil is not None and not np.isfinite(np.take(u, stepper.stencil[0])).all():
+    if not np.isfinite(np.take(u, stepper.stencil[0])).all():
         raise RunFailure("non-finite field", state.trace.samples)
 
 
@@ -770,15 +757,18 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
 
     A configured dt pins the steps: every step is explicit, at that dt.
     Without one, :func:`_plan` plans the rest of the sample interval at
-    each sample, and whenever a refresh (a rebuild's too) takes the band's
-    bound below the step: explicit steps, or RKL2 super-steps where they
-    make fewer kernel calls.  A step of s stages keeps within
+    each sample, and whenever a rebuild's or a freeze's refresh takes the
+    band's bound below the step: explicit steps, or RKL2 super-steps
+    where they make fewer kernel calls.  A step of s stages keeps within
     :func:`_stretch`(s) times the CFL bound of the band it moves
     (:func:`cfl_time_step`'s grid bound times
     :attr:`_BandedStepper.bound_scale`) and one period of the shorter
     cadence (below).  While the band's bound is the grid's, explicit steps
     keep the grid's dt.  Time is ``t_anchor + steps * dt``, the anchor
-    moving only with dt.
+    moving only with dt.  The band is refreshed before the first step,
+    after each rebuild and after a sweep that froze a component.  Between
+    those only band nodes move, so none enters the band, and one leaves it
+    only by crossing |u| = ``WIDTH`` cells, where the cutoff reaches 0.
 
     Sweeps for freezable components at every sample and whenever the
     axis pinch count changes, and samples totals on the configured
@@ -818,8 +808,10 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     _sample(state, m_thr)
 
     u = config.grid.values.copy()  # working field; the input grid is kept intact
-    # the stepper's whole-grid tables are wasted on a run the first sweep ends
-    stepper = _BandedStepper(metric, config.grid) if state.live_count else None
+    stepper = None  # its whole-grid tables are wasted on a run the first sweep ends
+    if state.live_count:
+        stepper = _BandedStepper(metric, config.grid)
+        stepper.refresh(u, state.frozen_mask)
     arrival_flat = state.trace.arrival_time.ravel()
     next_sample = config.sample_interval
     t_anchor, steps, t = 0.0, 0, 0.0  # t = t_anchor + steps * dt
@@ -845,7 +837,6 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
             stepper.refresh(u, state.frozen_mask)
             rebuilt = True
         if config.dt is None:
-            stepper.refresh_if_due(u, state.frozen_mask)
             limit = bound * stepper.bound_scale
             # plan at a sample, or when a refresh took the bound below the step
             if t == state.trace.samples[-1].t or dt > min(_stretch(stages) * limit, cap):
@@ -854,7 +845,7 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
                 stages, planned = _plan(next_sample - t, limit, cap, kept)
                 if stages > 1 or planned != dt:
                     t_anchor, steps, dt = t, 0, planned
-        band = stepper.step(u, state.frozen_mask, dt, stages)
+        band = stepper.step(u, dt, stages)
         steps += 1
         t = t_anchor + steps * dt
         if band is not None:

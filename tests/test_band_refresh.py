@@ -1,13 +1,17 @@
 """The band refresh: an unchanged band keeps its tables, a changed one
-gathers the tables a fresh stepper would."""
+gathers the tables a fresh stepper would, and a run refreshes only where
+its band can change."""
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
+import isoflow.flow_levelset as flow_levelset_mod
 from isoflow.flow_levelset import _BandedStepper, cfl_time_step
 from isoflow.measure import AxiGrid
 from isoflow.metric import AmbientMetric
+from test_levelset_pins import RUNS, pinned_record
 
 SCHW = AmbientMetric(mass=1.0)
 
@@ -32,7 +36,7 @@ def test_an_unchanged_band_keeps_its_tables_and_buffers():
     stepper = _BandedStepper(SCHW, g)
     stepper.refresh(u, frozen)
     before = tables(stepper)
-    stepper.step(u, frozen, cfl_time_step(SCHW, g))
+    stepper.step(u, cfl_time_step(SCHW, g))
     stepper.refresh(u, frozen)
     assert all(a is b for a, b in zip(tables(stepper), before))
 
@@ -72,8 +76,10 @@ def test_steps_across_an_unchanged_band_refresh_allocate_no_band_sized_array():
     before = tables(stepper)
     tracemalloc.start()
     try:
-        for _ in range(_BandedStepper.REBUILD + 4):  # one refresh among them
-            stepper.step(u, frozen, dt)
+        for k in range(12):
+            if k == 8:  # one refresh among them
+                stepper.refresh(u, frozen)
+            stepper.step(u, dt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -95,3 +101,45 @@ def test_a_refresh_keeps_a_nan_in_the_band():
     stepper.refresh(u, frozen)
     inside = np.flatnonzero(np.abs(g.values) < width)
     assert np.array_equal(stepper.stencil[0], np.union1d(inside, [far]))
+
+
+def refresh_log(run):
+    """The events of the planned run ``run`` (a ``RUNS`` entry), in order:
+    "refresh", "rebuild", and "freeze" or "sweep" for a sweep that did or
+    did not freeze a component."""
+    log = []
+    refresh, rebuild, sweep = _BandedStepper.refresh, flow_levelset_mod.reinitialize, flow_levelset_mod.freeze_sweep
+
+    def spy_refresh(self, u, frozen_mask):
+        log.append("refresh")
+        refresh(self, u, frozen_mask)
+
+    def spy_rebuild(*args):
+        log.append("rebuild")
+        return rebuild(*args)
+
+    def spy_sweep(state, *args):
+        swept = sweep(state, *args)
+        log.append("freeze" if swept.frozen_count != state.frozen_count else "sweep")
+        return swept
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_BandedStepper, "refresh", spy_refresh)
+        mp.setattr(flow_levelset_mod, "reinitialize", spy_rebuild)
+        mp.setattr(flow_levelset_mod, "freeze_sweep", spy_sweep)
+        pinned_record(run)
+    return log
+
+
+# the m = 1 sphere through its freeze, and the m = 0 dumbbell at threshold
+# mass 1 through its pinch and the sweep that freezes both halves
+@pytest.mark.parametrize("name", ["sphere-m1", "dumbbell-m0"])
+def test_a_run_refreshes_the_band_only_at_its_start_a_rebuild_or_a_freeze(name):
+    log = refresh_log(RUNS[name])
+    # the start: one refresh after the first sweep, before the first step
+    assert log[:2] == ["sweep", "refresh"]
+    # then one refresh right after each rebuild and each freezing sweep,
+    # and no other
+    after = [log[k - 1] for k, event in enumerate(log) if event == "refresh"][1:]
+    assert after == [event for event in log[2:] if event in ("rebuild", "freeze")]
+    assert "rebuild" in after and "freeze" in after

@@ -178,8 +178,8 @@ def spied_run(config, steps=None):
     step = _BandedStepper.step
     g, mass = config.grid, config.metric.mass
 
-    def spy_step(self, u, frozen_mask, dt, stages=1):
-        moved = step(self, u, frozen_mask, dt, stages)
+    def spy_step(self, u, dt, stages=1):
+        moved = step(self, u, dt, stages)
         i, j = np.divmod(self.stencil[0], g.n_z)
         r = np.hypot(i * g.h, g.z_min + j * g.h)
         steps.append((dt, float(np.min((1.0 + mass / (2.0 * r)) ** 4)), stages))
@@ -231,15 +231,15 @@ def test_m1_steps_at_the_band_bound_on_the_grid_bound_schedule():
 
 
 @pytest.mark.parametrize(
-    "interval, explicit_first",
+    "interval, explicit_first, reinit_cadence",
     # super-steps over 0.05; five explicit steps of 8e-4 over 0.004, too
-    # few for a super-step
-    [(0.05, False), (0.004, True)],
+    # few for a super-step, with a rebuild every three grid-bound steps
+    [(0.05, False, 100), (0.004, True, 3)],
     ids=["super-steps", "explicit"],
 )
-def test_a_band_bound_falling_mid_interval_takes_dt_down_at_once(monkeypatch, interval, explicit_first):
-    # from the second refresh, after the eighth step (mid-way through a
-    # sample interval), the band's bound reads as the grid's
+def test_a_band_bound_falling_mid_interval_takes_dt_down_at_once(monkeypatch, interval, explicit_first, reinit_cadence):
+    # from the second refresh, a rebuild's (mid-way through a sample
+    # interval), the band's bound reads as the grid's
     g = sphere_grid(2.5, 0.05, pad=0.6)
     refresh, steps, fell_at = _BandedStepper.refresh, [], []
 
@@ -250,8 +250,8 @@ def test_a_band_bound_falling_mid_interval_takes_dt_down_at_once(monkeypatch, in
             self.bound_scale = 1.0
 
     monkeypatch.setattr(_BandedStepper, "refresh", refresh_then_fall)
-    config = FlowRunConfig(metric=SCHW, grid=g, t_max=2 * interval, sample_interval=interval)
-    trace, _, _ = spied_run(config, steps)
+    times = dict(t_max=2 * interval, sample_interval=interval, reinit_cadence=reinit_cadence)
+    trace, _, _ = spied_run(FlowRunConfig(metric=SCHW, grid=g, **times), steps)
     bound, fall = cfl_time_step(SCHW, g), fell_at[1]
     assert abs(math.remainder(sum(dt for dt, _, _ in steps[:fall]), interval)) > 1e-9 and fall < len(steps)
     assert all((s == 1) == explicit_first for _, _, s in steps[:fall])
@@ -282,7 +282,9 @@ def test_fully_frozen_state_never_changes():
     g = sphere_grid(0.5, 0.02)
     frozen = np.ones(g.values.shape, dtype=bool)
     u = g.values.copy()
-    assert _BandedStepper(EUCLID, g).step(u, frozen, cfl_time_step(EUCLID, g)) is None
+    stepper = _BandedStepper(EUCLID, g)
+    stepper.refresh(u, frozen)
+    assert stepper.step(u, cfl_time_step(EUCLID, g)) is None
     assert np.array_equal(u, g.values)
     assert np.array_equal(reinitialize(u, g.h, frozen), g.values)
 
@@ -321,7 +323,8 @@ def test_banded_step_matches_the_measurement_stencil(metric):
     dt = cfl_time_step(metric, g)
     u = g.values.copy()
     stepper = _BandedStepper(metric, g)
-    stepper.step(u, np.zeros(u.shape, dtype=bool), dt)
+    stepper.refresh(u, np.zeros(u.shape, dtype=bool))
+    stepper.step(u, dt)
     band = band_mask(stepper, u.shape)
     weight = band_cutoff(g.values[band], g.h, _BandedStepper.WIDTH)
     expected = weight * (reference_step(metric, g, dt)[band] - g.values[band])
@@ -337,7 +340,9 @@ def test_banded_step_leaves_frozen_and_far_nodes_untouched():
     frozen = np.zeros(g.values.shape, dtype=bool)
     frozen[:, : g.n_z // 2] = True  # the lower half of the sphere
     u = g.values.copy()
-    _BandedStepper(SCHW, g).step(u, frozen, cfl_time_step(SCHW, g))
+    stepper = _BandedStepper(SCHW, g)
+    stepper.refresh(u, frozen)
+    stepper.step(u, cfl_time_step(SCHW, g))
     moved = u != g.values
     assert moved.any()
     assert not np.any(moved & frozen)
@@ -382,11 +387,10 @@ def test_steps_between_refreshes_allocate_no_band_sized_array():
     stepper.refresh(u, frozen)
     # explicit steps and RKL2 super-steps at their bounds
     stages = (1, 6, 1, 2, 3, 1)
-    assert len(stages) < _BandedStepper.REBUILD  # no refresh runs among them
     tracemalloc.start()
     try:
         for s in stages:
-            stepper.step(u, frozen, _stretch(s) * dt, s)
+            stepper.step(u, _stretch(s) * dt, s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -398,7 +402,19 @@ def test_a_field_the_step_cannot_write_through_is_rejected():
     g = sphere_grid(0.5, 0.02)
     strided = np.asfortranarray(g.values)
     with pytest.raises(ValueError, match="C-contiguous"):
-        _BandedStepper(EUCLID, g).step(strided, np.zeros(strided.shape, dtype=bool), cfl_time_step(EUCLID, g))
+        _BandedStepper(EUCLID, g).step(strided, cfl_time_step(EUCLID, g))
+
+
+def test_a_field_other_than_the_refreshed_one_is_rejected_unless_the_step_can_write_through():
+    # a refresh reads any layout; the step's writes land only in a
+    # C-contiguous field, so it checks the field it is given
+    g = sphere_grid(0.5, 0.02)
+    stepper = _BandedStepper(EUCLID, g)
+    stepper.refresh(g.values.copy(), np.zeros(g.values.shape, dtype=bool))
+    strided = np.asfortranarray(g.values)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        stepper.step(strided, cfl_time_step(EUCLID, g))
+    assert np.array_equal(strided, g.values)
 
 
 def test_euclidean_sphere_tracks_exact_radius(euclid_sphere_run):
