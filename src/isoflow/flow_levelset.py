@@ -499,26 +499,27 @@ class _BandedStepper:
 
     The flat indices into ``u.ravel()`` of each node's nine-point stencil
     and the speed coefficients depend only on node position, so the
-    stepper builds them for the whole grid once.  The band only changes
-    at a refresh (:meth:`refresh`), which gathers both for the band's
-    nodes and sizes the step's two (9, band size) buffers: the gathered
-    stencil values and :func:`_speed`'s work rows.  A step is then one
-    gather into the first, the kernel's arithmetic in the second and one
-    scatter, and allocates no array.  Only the run loop refreshes the
-    band, at the events that change it (:func:`run_modified_flow`).
+    stepper builds them for the whole grid once, then takes its first band
+    from the ``u`` and ``frozen_mask`` it is built on.  The band only
+    changes at a refresh (:meth:`refresh`), which gathers both for the
+    band's nodes and allocates the step's two (9, band size) buffers: the
+    gathered stencil values and :func:`_speed`'s work rows.  A step is
+    then one gather into the first, the kernel's arithmetic in the second
+    and one scatter, and allocates no array.  Only the run loop refreshes
+    the band, at the events that change it (:func:`run_modified_flow`).
 
-    The band's edge is soft (Peng, Merriman, Osher, Zhao & Kang 1999): a
-    changed band's coefficient rows, so the speed, are weighted by a
-    cutoff of |u| at that refresh, 1 within half the width and falling
-    smoothly to 0 at its edge.  At a hard edge, band nodes move while
-    their neighbours outside stay put, and there super-steps of 10 stages
-    grow a checkerboard.  The slowed level sets bend the field away from
-    a distance until the next rebuild, and near the zero set that bend
-    moves it: criterion 05's worst area error, at a sphere of 14 cells,
-    reads 1.55% (0.39% with a hard edge at 6 stages), and 0.13% with
-    rebuilds twice as often.  The error is not monotone in the cutoff's
-    start (from 5 to 10 cells: 3.3, 1.55, 0.14, 0.21, 0.04, 0.30%),
-    since the bend can speed the zero set up or slow it down.
+    The band's edge is soft (Peng, Merriman, Osher, Zhao & Kang 1999): the
+    band's coefficient rows, so the speed, are weighted by a cutoff of |u|
+    at its refresh, 1 within half the width and falling smoothly to 0 at
+    its edge.  At a hard edge, band nodes move while their neighbours
+    outside stay put, and there super-steps of 10 stages grow a
+    checkerboard.  The slowed level sets bend the field away from a
+    distance until the next rebuild, and near the zero set that bend moves
+    it: criterion 05's worst area error, at a sphere of 14 cells, reads
+    1.55% (0.39% with a hard edge at 6 stages), and 0.13% with rebuilds
+    twice as often.  The error is not monotone in the cutoff's start (from
+    5 to 10 cells: 3.3, 1.55, 0.14, 0.21, 0.04, 0.30%), since the bend can
+    speed the zero set up or slow it down.
 
     A refresh also takes the band's CFL scale, :attr:`bound_scale`: the
     step's diffusivity is w^-4, so the band's bound is the grid's
@@ -536,7 +537,7 @@ class _BandedStepper:
 
     WIDTH = 12.0  # band half-width in cells
 
-    def __init__(self, metric: AmbientMetric, grid: AxiGrid):
+    def __init__(self, metric: AmbientMetric, grid: AxiGrid, u: np.ndarray, frozen_mask: np.ndarray):
         self.h = grid.h
         shape = grid.values.shape
         # (9, nodes) flat stencil indices in _speed's argument order and
@@ -544,23 +545,13 @@ class _BandedStepper:
         self.grid_stencil = _stencil_indices(*np.divmod(np.arange(grid.values.size), shape[1]), shape)
         self.grid_coef = _speed_coefficients(metric, grid.h, grid.z_min, shape)
         self._grid_k_max = float(self.grid_coef[0].max())  # K at the grid bound's node
-        self.bound_scale = 1.0  # the band's CFL bound over the grid's
-        self._band: np.ndarray | None = None  # the last refresh's node mask
-        # (9, band size) flat stencil indices; row 0 is the band node itself
-        self.stencil: np.ndarray | None = None
-        self.coef: np.ndarray | None = None  # (4, band size), aligned with stencil[0]
-        self.near: np.ndarray | None = None  # (9, band size) stencil values
-        self.work: np.ndarray | None = None  # (9, band size) _speed's rows
-        self.rows: np.ndarray | None = None  # (4, band size) a super-step's stages
+        self.refresh(u, frozen_mask)
 
     def refresh(self, u: np.ndarray, frozen_mask: np.ndarray) -> None:
-        """Take the band anew: the unfrozen nodes with |u| below ``WIDTH``
-        cells.  The band holds until the next refresh.
-
-        A band equal to the last one keeps its tables, cutoff weights and
-        buffers, the same objects; a changed band gathers new tables,
-        weights them by the cutoff of this ``u``, and allocates new step
-        buffers only when its size changed.
+        """Take the band anew from ``u`` and ``frozen_mask`` alone: the
+        unfrozen nodes with |u| below ``WIDTH`` cells, their tables
+        gathered from the whole grid's and weighted by the cutoff of this
+        ``u``, and new step buffers.  The band holds until the next refresh.
         """
         width = self.WIDTH * self.h
         # not |u| >= width, without a float temporary: a NaN stays in the
@@ -570,12 +561,11 @@ class _BandedStepper:
         np.logical_not(band, out=band)
         if frozen_mask.any():
             band &= ~frozen_mask
-        if self._band is not None and np.array_equal(band, self._band):
-            return
-        self._band = band
         centre = np.flatnonzero(band)
+        # (9, band size) flat stencil indices; row 0 is the band node itself
         self.stencil = np.take(self.grid_stencil, centre, axis=1)
-        self.coef = np.take(self.grid_coef, centre, axis=1)
+        self.coef = np.take(self.grid_coef, centre, axis=1)  # (4, band size)
+        # the band's CFL bound over the grid's
         self.bound_scale = self._grid_k_max / float(self.coef[0].max()) if centre.size else 1.0
         # Peng et al. 1999's cutoff of x = |u| / h: 1 up to beta = W / 2,
         # (x - W)^2 (2x + W - 3 beta) / (W - beta)^3 on to 0 at W = WIDTH;
@@ -592,24 +582,21 @@ class _BandedStepper:
         cutoff *= x
         cutoff /= (w - beta) ** 3
         self.coef *= cutoff
-        if self.near is None or self.near.shape != self.stencil.shape:
-            self.near = np.empty(self.stencil.shape)
-            self.work = np.empty(self.stencil.shape)
-            self.rows = np.empty((4, centre.size))
+        self.near = np.empty(self.stencil.shape)  # (9, band size) stencil values
+        self.work = np.empty(self.stencil.shape)  # (9, band size) _speed's rows
+        self.rows = np.empty((4, centre.size))  # (4, band size) a super-step's stages
 
-    def step(self, u: np.ndarray, dt: float, stages: int = 1) -> tuple[np.ndarray, np.ndarray] | None:
+    def step(self, u: np.ndarray, dt: float, stages: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """Advance ``u`` in place by one banded step of ``dt``: explicit
         with ``stages`` = 1, else one RKL2 super-step of ``stages`` kernel
         calls.  Only band nodes change; ``u`` must be C-contiguous.
 
         Returns the band values before and after the step (aligned with
-        ``stencil[0]``), or None when the band is empty.  Both are views
-        of the stepper's buffers, valid until the next step.
+        ``stencil[0]``; empty for an empty band).  Both are views of the
+        stepper's buffers, valid until the next step.
         """
         if not u.flags.c_contiguous:
             raise ValueError("the stepped field must be a C-contiguous array")
-        if self.stencil.shape[1] == 0:
-            return None
         # u is C-contiguous, so reshape is a view and writes land in u
         flat, band = u.reshape(-1), self.stencil[0]
         # the indices are in range, so "wrap" only skips take's buffered copy
@@ -664,8 +651,8 @@ def _sweep_can_change(state: LevelSetState, grid: AxiGrid, m_thr: float, t: floa
 def _check_band(state: LevelSetState, u: np.ndarray, stepper: _BandedStepper) -> None:
     """End the run when a band node of ``u`` is not finite:
     :class:`RunFailure`, with the samples taken so far.  Only band nodes
-    change in a step, and a refresh keeps a NaN in the band, so a value a
-    step spoiled is still there."""
+    change in a step, and a refresh, the stepper's first included, keeps a
+    NaN in the band, so a value a step spoiled is still there."""
     if not np.isfinite(np.take(u, stepper.stencil[0])).all():
         raise RunFailure("non-finite field", state.trace.samples)
 
@@ -765,10 +752,11 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     :attr:`_BandedStepper.bound_scale`) and one period of the shorter
     cadence (below).  While the band's bound is the grid's, explicit steps
     keep the grid's dt.  Time is ``t_anchor + steps * dt``, the anchor
-    moving only with dt.  The band is refreshed before the first step,
-    after each rebuild and after a sweep that froze a component.  Between
-    those only band nodes move, so none enters the band, and one leaves it
-    only by crossing |u| = ``WIDTH`` cells, where the cutoff reaches 0.
+    moving only with dt.  The stepper takes the band before the first
+    step and refreshes it after each rebuild and after a sweep that froze
+    a component, from the field and the frozen nodes alone.  Between those
+    only band nodes move, so none enters the band, and one leaves it only
+    by crossing |u| = ``WIDTH`` cells, where the cutoff reaches 0.
 
     Sweeps for freezable components at every sample and whenever the
     axis pinch count changes, and samples totals on the configured
@@ -810,8 +798,7 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     u = config.grid.values.copy()  # working field; the input grid is kept intact
     stepper = None  # its whole-grid tables are wasted on a run the first sweep ends
     if state.live_count:
-        stepper = _BandedStepper(metric, config.grid)
-        stepper.refresh(u, state.frozen_mask)
+        stepper = _BandedStepper(metric, config.grid, u, state.frozen_mask)
     arrival_flat = state.trace.arrival_time.ravel()
     next_sample = config.sample_interval
     t_anchor, steps, t = 0.0, 0, 0.0  # t = t_anchor + steps * dt
@@ -845,22 +832,20 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
                 stages, planned = _plan(next_sample - t, limit, cap, kept)
                 if stages > 1 or planned != dt:
                     t_anchor, steps, dt = t, 0, planned
-        band = stepper.step(u, dt, stages)
+        band_prev, band_vals = stepper.step(u, dt, stages)
         steps += 1
         t = t_anchor + steps * dt
-        if band is not None:
-            band_prev, band_vals = band
-            # Only band nodes move in a step, and a rebuild keeps every
-            # node's sign, so arrivals and the axis runs can change only
-            # when some band node's "< 0" did; otherwise runs stays put.
-            if ((band_prev < 0.0) != (band_vals < 0.0)).any():
-                # a node can only reach 0 in the step that takes it from
-                # negative; the gather below runs only when one did
-                flip = (band_vals >= 0.0) & (band_prev < 0.0)
-                if flip.any():
-                    flat = stepper.stencil[0][flip]
-                    arrival_flat[flat[np.isinf(arrival_flat[flat])]] = t
-                runs = _axis_run_count(u)
+        # Only band nodes move in a step, and a rebuild keeps every node's
+        # sign, so arrivals and the axis runs can change only when some
+        # band node's "< 0" did; otherwise runs stays put.
+        if ((band_prev < 0.0) != (band_vals < 0.0)).any():
+            # a node can only reach 0 in the step that takes it from
+            # negative; the gather below runs only when one did
+            flip = (band_vals >= 0.0) & (band_prev < 0.0)
+            if flip.any():
+                flat = stepper.stencil[0][flip]
+                arrival_flat[flat[np.isinf(arrival_flat[flat])]] = t
+            runs = _axis_run_count(u)
         check_due = t >= next_check
         if check_due:
             next_check += check_period

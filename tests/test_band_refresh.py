@@ -1,14 +1,12 @@
-"""The band refresh: an unchanged band keeps its tables, a changed one
-gathers the tables a fresh stepper would, and a run refreshes only where
-its band can change."""
-
-import tracemalloc
+"""The band refresh: it reads only the field and the frozen nodes it is
+given, so a refreshed stepper holds the tables a stepper built on that
+field would, and a run refreshes only where its band can change."""
 
 import numpy as np
 import pytest
 
 import isoflow.flow_levelset as flow_levelset_mod
-from isoflow.flow_levelset import _BandedStepper, cfl_time_step
+from isoflow.flow_levelset import _BandedStepper
 from isoflow.measure import AxiGrid
 from isoflow.metric import AmbientMetric
 from test_levelset_pins import RUNS, pinned_record
@@ -21,71 +19,43 @@ def sphere_freeze_grid(r0=4.0):
     return AxiGrid.sample(0.088, 4.4, -4.4, 4.4, lambda rho, z: np.hypot(rho, z) - r0)
 
 
-# a sphere whose band keeps its nodes through the first dozen steps
-STILL_BAND_R0 = 3.5
-
-
-def tables(stepper):
-    return stepper.stencil, stepper.coef, stepper.near, stepper.work, stepper.rows
-
-
-def test_an_unchanged_band_keeps_its_tables_and_buffers():
-    g = sphere_freeze_grid(STILL_BAND_R0)
-    u = g.values.copy()
-    frozen = np.zeros(u.shape, dtype=bool)
-    stepper = _BandedStepper(SCHW, g)
-    stepper.refresh(u, frozen)
-    before = tables(stepper)
-    stepper.step(u, cfl_time_step(SCHW, g))
-    stepper.refresh(u, frozen)
-    assert all(a is b for a, b in zip(tables(stepper), before))
+def test_a_refresh_depends_only_on_the_field_and_the_frozen_nodes():
+    # two fields with one band, but other |u| between the cutoff's start
+    # (6 cells) and the band's edge (12 cells): a stepper built on the
+    # first and refreshed on the second weights its band by the second
+    g = sphere_freeze_grid()
+    h, u1 = g.h, g.values.copy()
+    frozen = np.zeros(u1.shape, dtype=bool)
+    slope = (np.abs(u1) > 6.0 * h) & (np.abs(u1) < _BandedStepper.WIDTH * h)
+    u2 = np.where(slope, 0.99 * u1, u1)
+    stepper = _BandedStepper(SCHW, g, u1, frozen)
+    first = stepper.coef.copy()
+    stepper.refresh(u2, frozen)
+    fresh = _BandedStepper(SCHW, g, u2, frozen)
+    assert np.array_equal(stepper.stencil, fresh.stencil)
+    assert not np.array_equal(first, fresh.coef)
+    assert np.array_equal(stepper.coef, fresh.coef)
+    assert stepper.bound_scale == fresh.bound_scale
 
 
 def test_a_changed_band_gathers_a_fresh_steppers_tables():
     g = sphere_freeze_grid()
     frozen = np.zeros(g.values.shape, dtype=bool)
-    stepper = _BandedStepper(SCHW, g)
-    stepper.refresh(g.values.copy(), frozen)
-    near, work = stepper.near, stepper.work
+    stepper = _BandedStepper(SCHW, g, g.values.copy(), frozen)
+    size = stepper.stencil.shape[1]
     # the same sphere a whole cell higher: other nodes, as many of them
     shifted = np.ascontiguousarray(np.roll(g.values, 1, axis=1))
     half = frozen.copy()
     half[:, : g.n_z // 2] = True
     for u, mask in ((shifted, frozen), (shifted, half)):
         stepper.refresh(u, mask)
-        fresh = _BandedStepper(SCHW, g)
-        fresh.refresh(u, mask)
+        fresh = _BandedStepper(SCHW, g, u, mask)
         assert np.array_equal(stepper.stencil, fresh.stencil)
         assert np.array_equal(stepper.coef, fresh.coef)
         assert stepper.stencil.flags.c_contiguous and stepper.coef.flags.c_contiguous
         assert stepper.near.shape == stepper.work.shape == fresh.near.shape
-        if u is shifted and mask is frozen:
-            # same size: the step buffers stay
-            assert stepper.near is near and stepper.work is work
-        else:
-            assert stepper.near.shape[1] < near.shape[1]
-
-
-def test_steps_across_an_unchanged_band_refresh_allocate_no_band_sized_array():
-    g = sphere_freeze_grid(STILL_BAND_R0)
-    u = g.values.copy()
-    frozen = np.zeros(u.shape, dtype=bool)
-    dt = cfl_time_step(SCHW, g)
-    stepper = _BandedStepper(SCHW, g)
-    stepper.refresh(u, frozen)
-    before = tables(stepper)
-    tracemalloc.start()
-    try:
-        for k in range(12):
-            if k == 8:  # one refresh among them
-                stepper.refresh(u, frozen)
-            stepper.step(u, dt)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert all(a is b for a, b in zip(tables(stepper), before))
-    assert peak < stepper.stencil.shape[1] * np.dtype(float).itemsize
-    assert not np.array_equal(u, g.values)
+        # the shifted band has as many nodes; half of it frozen, fewer
+        assert (stepper.stencil.shape[1] < size) == (mask is half)
 
 
 def test_a_refresh_keeps_a_nan_in_the_band():
@@ -97,8 +67,7 @@ def test_a_refresh_keeps_a_nan_in_the_band():
     width = _BandedStepper.WIDTH * g.h
     far = np.flatnonzero(np.abs(u) >= width)[0]
     u.reshape(-1)[far] = np.nan
-    stepper = _BandedStepper(SCHW, g)
-    stepper.refresh(u, frozen)
+    stepper = _BandedStepper(SCHW, g, u, frozen)
     inside = np.flatnonzero(np.abs(g.values) < width)
     assert np.array_equal(stepper.stencil[0], np.union1d(inside, [far]))
 

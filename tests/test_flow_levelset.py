@@ -13,6 +13,7 @@ import isoflow.flow_levelset as flow_levelset_mod
 from isoflow.config import ConfigError, TimeSpec
 from isoflow.flow_levelset import (
     CFL_SAFETY,
+    MAX_STAGES,
     FlowRunConfig,
     _BandedStepper,
     _stretch,
@@ -282,9 +283,11 @@ def test_fully_frozen_state_never_changes():
     g = sphere_grid(0.5, 0.02)
     frozen = np.ones(g.values.shape, dtype=bool)
     u = g.values.copy()
-    stepper = _BandedStepper(EUCLID, g)
-    stepper.refresh(u, frozen)
-    assert stepper.step(u, cfl_time_step(EUCLID, g)) is None
+    stepper = _BandedStepper(EUCLID, g, u, frozen)
+    # an empty band steps as two empty arrays, explicit or super
+    for stages in (1, MAX_STAGES):
+        before, after = stepper.step(u, _stretch(stages) * cfl_time_step(EUCLID, g), stages)
+        assert before.size == after.size == 0
     assert np.array_equal(u, g.values)
     assert np.array_equal(reinitialize(u, g.h, frozen), g.values)
 
@@ -322,8 +325,7 @@ def test_banded_step_matches_the_measurement_stencil(metric):
     g = sphere_grid(2.5, 0.05, pad=0.6)
     dt = cfl_time_step(metric, g)
     u = g.values.copy()
-    stepper = _BandedStepper(metric, g)
-    stepper.refresh(u, np.zeros(u.shape, dtype=bool))
+    stepper = _BandedStepper(metric, g, u, np.zeros(u.shape, dtype=bool))
     stepper.step(u, dt)
     band = band_mask(stepper, u.shape)
     weight = band_cutoff(g.values[band], g.h, _BandedStepper.WIDTH)
@@ -340,8 +342,7 @@ def test_banded_step_leaves_frozen_and_far_nodes_untouched():
     frozen = np.zeros(g.values.shape, dtype=bool)
     frozen[:, : g.n_z // 2] = True  # the lower half of the sphere
     u = g.values.copy()
-    stepper = _BandedStepper(SCHW, g)
-    stepper.refresh(u, frozen)
+    stepper = _BandedStepper(SCHW, g, u, frozen)
     stepper.step(u, cfl_time_step(SCHW, g))
     moved = u != g.values
     assert moved.any()
@@ -358,8 +359,7 @@ def test_band_refresh_after_freeze_drops_the_frozen_halo():
     h = 0.05
     g = AxiGrid.sample(h, 1.6, -1.6, 3.4, balls)
     u = g.values.copy()
-    stepper = _BandedStepper(EUCLID, g)
-    stepper.refresh(u, np.zeros(u.shape, dtype=bool))
+    stepper = _BandedStepper(EUCLID, g, u, np.zeros(u.shape, dtype=bool))
     before = stepper.stencil[0].copy()
     assert stepper.near.shape == stepper.work.shape == (9, before.size)
     state = freeze_sweep(initial_state(EUCLID, g), EUCLID, math.sqrt(16.0 / (36.0 * math.pi)))
@@ -383,8 +383,7 @@ def test_steps_between_refreshes_allocate_no_band_sized_array():
     u = g.values.copy()
     frozen = np.zeros(u.shape, dtype=bool)
     dt = cfl_time_step(SCHW, g)
-    stepper = _BandedStepper(SCHW, g)
-    stepper.refresh(u, frozen)
+    stepper = _BandedStepper(SCHW, g, u, frozen)
     # explicit steps and RKL2 super-steps at their bounds
     stages = (1, 6, 1, 2, 3, 1)
     tracemalloc.start()
@@ -398,22 +397,16 @@ def test_steps_between_refreshes_allocate_no_band_sized_array():
     assert not np.array_equal(u, g.values)
 
 
-def test_a_field_the_step_cannot_write_through_is_rejected():
-    g = sphere_grid(0.5, 0.02)
-    strided = np.asfortranarray(g.values)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        _BandedStepper(EUCLID, g).step(strided, cfl_time_step(EUCLID, g))
-
-
 def test_a_field_other_than_the_refreshed_one_is_rejected_unless_the_step_can_write_through():
-    # a refresh reads any layout; the step's writes land only in a
-    # C-contiguous field, so it checks the field it is given
+    # a refresh reads any layout, the stepped field's own included; the
+    # step's writes land only in a C-contiguous field, so it checks the
+    # field it is given
     g = sphere_grid(0.5, 0.02)
-    stepper = _BandedStepper(EUCLID, g)
-    stepper.refresh(g.values.copy(), np.zeros(g.values.shape, dtype=bool))
+    frozen = np.zeros(g.values.shape, dtype=bool)
     strided = np.asfortranarray(g.values)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        stepper.step(strided, cfl_time_step(EUCLID, g))
+    for refreshed in (g.values.copy(), strided):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _BandedStepper(EUCLID, g, refreshed, frozen).step(strided, cfl_time_step(EUCLID, g))
     assert np.array_equal(strided, g.values)
 
 
