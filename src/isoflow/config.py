@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .measure import AxiGrid
-from .metric import AmbientMetric, sphere_area
+from .metric import AmbientMetric, enclosed_volume, sphere_area
 
 # scenario fields each mode reads, besides name, mode and metric
 MODE_FIELDS = {
@@ -44,6 +44,12 @@ _COMMON_FIELDS = ("name", "mode", "metric")
 # past this area A, A^(3/2), the scale of the volumes and isoperimetric
 # ratios the radial modes form, leaves the float range
 _AREA_LIMIT = sys.float_info.max ** (2 / 3)
+# Below 2^-1022 a float is subnormal and steps by 5e-324, so a verdict
+# read there is decided by that step.  Each floor puts 1e4 steps inside a
+# verdict's tolerance: prop36 reads an ode-flow's drift to 1e-8 of its
+# first volume, lemma53 the suite's margin to 5% of m^3.
+_ODE_VOLUME_FLOOR = 1e4 * 5e-324 / 1e-8
+_LEMMA_M3_FLOOR = 1e4 * 5e-324 / 0.05
 
 
 class ConfigError(ValueError):
@@ -333,6 +339,8 @@ def _parse_scenario(obj, path: str, seen_names: set) -> Scenario:
             raise ConfigError(f"{path}.r0: must exceed the horizon radius m/2 = {0.5 * mass}")
         if _area(mass, r0) >= _AREA_LIMIT:
             raise ConfigError(f"{path}.r0: the sphere's volume passes the float range")
+        if enclosed_volume(AmbientMetric(mass), r0) < _ODE_VOLUME_FLOOR:
+            raise ConfigError(f"{path}.r0: the sphere's volume underflows")
         read = dict(r0=r0, time=_parse_time(_require(obj, "time", path), f"{path}.time", mode, mass))
     elif mode == "mass-table":
         raw = _require(obj, "r_values", path)
@@ -352,6 +360,8 @@ def _parse_scenario(obj, path: str, seen_names: set) -> Scenario:
         raise ConfigError(f"{path}.metric: the lemma suite needs a positive mass")
     elif 1e7 * mass * mass >= _AREA_LIMIT:  # the suite's largest area
         raise ConfigError(f"{path}.metric.mass: the lemma suite's volumes pass the float range")
+    elif mass**3 < _LEMMA_M3_FLOOR:
+        raise ConfigError(f"{path}.metric.mass: the lemma suite's volumes underflow")
     return Scenario(name=name, mode=mode, mass=mass, **read)
 
 

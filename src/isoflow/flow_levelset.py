@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .config import ConfigError, TimeSpec, _number
 from .measure import (
@@ -326,6 +325,8 @@ def freeze_sweep(
             continue
         freeze = m_thr > 0.0 and m.perimeter < threshold
         if freeze:
+            from scipy import ndimage  # as in measure.label_regions
+
             frozen_mask = frozen_mask | ndimage.binary_dilation(m.node_mask, structure=_HALO)
         records.append(
             ComponentRecord(
@@ -453,6 +454,8 @@ def reinitialize(u: np.ndarray, h: float, frozen_mask: np.ndarray) -> np.ndarray
         """Nodes (i, j) as (s, r) in zeros k's frames, and their fits and spans."""
         x, y, cos, sin, c0, c1, c2, lo, hi = np.take(zeros, k, axis=1)
         return cos * (i - x) + sin * (j - y), cos * (j - y) - sin * (i - x), (c0, c1, c2), (lo, hi)
+
+    from scipy import ndimage  # as in measure.label_regions
 
     si, sj = ndimage.distance_transform_edt((zero < 0).reshape(u.shape), return_distances=False, return_indices=True)
     k = zero[si * m + sj]  # the zero each node's nearest seed took

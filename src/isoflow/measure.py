@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .metric import AmbientMetric
 
@@ -155,6 +154,8 @@ def label_regions(grid: AxiGrid) -> tuple[np.ndarray, int]:
     Returns (labels, count); labels is int32 and labels[i, j] == 0 marks
     outside nodes.
     """
+    from scipy import ndimage  # here, so the radial modes never load scipy
+
     labels = np.zeros(grid.values.shape, dtype=np.int32)
     n = ndimage.label(grid.values < 0, structure=_FOUR_CONNECTED, output=labels)
     return labels, n

@@ -145,17 +145,24 @@ def profile_convexity_sign(m: float, area) -> int:
 def locate_convexity_threshold(m: float) -> tuple[float, float]:
     """Numerically locate the convexity change from its sign expression.
 
-    Root-finds 1 - 2m/r + m^2/(4 r^2) on (m/2, 10m) and returns the pair
-    (radius, area).  Independent of the closed-form threshold, so the two
-    can be cross-checked.
+    Bisects 1 - 2y + y^2/4, y = m/r, on (m/2, 10m) until the midpoint
+    equals an end (at most 56 halvings), and returns the pair (radius,
+    area) at the end where the expression is >= 0.  The root is found
+    from the sign expression alone, so it stays independent of the
+    closed-form threshold radius and the two can be cross-checked.
     """
     if m == 0.0:
         return 0.0, 0.0
-    from scipy.optimize import brentq  # most of the package's import time; only this reads it
-
-    expr = lambda r: 1.0 - 2.0 * m / r + m * m / (4.0 * r * r)
-    r_root = brentq(expr, 0.5 * m * (1.0 + 1e-12), 10.0 * m, xtol=1e-15 * m, rtol=8.9e-16)
-    return float(r_root), float(sphere_area(AmbientMetric(m), r_root))
+    lo, hi = 0.5 * m * (1.0 + 1e-12), 10.0 * m
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        y = m / mid
+        if 1.0 - 2.0 * y + 0.25 * y * y < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return float(hi), float(sphere_area(AmbientMetric(m), hi))
 
 
 def locate_profile_inflection(m: float, *, rel_step: float = 3e-4) -> float:

@@ -373,6 +373,47 @@ def test_a_radial_scale_past_the_float_range_is_rejected_by_field(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+def tiny_ode_scenario(mass):
+    sc = ode_scenario()
+    sc["metric"]["mass"] = mass
+    sc.update(r0=4.0 * mass, time={"t_max": 0.5 * mass * mass, "sample_interval": 0.1 * mass * mass})
+    return sc
+
+
+@pytest.mark.parametrize(
+    "scenario, field",
+    [
+        # lemma31-decay's volumes are subnormal: it read a false FAIL
+        (lemma_suite_scenario(1e-110), "metric.mass"),
+        # m^3 and every volume of the suite round to 0
+        (lemma_suite_scenario(1e-162), "metric.mass"),
+        # the bound's rejected side: lemma53 reads m^3 = 1e-321 to 5%
+        (lemma_suite_scenario(1e-107), "metric.mass"),
+        # the first volume rounds to 0, and prop36 divides by it
+        (tiny_ode_scenario(1e-110), "r0"),
+        # the bound's rejected side: prop36 reads 1e-8 of a 5.4e-313 volume
+        (tiny_ode_scenario(1e-105), "r0"),
+    ],
+    ids=["lemma-suite-1e-110", "lemma-suite-1e-162", "lemma-suite-1e-107", "ode-flow-1e-110", "ode-flow-1e-105"],
+)
+def test_a_radial_volume_that_underflows_is_rejected_by_field(tmp_path, capsys, scenario, field):
+    path = re.escape(f"scenarios[0].{field}")
+    with pytest.raises(ConfigError, match=path + ": .* underflows?$"):
+        parse_plan(json.dumps({"scenarios": [scenario]}))
+    assert main(["run", write_plan(tmp_path, [scenario]), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and f"scenarios[0].{field}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_smallest_radial_volumes_accepted_still_pass(tmp_path, capsys):
+    # the accepted side of both lower bounds; their volumes are subnormal
+    plan = write_plan(tmp_path, [lemma_suite_scenario(1e-106), tiny_ode_scenario(1e-104)])
+    assert main(["run", plan, "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8 and all(": PASS " in line for line in lines), lines
+
+
 @pytest.mark.parametrize(
     "shape",
     [

@@ -9,7 +9,9 @@ array gives, and must raise exactly where that array raises; on a sorted
 array of radii the area, volume, Hawking and quasilocal masses equal their
 per-element scalar calls to the bit.  The float.hex table pins the area,
 curvature and profile closed forms at a few (m, r) pairs, recorded before
-they were rewritten on the one conformal factor w = 1 + m/(2r).
+they were rewritten on the one conformal factor w = 1 + m/(2r).  The
+convexity threshold radius that bisection locates from the sign expression
+lies within one ulp of its closed form at every mass scale.
 """
 
 import math
@@ -32,7 +34,13 @@ from isoflow.metric import (
     sphere_qlm_overshoot,
 )
 from isoflow.mass import ISO_ADM_FIT_C, hawking_mass, quasilocal_mass
-from isoflow.profile import profile_slope, profile_volume, radius_from_area
+from isoflow.profile import (
+    convexity_threshold_radius,
+    locate_convexity_threshold,
+    profile_slope,
+    profile_volume,
+    radius_from_area,
+)
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -317,3 +325,16 @@ def test_closed_forms_match_the_recorded_bits(key):
             assert got.hex() == recorded, name
         else:
             assert abs(got - want) <= 4 * np.spacing(want), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-100.0, 99.0))
+def test_the_located_threshold_radius_is_within_one_ulp_of_its_closed_form(exponent):
+    m = 10.0**exponent
+    closed = convexity_threshold_radius(m)
+    assert abs(locate_convexity_threshold(m)[0] - closed) <= math.ulp(closed)
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+def test_the_located_threshold_radius_is_its_closed_form_at_the_suite_masses(m):
+    assert locate_convexity_threshold(m)[0] == convexity_threshold_radius(m)

@@ -4,10 +4,12 @@ Checks: the closed-form area->radius inversion against a brentq oracle,
 the Euclidean profile A^{3/2}/(6 sqrt(pi)), the slope against finite
 differences of the profile itself, convexity sign changes across the
 threshold area, the superadditivity gap above threshold, the frozen
-ratio margin at the threshold, and the large-area behaviour of the mass
-read off from (area, volume) pairs.
+ratio margin at the threshold, the large-area behaviour of the mass
+read off from (area, volume) pairs, and that `isoflow suite` and the
+radial modes load no scipy while a level-set run loads scipy.ndimage.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -250,17 +252,56 @@ def test_profile_point_bundle():
     assert p.volume == pytest.approx(float(profile_volume(1.0, p.area)), rel=1e-14)
 
 
-def test_importing_the_runner_leaves_the_root_finder_unloaded():
-    # scipy.optimize is most of the package's import time, and only
-    # locate_convexity_threshold reads it
+RADIAL_PLAN = [
+    {"name": "ode", "mode": "ode-flow", "metric": {"mass": 1.0}, "r0": 10.0,
+     "time": {"t_max": 2.0, "sample_interval": 0.5}},
+    {"name": "table", "mode": "mass-table", "metric": {"mass": 1.0}, "r_values": [0.6, 1.5, 4.0, 10.0, 40.0]},
+]
+LEVELSET_PLAN = [
+    {"name": "ball", "mode": "levelset-flow", "metric": {"kind": "euclidean"},
+     "shape": {"kind": "sphere", "r0": 1.0}, "grid": {"h": 0.05, "rho_max": 1.3, "z_min": -1.3, "z_max": 1.3},
+     "time": {"t_max": 0.1, "sample_interval": 0.05}},
+]
+
+
+def _last_stdout_line(tmp_path, code, *args):
+    """Run ``code`` with ``args`` in a fresh interpreter in ``tmp_path``; its last stdout line."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = "import sys, isoflow.runner; print('scipy.optimize' in sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         env=dict(os.environ, PYTHONPATH=src),
+        cwd=tmp_path,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.strip() == "False"
+    return done.stdout.splitlines()[-1]
+
+
+def _plan_file(tmp_path, name, scenarios):
+    path = tmp_path / name
+    path.write_text(json.dumps({"scenarios": scenarios}), encoding="utf-8")
+    return str(path)
+
+
+def test_importing_the_runner_leaves_the_root_finder_unloaded(tmp_path):
+    # the radial modes need only numpy: scipy.ndimage and scipy.optimize
+    # would add about 50 MB and 0.4 s to each of their runs
+    code = "import sys, isoflow.runner; print('scipy.optimize' in sys.modules)"
+    assert _last_stdout_line(tmp_path, code) == "False"
+    radial = (
+        "import sys\n"
+        "from isoflow.cli import main\n"
+        "assert main(['suite', '--out', 'suite']) == 0\n"
+        "assert main(['run', sys.argv[1], '--out', 'radial']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    assert _last_stdout_line(tmp_path, radial, _plan_file(tmp_path, "radial.json", RADIAL_PLAN)) == "[]"
+    levelset = (
+        "import sys\n"
+        "from isoflow.cli import main\n"
+        "assert main(['run', sys.argv[1], '--out', 'levelset']) == 0\n"
+        "print('scipy.ndimage' in sys.modules)\n"
+    )
+    assert _last_stdout_line(tmp_path, levelset, _plan_file(tmp_path, "levelset.json", LEVELSET_PLAN)) == "True"
