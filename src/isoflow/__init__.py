@@ -1,6 +1,8 @@
 """isoflow: isoperimetric profile, quasilocal mass, and component-freezing
 weak mean curvature flow in conformally flat model spaces."""
 
+import importlib
+
 from .metric import (
     AmbientMetric,
     SphereGeometry,
@@ -27,15 +29,7 @@ from .profile import (
     radius_from_area,
 )
 from .flow_ode import SymmetricFlowState, run_symmetric_flow, trace_arrays
-from .measure import AxiGrid, ComponentMeasure, measure_components
-from .flow_levelset import (
-    FlowRunConfig,
-    FlowTrace,
-    RunFailure,
-    cfl_time_step,
-    initial_state,
-    run_modified_flow,
-)
+from .trace import FlowTrace, RunFailure
 from .mass import (
     ISO_ADM_FIT_C,
     RegionSummary,
@@ -49,3 +43,19 @@ from .mass import (
 from .config import ConfigError, RunPlan, Scenario, load_plan, parse_plan
 
 __version__ = "0.1.0"
+
+# the grid code loads on first use of one of its names, so the radial
+# modes never compile it
+_GRID_NAMES = {
+    "measure": ("AxiGrid", "ComponentMeasure", "measure_components"),
+    "flow_levelset": ("FlowRunConfig", "cfl_time_step", "initial_state", "run_modified_flow"),
+}
+
+
+def __getattr__(name: str):
+    if name in _GRID_NAMES:  # the module itself, as a loaded submodule would be
+        return importlib.import_module(f".{name}", __name__)
+    for module, names in _GRID_NAMES.items():
+        if name in names:
+            return getattr(importlib.import_module(f".{module}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,7 +21,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .measure import AxiGrid
 from .metric import AmbientMetric, enclosed_volume, sphere_area
 
 # scenario fields each mode reads, besides name, mode and metric
@@ -269,6 +268,8 @@ def check_grid_size(grid: GridSpec, path: str) -> None:
     """Raise ConfigError at ``path`` when the grid's node count is not
     finite or above :data:`~isoflow.measure.MAX_NODES`; nothing is
     allocated."""
+    from .measure import AxiGrid  # as in runner._flow_config
+
     try:
         AxiGrid.lattice_shape(grid.h, grid.rho_max, grid.z_min, grid.z_max)
     except ValueError as e:

@@ -39,6 +39,7 @@ from .measure import (
 from .mass import hawking_mass
 from .metric import AmbientMetric
 from .profile import convexity_threshold, isoperimetric_ratio, profile_volume_or_zero
+from .trace import ComponentRecord, FlowTrace, RunFailure, TraceSample
 
 # explicit-step stability margin: dt = CFL_SAFETY * h^2 * min(w^4)
 CFL_SAFETY = 0.2
@@ -58,66 +59,6 @@ _CURVATURE_FLOOR = 1e-2
 KAPPA = 2.0
 
 _HALO = np.ones((3, 3), dtype=bool)
-
-
-@dataclass(frozen=True)
-class ComponentRecord:
-    """One component's bookkeeping at a sample or sweep time.
-
-    Frozen records keep the measurements taken at freeze time; they are
-    never re-measured.
-    """
-
-    id: int
-    frozen: bool
-    freeze_time: float | None
-    perimeter: float
-    volume: float
-    h_sq_integral: float
-    hawking: float
-
-
-@dataclass
-class TraceSample:
-    t: float
-    area: float
-    volume: float
-    profile_gap: float  # phi_m(total area) - total volume
-    ratio: float  # area^(3/2) / volume
-    n_components: int
-    n_frozen: int
-    components: list[ComponentRecord]
-
-    @property
-    def finite(self) -> bool:
-        return all(map(math.isfinite, (self.t, self.area, self.volume, self.profile_gap)))
-
-
-@dataclass
-class FlowTrace:
-    """Sampled history of one modified-flow run."""
-
-    samples: list[TraceSample] = field(default_factory=list)
-    freeze_all_time: float | None = None
-    arrival_time: np.ndarray | None = None
-
-    @property
-    def incomplete(self) -> bool:
-        """The run reached t_max with a live component."""
-        return self.freeze_all_time is None
-
-
-class RunFailure(RuntimeError):
-    """A run that cannot go on: its field or a sample went non-finite, or
-    its region reached the grid's outer edge.  ``samples`` are the ones
-    taken before; ``last_good`` is the time of the latest finite one (NaN
-    when there is none)."""
-
-    def __init__(self, reason: str, samples: list[TraceSample]):
-        super().__init__(reason)
-        self.samples = samples
-        good = [s.t for s in samples if s.finite]
-        self.last_good = good[-1] if good else math.nan
 
 
 @dataclass

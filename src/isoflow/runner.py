@@ -15,14 +15,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import ConfigError, RunPlan, Scenario, _number, check_grid_size
-from .flow_levelset import ComponentRecord, FlowRunConfig, RunFailure, TraceSample, run_modified_flow
 from .flow_ode import run_symmetric_flow
 from .mass import ISO_ADM_FIT_C
-from .measure import AxiGrid
 from .metric import AmbientMetric, enclosed_volume, sphere_area, sphere_hawking_mass, sphere_qlm_overshoot
 from .profile import (
     convexity_threshold,
@@ -34,6 +33,10 @@ from .profile import (
     profile_volume,
     profile_volume_or_zero,
 )
+from .trace import ComponentRecord, RunFailure, TraceSample
+
+if TYPE_CHECKING:
+    from .flow_levelset import FlowRunConfig
 
 TRACE_HEADER = "t,A_total,V_total,Q,ratio,n_components,n_frozen"
 COMPONENTS_HEADER = "t,id,frozen,freeze_time,perimeter,volume,hawking"
@@ -100,13 +103,15 @@ def _write_flow(out_dir: str, samples: list[TraceSample]) -> None:
     _write_lines(os.path.join(out_dir, "components.csv"), comp_rows)
 
 
-def _cor75(samples: list[TraceSample]) -> list[Verdict]:
-    """Ratio control binds only when the run starts at or below the
-    profile: the isoperimetric ratio must not climb above its first finite
-    value beyond the stated slack.  "At" allows a first gap of prop36's
-    round-off scale times the first volume: an ode-flow starts on the
-    profile, so its first gap is round-off of either sign."""
-    if samples[0].profile_gap > _PROP36_ROUNDOFF * samples[0].volume:
+def _cor75(samples: list[TraceSample], mass: float) -> list[Verdict]:
+    """Ratio control binds only when the run starts at or below the profile
+    of ``mass`` and at or above its convexity threshold area 36 pi m^2: the
+    isoperimetric ratio must not climb above its first finite value beyond
+    the stated slack.  "At" allows a first gap of prop36's round-off scale
+    times the first volume: an ode-flow starts on the profile, so its
+    first gap is round-off of either sign."""
+    first = samples[0]
+    if first.area < convexity_threshold(mass) or first.profile_gap > _PROP36_ROUNDOFF * first.volume:
         return []
     ratios = [s.ratio for s in samples if math.isfinite(s.ratio)]
     if not ratios or ratios[0] <= 0:
@@ -169,13 +174,16 @@ def _run_ode_flow(sc: Scenario, out_dir: str, sampling: tuple[float, int]) -> li
     return [
         Verdict("prop36", _PROP36_ROUNDOFF - drift / samples[0].volume),
         _def34(haw, sc.mass),
-        *_cor75(samples),
+        *_cor75(samples, sc.mass),
     ]
 
 
 def _flow_config(sc: Scenario) -> FlowRunConfig:
     """A level-set scenario's grid and run config.  An --h override can leave
     too few nodes or a bound below dt: ConfigError names the scenario and h."""
+    from .flow_levelset import FlowRunConfig  # here, so the radial modes never load the grid code
+    from .measure import AxiGrid
+
     g, metric = sc.grid, AmbientMetric(mass=sc.mass)
     try:
         grid = AxiGrid.sample(g.h, g.rho_max, g.z_min, g.z_max, sc.shape.signed_distance)
@@ -185,6 +193,8 @@ def _flow_config(sc: Scenario) -> FlowRunConfig:
 
 
 def _run_levelset_flow(sc: Scenario, out_dir: str, cfg: FlowRunConfig) -> list[Verdict]:
+    from .flow_levelset import run_modified_flow  # as in _flow_config
+
     try:
         trace = run_modified_flow(cfg)
     except RunFailure as e:
@@ -199,9 +209,9 @@ def _run_levelset_flow(sc: Scenario, out_dir: str, cfg: FlowRunConfig) -> list[V
     q = np.array([s.profile_gap for s in samples])
     q_slack = sc.q_slack if sc.q_slack is not None else sc.grid.h
     worst_rise = float(np.max(np.diff(q))) if len(q) > 1 else 0.0
-    verdicts = [Verdict("prop74", q_slack - max(worst_rise, 0.0)), *_cor75(samples)]
-
     m_thr = cfg.threshold_mass
+    verdicts = [Verdict("prop74", q_slack - max(worst_rise, 0.0)), *_cor75(samples, m_thr)]
+
     if m_thr > 0.0:
         frozen = {c.id: c for s in samples for c in s.components if c.frozen}
         worst_p = max((c.perimeter for c in frozen.values()), default=0.0)

@@ -18,8 +18,8 @@ import isoflow.profile as profile_mod
 import isoflow.runner as runner_mod
 from isoflow.cli import main
 from isoflow.config import ConfigError, TimeSpec, parse_plan
-from isoflow.flow_levelset import ComponentRecord, FlowTrace, TraceSample
 from isoflow.measure import MAX_NODES, AxiGrid
+from isoflow.trace import ComponentRecord, FlowTrace, TraceSample
 
 TRACE_HEADER = "t,A_total,V_total,Q,ratio,n_components,n_frozen"
 COMPONENTS_HEADER = "t,id,frozen,freeze_time,perimeter,volume,hawking"
@@ -646,6 +646,17 @@ def test_every_radial_oracle_ode_flow_passes_cor75(tmp_path, mass, r0_scale):
     assert verdicts["cor75"].passed
 
 
+@pytest.mark.parametrize("r0, cor75", [(4.0, ["PASS cor75 slack=0.029999999999999999"]), (1.0, []), (0.6, [])])
+def test_cor75_binds_only_from_the_convexity_threshold(tmp_path, r0, cor75):
+    # at m = 1 the ratio is monotone only for A >= 36 pi, r >= 1 + sqrt(3)/2;
+    # inside, cor75 read FAIL at slack -0.0302 (r0 = 1) and -0.0967 (r0 = 0.6)
+    sc = {**ode_scenario(), "r0": r0, "time": {"t_max": 0.5, "sample_interval": 0.1}}
+    out = tmp_path / "out"
+    assert main(["run", write_plan(tmp_path, [sc]), "--out", str(out)]) == 0
+    lines = (out / "ode-m1" / "verdicts.txt").read_text(encoding="utf-8").splitlines()
+    assert [line for line in lines if " cor75 " in line] == cor75
+
+
 def test_an_ode_flow_evaluates_each_closed_form_once(tmp_path, monkeypatch):
     # one array call over the run's radii, wherever each closed form is bound
     owners = {"sphere_area": metric_mod, "sphere_hawking_mass": metric_mod, "profile_volume": profile_mod}
@@ -812,7 +823,7 @@ def test_blowup_exits_3_with_last_good_time(tmp_path, monkeypatch, capsys):
     def fake_run(config):
         return broken
 
-    monkeypatch.setattr(runner_mod, "run_modified_flow", fake_run)
+    monkeypatch.setattr(flow_levelset_mod, "run_modified_flow", fake_run)
     plan = write_plan(tmp_path, [small_levelset_scenario()])
     assert main(["run", plan, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
@@ -830,7 +841,7 @@ def test_blowup_writes_its_verdict_and_reports_the_latest_finite_sample(tmp_path
 
     # finite, non-finite, finite again: the last good time is the latest finite one
     broken = FlowTrace(samples=[sample(0.0, 12.0), sample(0.05, math.nan), sample(0.1, 11.0)])
-    monkeypatch.setattr(runner_mod, "run_modified_flow", lambda config: broken)
+    monkeypatch.setattr(flow_levelset_mod, "run_modified_flow", lambda config: broken)
     out = tmp_path / "out"
     assert main(["run", write_plan(tmp_path, [small_levelset_scenario()]), "--out", str(out)]) == 3
     assert "last good sample t=0.10000000000000001" in capsys.readouterr().err

@@ -6,7 +6,8 @@ differences of the profile itself, convexity sign changes across the
 threshold area, the superadditivity gap above threshold, the frozen
 ratio margin at the threshold, the large-area behaviour of the mass
 read off from (area, volume) pairs, and that `isoflow suite` and the
-radial modes load no scipy while a level-set run loads scipy.ndimage.
+radial modes load no scipy and no grid module while a level-set run
+loads scipy.ndimage and both grid modules.
 """
 
 import json
@@ -305,3 +306,56 @@ def test_importing_the_runner_leaves_the_root_finder_unloaded(tmp_path):
         "print('scipy.ndimage' in sys.modules)\n"
     )
     assert _last_stdout_line(tmp_path, levelset, _plan_file(tmp_path, "levelset.json", LEVELSET_PLAN)) == "True"
+
+
+def test_the_radial_modes_load_no_grid_code(tmp_path):
+    # measure and flow_levelset are almost half of src/, and a fresh process
+    # without cached bytecode compiles every module it imports; the package
+    # root resolves their names on first use
+    radial = (
+        "import json, sys\n"
+        "def grid(): return [m for m in ('isoflow.measure', 'isoflow.flow_levelset') if m in sys.modules]\n"
+        "seen = {}\n"
+        "import isoflow\n"
+        "seen['import isoflow'] = grid()\n"
+        "import isoflow.runner\n"
+        "seen['import isoflow.runner'] = grid()\n"
+        "from isoflow.cli import main\n"
+        "assert main(['suite', '--out', 'suite']) == 0\n"
+        "seen['suite'] = grid()\n"
+        "assert main(['run', sys.argv[1], '--out', 'radial']) == 0\n"
+        "seen['radial plan'] = grid()\n"
+        "seen['isoflow.measure'] = isoflow.measure.__name__\n"
+        "from isoflow import (AmbientMetric, AxiGrid, FlowRunConfig,\n"
+        "                     run_modified_flow, run_symmetric_flow)\n"
+        "import isoflow.flow_levelset as fl, isoflow.flow_ode as fo, isoflow.measure as me, isoflow.metric as mt\n"
+        "seen['same objects'] = [AmbientMetric is mt.AmbientMetric, AxiGrid is me.AxiGrid,\n"
+        "    FlowRunConfig is fl.FlowRunConfig, run_modified_flow is fl.run_modified_flow,\n"
+        "    run_symmetric_flow is fo.run_symmetric_flow]\n"
+        "seen['every grid name'] = all(getattr(isoflow, n) is getattr(sys.modules[f'isoflow.{m}'], n)\n"
+        "    for m, names in isoflow._GRID_NAMES.items() for n in names)\n"
+        "try:\n"
+        "    isoflow.no_such_name\n"
+        "except AttributeError as e:\n"
+        "    seen['unknown'] = str(e)\n"
+        "print(json.dumps(seen))\n"
+    )
+    seen = json.loads(_last_stdout_line(tmp_path, radial, _plan_file(tmp_path, "radial.json", RADIAL_PLAN)))
+    assert seen == {
+        "import isoflow": [],
+        "import isoflow.runner": [],
+        "suite": [],
+        "radial plan": [],
+        "isoflow.measure": "isoflow.measure",
+        "same objects": [True] * 5,
+        "every grid name": True,
+        "unknown": "module 'isoflow' has no attribute 'no_such_name'",
+    }
+    levelset = (
+        "import sys\n"
+        "from isoflow.cli import main\n"
+        "assert main(['run', sys.argv[1], '--out', 'levelset']) == 0\n"
+        "print(sorted(m for m in ('isoflow.measure', 'isoflow.flow_levelset') if m in sys.modules))\n"
+    )
+    loaded = _last_stdout_line(tmp_path, levelset, _plan_file(tmp_path, "levelset.json", LEVELSET_PLAN))
+    assert loaded == "['isoflow.flow_levelset', 'isoflow.measure']"
