@@ -498,14 +498,9 @@ class _BandedStepper:
         ``u``, and new step buffers.  The band holds until the next refresh.
         """
         width = self.WIDTH * self.h
-        # not |u| >= width, without a float temporary: a NaN stays in the
-        # band, where the run loop's finite check (_check_band) sees it
-        band = u >= width
-        band |= u <= -width
-        np.logical_not(band, out=band)
-        if frozen_mask.any():
-            band &= ~frozen_mask
-        centre = np.flatnonzero(band)
+        # not |u| >= width: a NaN stays in the band, where the run loop's
+        # finite check (_checked_grid) sees it
+        centre = np.flatnonzero(~((u >= width) | (u <= -width) | frozen_mask))
         # (9, band size) flat stencil indices; row 0 is the band node itself
         self.stencil = np.take(self.grid_stencil, centre, axis=1)
         self.coef = np.take(self.grid_coef, centre, axis=1)  # (4, band size)
@@ -515,17 +510,8 @@ class _BandedStepper:
         # (x - W)^2 (2x + W - 3 beta) / (W - beta)^3 on to 0 at W = WIDTH;
         # exactly 1 at x <= beta, where the step keeps its bits
         w, beta = self.WIDTH, 0.5 * self.WIDTH
-        x = np.take(u, centre)
-        np.abs(x, out=x)
-        x /= self.h
-        np.maximum(x, beta, out=x)
-        cutoff = x - w
-        cutoff *= cutoff
-        x *= 2.0
-        x += w - 3.0 * beta
-        cutoff *= x
-        cutoff /= (w - beta) ** 3
-        self.coef *= cutoff
+        x = np.maximum(np.abs(np.take(u, centre)) / self.h, beta)
+        self.coef *= (x - w) * (x - w) * (2.0 * x + (w - 3.0 * beta)) / (w - beta) ** 3
         self.near = np.empty(self.stencil.shape)  # (9, band size) stencil values
         self.work = np.empty(self.stencil.shape)  # (9, band size) _speed's rows
         self.rows = np.empty((4, centre.size))  # (4, band size) a super-step's stages
@@ -573,16 +559,24 @@ class _BandedStepper:
         return y0, y
 
 
-def _sweep_can_change(state: LevelSetState, grid: AxiGrid, m_thr: float, t: float) -> bool:
+def _sweep_can_change(state: LevelSetState, grid: AxiGrid, m_thr: float, t: float, rebuilt_at: float) -> bool:
     """Whether a freeze sweep of ``grid`` at time ``t`` could freeze a
     component or change the component count (else the loop leaves the
-    state as the last sweep left it): with ``m_thr`` > 0, when some live
-    record's perimeter P and int H^2 from the last sweep give P - KAPPA
-    int H^2 (t - state.t) at or below 36 pi m_thr^2, or when one labelling
-    of ``grid`` counts another number of measured components than the
-    state holds.
+    state as the last sweep left it): with ``m_thr`` > 0, when the field
+    was rebuilt since the last sweep (the last rebuild's time
+    ``rebuilt_at`` is at or past the sweep's ``state.t``; a sweep at a
+    rebuild's t runs before it) or some live record's perimeter P and
+    int H^2 from the last sweep give P - KAPPA int H^2 (t - state.t) at or
+    below 36 pi m_thr^2, or when one labelling of ``grid`` counts another
+    number of measured components than the state holds.
+
+    A rebuild moves the zero set a little, which the area-rate bound does
+    not cover: next to the origin of a massive metric, where w^4 is huge,
+    one rebuild halved a component's measured area.
     """
     if m_thr > 0.0:
+        if rebuilt_at >= state.t:
+            return True
         threshold = convexity_threshold(m_thr)
         elapsed = t - state.t
         for c in state.components:
@@ -592,19 +586,14 @@ def _sweep_can_change(state: LevelSetState, grid: AxiGrid, m_thr: float, t: floa
     return np.count_nonzero(deep) != len(state.components)
 
 
-def _check_band(state: LevelSetState, u: np.ndarray, stepper: _BandedStepper) -> None:
-    """End the run when a band node of ``u`` is not finite:
-    :class:`RunFailure`, with the samples taken so far.  Only band nodes
-    change in a step, and a refresh, the stepper's first included, keeps a
-    NaN in the band, so a value a step spoiled is still there."""
+def _checked_grid(state: LevelSetState, u: np.ndarray, stepper: _BandedStepper) -> AxiGrid:
+    """The state's grid holding the field ``u``.  A band node of ``u`` that
+    is not finite, or a region that reaches the grid's outer edge, ends the
+    run: :class:`RunFailure`, with the samples taken so far.  Only band
+    nodes change in a step, and a refresh, the stepper's first included,
+    keeps a NaN in the band, so a value a step spoiled is still there."""
     if not np.isfinite(np.take(u, stepper.stencil[0])).all():
         raise RunFailure("non-finite field", state.trace.samples)
-
-
-def _checked_grid(state: LevelSetState, u: np.ndarray, stepper: _BandedStepper) -> AxiGrid:
-    """The state's grid holding the field ``u``, after :func:`_check_band`.
-    A region that reaches the grid's outer edge ends the run the same way."""
-    _check_band(state, u, stepper)
     try:
         return state.grid.replace_values(u)
     except ValueError as e:  # the region touches the outer domain boundary
@@ -660,14 +649,9 @@ def _plan(span: float, limit: float, cap: float, dt: float) -> tuple[int, float]
     return (stages, span / k) if stages and k * stages < round(span / dt) else (1, dt)
 
 
-def _totals(records: list[ComponentRecord]) -> tuple[float, float]:
-    area = math.fsum(c.perimeter for c in records)
-    volume = math.fsum(c.volume for c in records)
-    return area, volume
-
-
 def _sample(state: LevelSetState, m_profile: float) -> None:
-    area, volume = _totals(state.components)
+    area = math.fsum(c.perimeter for c in state.components)
+    volume = math.fsum(c.volume for c in state.components)
     gap = profile_volume_or_zero(m_profile, area) - volume
     state.trace.samples.append(
         TraceSample(
@@ -711,24 +695,21 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     either, so each period has its rebuild or check, at the first step
     that reaches it.  The distance field is rebuilt every
     ``reinit_cadence`` of them; every ``sweep_cadence`` of them a freeze
-    check (:func:`_sweep_can_change`) runs the sweep only when it could
-    freeze a component or change the component count, so a run's trace is
-    the one a sweep at every such step would give.  With threshold mass >
-    0 the first check after a rebuild always sweeps: a rebuild moves the
-    zero set a little, which the check's area-rate bound does not cover
-    (next to the origin of a massive metric, where w^4 is huge, one
-    rebuild halved a component's measured area).  The run ends when every
+    check (:func:`_sweep_can_change`, which also holds the rule for the
+    first check after a rebuild) runs the sweep only when it could freeze
+    a component or change the component count, so a run's trace is the
+    one a sweep at every such step would give.  The run ends when every
     component is frozen or gone (that time is ``freeze_all_time``) or at
     ``t_max`` (then the trace is flagged incomplete).
 
     The config made every check when it was built, so what a run raises
     is a fault of the run, never :class:`~isoflow.config.ConfigError`: a
-    band value that turns non-finite raises :class:`RunFailure` at the
-    next check, sweep or rebuild, and a region that reaches the grid's
-    outer edge at the next check or sweep.  The loop steps the working
-    array ``u`` in place and wraps it in the state's grid only for a
-    sweep; a sample always follows a sweep at the same step, so the
-    state's grid is the current field at every sample.
+    band value that turns non-finite, or a region that reaches the grid's
+    outer edge, raises :class:`RunFailure` at the next check, sweep or
+    rebuild (:func:`_checked_grid`).  The loop steps the working array
+    ``u`` in place and wraps it in the state's grid only for a sweep; a
+    sample always follows a sweep at the same step, so the state's grid
+    is the current field at every sample.
     """
     metric, m_thr = config.metric, config.threshold_mass
     state = initial_state(metric, config.grid)
@@ -755,18 +736,20 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     # no step spans more than one period of either cadence
     cap = min(config.sweep_cadence, config.reinit_cadence or math.inf) * dt_grid
     stages = 1  # kernel calls per step
-    rebuilt = False  # a rebuild since the last sweep
-    runs = runs_prev = _axis_run_count(u)
+    rebuilt_at = -math.inf  # the last rebuild's t
+    # a change of the axis-run count sweeps at once, so at the top of each
+    # iteration runs is its value at the last sweep
+    runs = _axis_run_count(u)
     t_end = config.t_max - 1e-12 * max(config.t_max, 1.0)
     while t < t_end and state.live_count:
         # rebuild only before a step, never between a step and its sweep,
         # so no sample is read off a just-rebuilt field
         if t >= next_rebuild:
             next_rebuild += rebuild_period
-            _check_band(state, u, stepper)  # fail before a rebuild reads a bad field
+            _checked_grid(state, u, stepper)  # fail before a rebuild reads a bad field
             u = reinitialize(u, config.grid.h, state.frozen_mask)
             stepper.refresh(u, state.frozen_mask)
-            rebuilt = True
+            rebuilt_at = t
         if config.dt is None:
             limit = bound * stepper.bound_scale
             # plan at a sample, or when a refresh took the bound below the step
@@ -782,6 +765,7 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
         # Only band nodes move in a step, and a rebuild keeps every node's
         # sign, so arrivals and the axis runs can change only when some
         # band node's "< 0" did; otherwise runs stays put.
+        pinched = False
         if ((band_prev < 0.0) != (band_vals < 0.0)).any():
             # a node can only reach 0 in the step that takes it from
             # negative; the gather below runs only when one did
@@ -789,18 +773,18 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
             if flip.any():
                 flat = stepper.stencil[0][flip]
                 arrival_flat[flat[np.isinf(arrival_flat[flat])]] = t
-            runs = _axis_run_count(u)
+            count = _axis_run_count(u)
+            pinched, runs = count != runs, count
         check_due = t >= next_check
         if check_due:
             next_check += check_period
         sample_due = t >= next_sample - 0.5 * dt
-        sweep_due = sample_due or runs != runs_prev
+        sweep_due = sample_due or pinched
         if sweep_due or check_due:
             grid = _checked_grid(state, u, stepper)
-            if sweep_due or (rebuilt and m_thr > 0.0) or _sweep_can_change(state, grid, m_thr, t):
+            if sweep_due or _sweep_can_change(state, grid, m_thr, t, rebuilt_at):
                 frozen_before = state.frozen_count
                 state = freeze_sweep(replace(state, grid=grid, t=t), metric, m_thr)
-                runs_prev, rebuilt = runs, False
                 if state.frozen_count != frozen_before:
                     stepper.refresh(u, state.frozen_mask)
         if sample_due:

@@ -880,6 +880,7 @@ def test_a_region_reaching_the_outer_edge_mid_run_exits_3(tmp_path, monkeypatch,
     # the 10th kernel call pulls every band node 0.5 down: the ball's
     # region reaches the grid's outer edge, 6 cells out
     speed, calls = flow_levelset_mod._speed, []
+    rebuild, rebuilt_edges = flow_levelset_mod.reinitialize, []
 
     def pulled(*args):
         calls.append(None)
@@ -888,9 +889,21 @@ def test_a_region_reaching_the_outer_edge_mid_run_exits_3(tmp_path, monkeypatch,
             out[:] = -1e3
         return out
 
+    def spied_rebuild(u, *args):
+        rebuilt_edges.append(bool((np.concatenate([u[-1, :], u[:, 0], u[:, -1]]) < 0.0).any()))
+        return rebuild(u, *args)
+
     monkeypatch.setattr(flow_levelset_mod, "_speed", pulled)
-    out = tmp_path / "out"
-    assert main(["run", write_plan(tmp_path, [small_levelset_scenario()]), "--out", str(out)]) == 3
-    assert "(region touches the outer domain boundary); last good sample t=0\n" in capsys.readouterr().err
-    assert (out / "ball" / "verdicts.txt").read_text(encoding="utf-8") == "FAIL blow-up slack=-inf\n"
-    assert len((out / "ball" / "trace.csv").read_text(encoding="utf-8").splitlines()) == 2
+    monkeypatch.setattr(flow_levelset_mod, "reinitialize", spied_rebuild)
+    # the default cadences; then a rebuild due after the 10th step, before the next check
+    for case, cadences in enumerate([{}, {"reinit_cadence": 5, "sweep_cadence": 50}]):
+        calls.clear()
+        scenario = small_levelset_scenario()
+        scenario["time"].update(cadences)
+        out = tmp_path / f"out{case}"
+        assert main(["run", write_plan(tmp_path, [scenario]), "--out", str(out)]) == 3
+        assert "(region touches the outer domain boundary); last good sample t=0\n" in capsys.readouterr().err
+        assert (out / "ball" / "verdicts.txt").read_text(encoding="utf-8") == "FAIL blow-up slack=-inf\n"
+        assert len((out / "ball" / "trace.csv").read_text(encoding="utf-8").splitlines()) == 2
+    # the outer edge is checked before every rebuild, so none reads such a field
+    assert rebuilt_edges and not any(rebuilt_edges)

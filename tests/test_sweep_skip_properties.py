@@ -8,6 +8,7 @@ ids, ``freeze_all_time`` and arrival times, to the bit.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isoflow.flow_levelset as flow_levelset_mod
-from isoflow.flow_levelset import FlowRunConfig, run_modified_flow
+from isoflow.flow_levelset import FlowRunConfig, freeze_sweep, initial_state, run_modified_flow
 from isoflow.measure import AxiGrid, measure_components
 from isoflow.metric import AmbientMetric
+from isoflow.profile import convexity_threshold
 from test_levelset_pins import RUNS, pinned_record
 
 H = 0.1
@@ -138,3 +140,19 @@ def test_the_pinned_m1_sphere_run_skips_cadence_sweeps():
     (got, calls), (ref, ref_calls) = counted_runs(lambda: pinned_record(RUNS["sphere-m1"]))
     assert got == ref
     assert calls < ref_calls
+
+
+def test_a_rebuild_since_the_last_sweep_makes_the_check_sweep():
+    # a live m = 1 sphere well above 36 pi m^2, swept at t = 0.5 and checked
+    # 0.01 later on the same field: only a rebuild since that sweep (at its
+    # t or later) makes the check sweep, and only with threshold mass > 0
+    metric = AmbientMetric(mass=1.0)
+    grid = AxiGrid.sample(H, 4.0, -4.0, 4.0, lambda rho, z: np.hypot(rho, z) - 3.0)
+    state = freeze_sweep(replace(initial_state(metric, grid), t=0.5), metric)
+    (sphere,) = state.components
+    assert not sphere.frozen and sphere.perimeter > 1.5 * convexity_threshold(1.0)
+    can_change, t = flow_levelset_mod._sweep_can_change, state.t + 0.01
+    assert can_change(state, grid, 1.0, t, state.t)
+    assert not can_change(state, grid, 1.0, t, math.nextafter(state.t, -math.inf))
+    assert not can_change(state, grid, 1.0, t, -math.inf)
+    assert not can_change(state, grid, 0.0, t, state.t)
