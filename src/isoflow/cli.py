@@ -8,8 +8,9 @@
 Exit status: 0 when every checked invariant passes, 1 when any verdict
 fails, 2 on a malformed configuration, 3 when a run failed: its values
 went non-finite or its region reached the grid's outer edge (the message
-carries the reason and the last good sample time), 4 on a fault of the
-program itself (its traceback goes to stderr).
+carries the reason and the last good sample time; the plan's other
+scenarios still run and print their lines), 4 on a fault of the program
+itself (its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -70,20 +71,20 @@ def main(argv: list[str] | None = None) -> int:
         traceback.print_exc()
         return 4
 
+    # every scenario's lines are printed; a blow-up (3) outranks a failed verdict (1)
     status = 0
     for res in results:
         if res.failure is not None:
-            t = res.failure.last_good
+            status, t = 3, res.failure.last_good
             shown = "none" if math.isnan(t) else f"{t:.17g}"
             print(
                 f"isoflow: {res.name}: numerical blow-up ({res.failure}); last good sample t={shown}",
                 file=sys.stderr,
             )
-            return 3
         for v in res.verdicts:
             print(f"{res.name}: {v.line()}")
             if not v.passed:
-                status = 1
+                status = max(status, 1)
     return status
 
 

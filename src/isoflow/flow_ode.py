@@ -10,14 +10,16 @@ where the conformal length density w**2 converts metric normal speed
 into coordinate speed.  RK4 integrates r together with a *swept* volume,
 dV/dt = -H * A, on plain floats (the np.float64 bits), in locals; a state
 is built per returned sample, and its closed forms (area, enclosed volume,
-mean curvature, Hawking mass) are properties of r.  Each RK4 stage finds w
-once, and one radius check, on the new radius, guards each step.  The profile
-volume at the current area minus the swept volume (the ``profile_defect``)
-vanishes identically for the exact flow -- shrinking centered spheres
-realize the equality case of the profile-versus-volume monotonicity -- so
-whatever defect accumulates is pure integrator error.  That makes it a
-sharp convergence diagnostic: the classical 4th-order scheme used here
-shrinks it by roughly 16x per halving of dt.
+mean curvature, Hawking mass) are properties of r.  An RK4 stage is one
+call: it finds w once, then H and A by metric's own operations on the
+float, in locals.  One float compare of the new radius, by metric's radius
+rule, guards each step.  The profile volume at the current area minus the
+swept volume (the ``profile_defect``) vanishes identically for the exact
+flow -- shrinking centered spheres realize the equality case of the
+profile-versus-volume monotonicity -- so whatever defect accumulates is
+pure integrator error.  That makes it a sharp convergence diagnostic: the
+classical 4th-order scheme used here shrinks it by roughly 16x per halving
+of dt.
 
 In the Euclidean model the flow is the textbook shrinking sphere
 r(t) = sqrt(r0**2 - 4 t); with positive mass the sphere decelerates and
@@ -33,10 +35,9 @@ import numpy as np
 
 from .metric import (
     AmbientMetric,
-    _area,
     _check_radius,
     _conformal_weight,
-    _mean_curvature,
+    _radius_ok,
     enclosed_volume,
     sphere_area,
     sphere_hawking_mass,
@@ -108,13 +109,16 @@ def _stage(m: float, hr: float, r: float) -> tuple[float, float]:
     # a stage may overshoot the horizon by a hair: H is zero there, so the clamp is smooth
     r = hr if hr > r else r  # max(r, hr); a NaN stays, for _rk4's radius check
     w = _conformal_weight(m, r)
-    h = _mean_curvature(r, w)
-    return -h / (w * w), -h * _area(r, w)
+    # metric's _mean_curvature and _area on a float (its _pow is ** there), in locals;
+    # tests/test_flow_ode_properties.py pins the two rates to them, bit for bit
+    h = 2.0 * (2.0 - w) / (r * w**3)
+    return -h / (w * w), -h * (4.0 * math.pi * r * r * w**4)
 
 
-def _rk4(metric: AmbientMetric, r: float, v: float, dt: float) -> tuple[float, float]:
-    """One classical RK4 step of (radius, swept volume), on plain floats."""
-    m, hr = metric.mass, metric.horizon_radius
+def _rk4(metric: AmbientMetric, hr: float, r: float, v: float, dt: float) -> tuple[float, float]:
+    """One classical RK4 step of (radius, swept volume), on plain floats;
+    ``hr`` is the metric's horizon radius."""
+    m = metric.mass
     try:
         k1r, k1v = _stage(m, hr, r)
         k2r, k2v = _stage(m, hr, r + 0.5 * dt * k1r)
@@ -127,7 +131,8 @@ def _rk4(metric: AmbientMetric, r: float, v: float, dt: float) -> tuple[float, f
     if hr > 0.0 and -math.inf < r_next < hr:
         # a finite overshoot is numerical: the continuous flow cannot cross
         r_next = hr * (1.0 + _HORIZON_PAD)
-    _check_radius(metric, r_next)  # no state holds a radius the closed forms reject
+    if not _radius_ok(hr, r_next):  # no state holds a radius the closed forms reject
+        _check_radius(metric, r_next)  # raises, with the rule's message
     return r_next, v_next
 
 
@@ -136,7 +141,7 @@ def step(state: SymmetricFlowState, dt: float) -> SymmetricFlowState:
     if not dt > 0:
         raise ValueError("dt must be positive")
     g = state.metric
-    return SymmetricFlowState(g, state.t + dt, *_rk4(g, state.r, state.swept_volume, dt))
+    return SymmetricFlowState(g, state.t + dt, *_rk4(g, g.horizon_radius, state.r, state.swept_volume, dt))
 
 
 def run_symmetric_flow(
@@ -167,7 +172,7 @@ def run_symmetric_flow(
         if hr == 0.0 and r * r <= _EXTINCTION_GUARD * dt:
             break
         prev_r = r
-        r, v = _rk4(metric, r, v, dt)
+        r, v = _rk4(metric, hr, r, v, dt)
         t, done = t + dt, i
         if i % sample_every == 0:
             out.append(SymmetricFlowState(metric, t, r, v))

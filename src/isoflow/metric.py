@@ -92,18 +92,22 @@ class AmbientMetric:
         return cls(0.0)
 
 
+def _radius_ok(hr: float, r):
+    # the one radius rule, per element: finite and outside the horizon hr,
+    # allowing r == hr up to roundoff (so no negative radius)
+    return (hr * (1.0 - 4e-16) <= r) & (r < math.inf)
+
+
 def _check_radius(metric: AmbientMetric, r):
-    # finite and outside the horizon, allowing r == m/2 up to roundoff (so no
-    # negative radius); a scalar is compared as given, cheapest as a float
-    lo = metric.horizon_radius * (1.0 - 4e-16)
-    x = _as_float(r)
-    ok = lo <= r < math.inf if isinstance(x, float) else np.all((x >= lo) & (x < math.inf))
-    if not ok:
-        raise ValueError(f"radius must be finite and >= horizon radius {metric.horizon_radius}")
+    # a scalar is compared as given, cheapest as a float
+    hr, x = metric.horizon_radius, _as_float(r)
+    if not (_radius_ok(hr, r) if isinstance(x, float) else np.all(_radius_ok(hr, x))):
+        raise ValueError(f"radius must be finite and >= horizon radius {hr}")
     return x
 
 
 # the one conformal-weight formula, of (m, r), and area and mean-curvature ones, of (r, w)
+# (flow_ode._stage repeats the last two on a float, for speed)
 def _conformal_weight(m, r):
     return 1.0 + m / (2.0 * r)
 

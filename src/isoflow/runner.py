@@ -38,9 +38,13 @@ from .trace import ComponentRecord, RunFailure, TraceSample
 if TYPE_CHECKING:
     from .flow_levelset import FlowRunConfig
 
+# each header with its row format: one %-format a row, each float as fmt writes it
 TRACE_HEADER = "t,A_total,V_total,Q,ratio,n_components,n_frozen"
+TRACE_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d"
 COMPONENTS_HEADER = "t,id,frozen,freeze_time,perimeter,volume,hawking"
+COMPONENTS_ROW = "%.17g,%d,%d,%.17g,%.17g,%.17g,%.17g"
 MASS_TABLE_HEADER = "r,area,volume,qlm,hawking,qlm_gap_scaled"
+MASS_TABLE_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
 
 # prop36's round-off scale for an ode-flow's profile gap, relative to the
 # first volume; cor75 reads the same scale
@@ -81,24 +85,17 @@ class ScenarioResult:
 
 def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for line in lines:
-            f.write(line + "\n")
+        f.write("".join([line + "\n" for line in lines]))
 
 
 def _write_flow(out_dir: str, samples: list[TraceSample]) -> None:
     trace_rows = [TRACE_HEADER]
     comp_rows = [COMPONENTS_HEADER]
     for s in samples:
-        trace_rows.append(
-            f"{fmt(s.t)},{fmt(s.area)},{fmt(s.volume)},{fmt(s.profile_gap)},"
-            f"{fmt(s.ratio)},{s.n_components},{s.n_frozen}"
-        )
+        trace_rows.append(TRACE_ROW % (s.t, s.area, s.volume, s.profile_gap, s.ratio, s.n_components, s.n_frozen))
         for c in s.components:
             ft = math.nan if c.freeze_time is None else c.freeze_time
-            comp_rows.append(
-                f"{fmt(s.t)},{c.id},{int(c.frozen)},{fmt(ft)},"
-                f"{fmt(c.perimeter)},{fmt(c.volume)},{fmt(c.hawking)}"
-            )
+            comp_rows.append(COMPONENTS_ROW % (s.t, c.id, c.frozen, ft, c.perimeter, c.volume, c.hawking))
     _write_lines(os.path.join(out_dir, "trace.csv"), trace_rows)
     _write_lines(os.path.join(out_dir, "components.csv"), comp_rows)
 
@@ -231,7 +228,8 @@ def _run_mass_table(sc: Scenario, out_dir: str, _built: None = None) -> list[Ver
     qlm = sc.mass + gap_scaled / np.sqrt(area)
     haw = sphere_hawking_mass(metric, r)
     rows = [MASS_TABLE_HEADER]
-    rows += [",".join(map(fmt, row)) for row in zip(r, area, volume, qlm, haw, gap_scaled)]
+    cols = (x.tolist() for x in (r, area, volume, qlm, haw, gap_scaled))  # plain floats, one format a row
+    rows += [MASS_TABLE_ROW % row for row in zip(*cols)]
     _write_lines(os.path.join(out_dir, "mass_table.csv"), rows)
 
     verdicts = []

@@ -19,7 +19,7 @@ import isoflow.runner as runner_mod
 from isoflow.cli import main
 from isoflow.config import ConfigError, TimeSpec, parse_plan
 from isoflow.measure import MAX_NODES, AxiGrid
-from isoflow.trace import ComponentRecord, FlowTrace, TraceSample
+from isoflow.trace import ComponentRecord, FlowTrace, RunFailure, TraceSample
 
 TRACE_HEADER = "t,A_total,V_total,Q,ratio,n_components,n_frozen"
 COMPONENTS_HEADER = "t,id,frozen,freeze_time,perimeter,volume,hawking"
@@ -907,3 +907,49 @@ def test_a_region_reaching_the_outer_edge_mid_run_exits_3(tmp_path, monkeypatch,
         assert len((out / "ball" / "trace.csv").read_text(encoding="utf-8").splitlines()) == 2
     # the outer edge is checked before every rebuild, so none reads such a field
     assert rebuilt_edges and not any(rebuilt_edges)
+
+
+def test_a_blow_up_mid_plan_leaves_the_other_scenarios_lines(tmp_path, monkeypatch, capsys):
+    # ode-flow, blow-up, ode-flow, blow-up: every scenario runs and prints its
+    # lines, in plan order, each blow-up goes to stderr, and the plan exits 3
+    def blown(sc, out_dir, built):
+        raise RunFailure("non-finite sample", [])
+
+    monkeypatch.setitem(runner_mod._MODE_RUNNERS, "mass-table", blown)
+    names = ["ode-a", "table-b", "ode-c", "table-d"]
+    plan = [ode_scenario(names[0]), mass_table_scenario(names[1])]
+    plan += [ode_scenario(names[2]), mass_table_scenario(names[3])]
+    out = tmp_path / "out"
+    assert main(["run", write_plan(tmp_path, plan), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "".join(
+        f"{name}: {line}\n"
+        for name in names
+        for line in (out / name / "verdicts.txt").read_text(encoding="utf-8").splitlines()
+    )
+    assert "ode-c: PASS prop36" in captured.out and "table-d: FAIL blow-up slack=-inf" in captured.out
+    blowups = [line for line in captured.err.splitlines() if "numerical blow-up" in line]
+    assert blowups == [
+        f"isoflow: {name}: numerical blow-up (non-finite sample); last good sample t=none" for name in names[1::2]
+    ]
+
+
+# ---------------------------------------------------------------------------
+# row formats: one %-format a CSV row, the bytes of the per-value fmt join
+
+ODD_FLOATS = [
+    math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308,
+    np.float64(0.1), np.float64(-math.inf), 1.0 / 3.0,
+]
+
+
+@pytest.mark.parametrize("shift", range(len(ODD_FLOATS)))
+@pytest.mark.parametrize("frozen", [False, True])
+def test_each_row_format_writes_the_per_value_fmt_join(shift, frozen):
+    fmt = runner_mod.fmt
+    x = ODD_FLOATS[shift:] + ODD_FLOATS[:shift]  # every value in every column
+    assert runner_mod.TRACE_ROW % (*x[:5], 2, 1) == ",".join([*map(fmt, x[:5]), "2", "1"])
+    assert runner_mod.COMPONENTS_ROW % (x[0], 7, frozen, *x[1:5]) == ",".join(
+        [fmt(x[0]), "7", str(int(frozen)), *map(fmt, x[1:5])]
+    )
+    assert runner_mod.MASS_TABLE_ROW % tuple(x[:6]) == ",".join(map(fmt, x[:6]))

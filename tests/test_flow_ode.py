@@ -185,6 +185,20 @@ def test_each_rk4_stage_finds_w_once(monkeypatch):
     assert len(calls) == 4 * 100
 
 
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+def test_stepping_950_times_gives_the_march_bit_for_bit(m):
+    # step() and run_symmetric_flow share one RK4 step; the radial-oracle march
+    g, dt = AmbientMetric(m), 0.01 * m * m
+    states = run_symmetric_flow(g, 4.0 * m, dt, 950 * dt)
+    assert len(states) == 951
+    state = states[0]
+    for want in states[1:]:
+        state = step(state, dt)
+        assert [x.hex() for x in (state.t, state.r, state.swept_volume)] == [
+            x.hex() for x in (want.t, want.r, want.swept_volume)
+        ]
+
+
 def test_sampling_keeps_endpoints():
     states = run_symmetric_flow(AmbientMetric(1.0), 3.0, dt=1e-3, t_max=0.1, sample_every=7)
     assert states[0].t == 0.0

@@ -4,6 +4,8 @@
   bit for bit in t, r and swept volume, or both raise ValueError
 - a stage radius that reaches 0 raises ValueError from ``step``, never
   ZeroDivisionError
+- a stage's two rates are metric's mean curvature and area forms on the
+  float, bit for bit, or the same exception
 """
 
 import numpy as np
@@ -14,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ode_oracles
-from isoflow.flow_ode import initial_state, run_symmetric_flow, step
-from isoflow.metric import AmbientMetric
+from isoflow.flow_ode import _stage, initial_state, run_symmetric_flow, step
+from isoflow.metric import AmbientMetric, _area, _conformal_weight, _mean_curvature
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -53,3 +55,30 @@ def test_a_stage_radius_reaching_zero_raises_value_error(m, r0, factor):
         step(state, dt)
     with np.errstate(all="ignore"), pytest.raises(ValueError):
         ode_oracles.step(state, dt)
+
+
+def rates(f):
+    """float.hex of the two rates ``f`` returns, or the name of what it raises."""
+    try:
+        return tuple(float(x).hex() for x in f())
+    except (ZeroDivisionError, OverflowError) as e:
+        return type(e).__name__
+
+
+def metric_rates(m, r):
+    w = _conformal_weight(m, r)
+    return -_mean_curvature(r, w) / (w * w), -_mean_curvature(r, w) * _area(r, w)
+
+
+@PROPERTY
+@given(st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(0.5, 1e3)), st.data())
+def test_a_stage_is_metric_mean_curvature_and_area_on_the_float(m, data):
+    hr = AmbientMetric(m).horizon_radius
+    r = data.draw(st.floats(hr, 1e6), label="r")  # r = 0 at m = 0: both divide by zero
+    assert rates(lambda: _stage(m, hr, r)) == rates(lambda: metric_rates(m, r))
+
+
+@pytest.mark.parametrize("m, r, raised", [(0.0, 0.0, "ZeroDivisionError"), (1e3, 1e-150, "OverflowError")])
+def test_a_stage_raises_what_the_metric_forms_raise(m, r, raised):
+    # _stage is told the horizon is 0, so r = 1e-150 stands: w is 5e152 and w**3 overflows
+    assert rates(lambda: _stage(m, 0.0, r)) == rates(lambda: metric_rates(m, r)) == raised
