@@ -10,7 +10,8 @@ fails, 2 on a malformed configuration, 3 when a run failed: its values
 went non-finite or its region reached the grid's outer edge (the message
 carries the reason and the last good sample time; the plan's other
 scenarios still run and print their lines), 4 on a fault of the program
-itself (its traceback goes to stderr).
+itself (the scenarios finished before it print their lines, then its
+traceback goes to stderr; no later scenario runs).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 import traceback
 
 from .config import ConfigError, RunPlan, Scenario, load_plan
-from .runner import run_plan
+from .runner import PlanFault, run_plan
 
 
 def _built_in_suite() -> RunPlan:
@@ -56,6 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     out_root = args.out or os.environ.get("ISOFLOW_OUT") or "isoflow-out"
+    fault = None
     try:
         if args.command == "suite":
             results = run_plan(_built_in_suite(), out_root)
@@ -67,11 +69,12 @@ def main(argv: list[str] | None = None) -> int:
         # writes; any other error is a fault of the run
         print(f"isoflow: bad config: {e}", file=sys.stderr)
         return 2
-    except Exception:  # neither the config nor a run's values: a fault of the program
-        traceback.print_exc()
-        return 4
+    except PlanFault as e:  # a fault mid-plan: the scenarios before it still print their lines
+        results, fault = e.args[0], e.__cause__
+    except Exception as e:  # neither the config nor a run's values: a fault of the program
+        results, fault = [], e
 
-    # every scenario's lines are printed; a blow-up (3) outranks a failed verdict (1)
+    # every finished scenario's lines are printed; a blow-up (3) outranks a failed verdict (1)
     status = 0
     for res in results:
         if res.failure is not None:
@@ -85,6 +88,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{res.name}: {v.line()}")
             if not v.passed:
                 status = max(status, 1)
+    if fault is not None:  # its traceback, after the lines
+        sys.stdout.flush()
+        traceback.print_exception(fault)
+        return 4
     return status
 
 

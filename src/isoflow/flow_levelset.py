@@ -95,15 +95,12 @@ def cfl_time_step(metric: AmbientMetric, grid: AxiGrid) -> float:
 
 
 def initial_state(metric: AmbientMetric, grid: AxiGrid) -> LevelSetState:
-    inside = grid.values < 0
-    arrival = np.where(inside, np.inf, 0.0)
-    trace = FlowTrace(arrival_time=arrival)
     return LevelSetState(
         grid=grid,
         frozen_mask=np.zeros(grid.values.shape, dtype=bool),
         t=0.0,
         components=[],
-        trace=trace,
+        trace=FlowTrace(arrival_time=np.where(grid.values < 0, np.inf, 0.0)),  # inside: not yet arrived
         id_map=np.zeros(grid.values.shape, dtype=np.int32),
         next_id=1,
     )
@@ -212,8 +209,7 @@ def _match_ids(state: LevelSetState, measures: list[ComponentMeasure]) -> tuple[
     Ties, and brand-new components, are resolved in scan order; a
     previous id is claimed at most once.
     """
-    id_map = state.id_map
-    next_id = state.next_id
+    id_map, next_id = state.id_map, state.next_id
     if not measures:
         return [], np.zeros_like(id_map), next_id
     taken: set[int] = set()
@@ -222,17 +218,9 @@ def _match_ids(state: LevelSetState, measures: list[ComponentMeasure]) -> tuple[
     lookup = np.zeros(measures[-1].id + 2, dtype=id_map.dtype)
     for m in measures:
         overlap = id_map[m.node_mask]
-        overlap = overlap[overlap > 0]
-        best = 0
-        if overlap.size:
-            counts = np.bincount(overlap)
-            ranked = np.argsort(counts, kind="stable")[::-1]
-            for cand in ranked:
-                if counts[cand] == 0:
-                    break
-                if int(cand) not in taken:
-                    best = int(cand)
-                    break
+        counts = np.bincount(overlap[overlap > 0])  # empty when nothing overlaps
+        ranked = np.argsort(counts, kind="stable")[::-1]  # most overlap first
+        best = next((int(c) for c in ranked if counts[c] and int(c) not in taken), 0)
         if best == 0:
             best = next_id
             next_id += 1
@@ -334,7 +322,8 @@ def reinitialize(u: np.ndarray, h: float, frozen_mask: np.ndarray) -> np.ndarray
     takes its closest point, by ``NEWTON_STEPS`` Newton steps, on the
     parabola of the zero its nearest seed took, or within two cells the
     nearest of its own and its four neighbours' (the nearest seed may lie
-    across a thin neck); further out, its distance to that zero.
+    across a thin neck); further out, ``WIDTH + 4`` cells with u's sign,
+    since past the band only a sign and |u| > ``WIDTH`` cells are read.
     """
     inside = u < 0.0
     n, m = u.shape
@@ -398,21 +387,18 @@ def reinitialize(u: np.ndarray, h: float, frozen_mask: np.ndarray) -> np.ndarray
 
     from scipy import ndimage  # as in measure.label_regions
 
-    si, sj = ndimage.distance_transform_edt((zero < 0).reshape(u.shape), return_distances=False, return_indices=True)
-    k = zero[si * m + sj]  # the zero each node's nearest seed took
-    rows, cols = np.arange(n)[:, None], np.arange(m)
-    di, dj = rows - px[k], cols - py[k]
-    dist = np.sqrt(di * di + dj * dj).reshape(-1)  # past the reach; np.hypot costs tenfold
-    seed_sq = ((rows - si) ** 2 + (cols - sj) ** 2).reshape(-1)
-    k = k.reshape(-1)
-    close = np.flatnonzero(seed_sq <= 4)  # these take the nearest of five parabolas
+    # each node's nearest seed and its distance in cells, the root of an integer sum
+    seed_dist, (si, sj) = ndimage.distance_transform_edt((zero < 0).reshape(u.shape), return_indices=True)
+    seed_dist, k = seed_dist.reshape(-1), zero[si * m + sj].reshape(-1)  # k: the zero that seed took
+    close = np.flatnonzero(seed_dist <= 2)  # these take the nearest of five parabolas
     ci, cj = np.divmod(close, m)
     around = k[np.stack([close, np.maximum(ci - 1, 0) * m + cj, np.minimum(ci + 1, n - 1) * m + cj,
                          ci * m + np.maximum(cj - 1, 0), ci * m + np.minimum(cj + 1, m - 1)])]
     s, r, (c0, c1, c2), _ = parabola(around, ci, cj)
     gap, slope = c0 + (c1 + c2 * s) * s - r, c1 + 2.0 * c2 * s
     k[close] = around[(gap * gap / (1.0 + slope * slope)).argmin(axis=0), np.arange(close.size)]
-    reach = np.flatnonzero(seed_sq <= (_BandedStepper.WIDTH + 4) ** 2)  # these, Newton steps
+    far = _BandedStepper.WIDTH + 4  # the reach in cells: nodes within it take Newton steps
+    reach = np.flatnonzero(seed_dist <= far)
     s_node, r_node, (c0, c1, c2), (lo, hi) = parabola(k[reach], *np.divmod(reach, m))
     s = np.minimum(np.maximum(s_node, lo), hi)
     for _ in range(NEWTON_STEPS):
@@ -421,6 +407,7 @@ def reinitialize(u: np.ndarray, h: float, frozen_mask: np.ndarray) -> np.ndarray
         curv = np.maximum(1.0 + slope * slope + 2.0 * c2 * gap, _CURVATURE_FLOOR)
         s = np.minimum(np.maximum(s - (s - s_node + gap * slope) / curv, lo), hi)
     gap = c0 + (c1 + c2 * s) * s - r_node
+    dist = np.full(u.size, far)  # past the reach only the sign is read
     dist[reach] = np.sqrt((s - s_node) ** 2 + gap * gap)
     dist = dist.reshape(u.shape) * h
     # an inside distance stays positive even where a crossing is on a node
@@ -459,11 +446,8 @@ class _BandedStepper:
     outside stay put, and there super-steps of 10 stages grow a
     checkerboard.  The slowed level sets bend the field away from a
     distance until the next rebuild, and near the zero set that bend moves
-    it: criterion 05's worst area error, at a sphere of 14 cells, reads
-    1.55% (0.39% with a hard edge at 6 stages), and 0.13% with rebuilds
-    twice as often.  The error is not monotone in the cutoff's start (from
-    5 to 10 cells: 3.3, 1.55, 0.14, 0.21, 0.04, 0.30%), since the bend can
-    speed the zero set up or slow it down.
+    it, faster or slower: criterion 05's worst area error, at a sphere of
+    14 cells, reads 1.55% (0.39% with a hard edge at 6 stages).
 
     A refresh also takes the band's CFL scale, :attr:`bound_scale`: the
     step's diffusivity is w^-4, so the band's bound is the grid's
@@ -790,9 +774,8 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
         if sample_due:
             _sample(state, m_thr)
             next_sample += config.sample_interval
-    if state.live_count:
-        # time limit: a final sweep (one may already have run at this
-        # step; a repeated sweep changes nothing)
+    if state.live_count and state.t < t:
+        # time limit: a final sweep, unless the last step swept
         state = freeze_sweep(replace(state, grid=_checked_grid(state, u, stepper), t=t), metric, m_thr)
     if state.trace.samples[-1].t < t:
         _sample(state, m_thr)

@@ -83,6 +83,11 @@ class ScenarioResult:
         return self.failure is None and all(v.passed for v in self.verdicts)
 
 
+class PlanFault(Exception):
+    """A fault of the program in a scenario's run, chained from it, that
+    ends the plan; ``args[0]`` lists the results of the scenarios before it."""
+
+
 def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("".join([line + "\n" for line in lines]))
@@ -262,6 +267,8 @@ def run_plan(plan: RunPlan, out_root: str, *, h: float | None = None, dt: float 
     even the root directory.  With several mistakes the first scenario's
     is reported.  Each run is handed what the pass built, its config or
     its (dt, every), so every level-set grid is held until its own run.
+    Any other exception in a run ends the plan there: :class:`PlanFault`,
+    chained from it, with the results of the scenarios before it.
     """
     if h is not None:
         h = _number(h, "--h", positive=True)
@@ -291,6 +298,8 @@ def run_plan(plan: RunPlan, out_root: str, *, h: float | None = None, dt: float 
             verdicts = _MODE_RUNNERS[sc.mode](sc, out_dir, built)
         except RunFailure as e:
             verdicts, failure = [Verdict("blow-up", -math.inf)], e
+        except Exception as e:
+            raise PlanFault(results) from e
         _write_lines(os.path.join(out_dir, "verdicts.txt"), [v.line() for v in verdicts])
         results.append(ScenarioResult(sc.name, tuple(verdicts), failure))
     return results

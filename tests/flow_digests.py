@@ -7,10 +7,13 @@ The radial lines come first: sha256 of the radial-oracle marches
 to t = 9.5 m², every 10th step), then sha256 of each file that
 ``run_plan`` writes for the same three ode-flows and a 400-radius mass
 table at m = 1 (``trace.csv``, ``components.csv``, ``mass_table.csv``,
-``verdicts.txt``).  Then it runs criteria 05, 06 and 07 (the dumbbell at
-all three h) with the configs of ``test_acceptance.py``'s fixtures, and
-prints one line a run: sha256 of repr(samples) (exact for floats), sha256
-of the arrival-time bytes, and ``freeze_all_time``.  A change meant to
+``verdicts.txt``).  Then sha256 of each file that ``run_plan`` writes for
+the benchmark's sphere-freeze and dumbbell-pinch plans at seeds 3 and 11
+(``perfbench/workloads.py``'s ``build_plan``).  Then it runs criteria 05,
+06 and 07 (the dumbbell at all three h) with the configs of
+``test_acceptance.py``'s fixtures, and prints one line a run: sha256 of
+repr(samples) (exact for floats), sha256 of the arrival-time bytes, and
+``freeze_all_time``.  A change meant to
 keep the outputs to the bit prints the same lines before and after it;
 run it on both trees and diff.  pytest does not collect this file.
 """
@@ -21,15 +24,19 @@ import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"), HERE]
+ROOT = os.path.dirname(HERE)
+sys.path[:0] = [os.path.join(ROOT, "src"), HERE, os.path.join(ROOT, "perfbench")]
 
 import test_acceptance  # noqa: E402
+from workloads import build_plan  # noqa: E402
 from isoflow.config import RunPlan, Scenario, TimeSpec  # noqa: E402
 from isoflow.flow_ode import run_symmetric_flow  # noqa: E402
 from isoflow.metric import AmbientMetric  # noqa: E402
 from isoflow.runner import run_plan  # noqa: E402
 
 RADIAL_MASSES = (("m05", 0.5), ("m1", 1.0), ("m2", 2.0))
+BENCHMARK_RUNS = ("sphere-freeze", "dumbbell-pinch")
+BENCHMARK_SEEDS = (3, 11)
 
 
 def sha(data: bytes) -> str:
@@ -52,17 +59,32 @@ def radial_lines() -> list[str]:
         scenarios.append(Scenario(name=f"ode-flow-{tag}", mode="ode-flow", mass=m, r0=4.0 * m, time=time))
     r_values = tuple(0.6 * 100.0 ** (k / 399) for k in range(400))
     scenarios.append(Scenario(name="mass-table-m1", mode="mass-table", mass=1.0, r_values=r_values))
+    return lines + artifact_lines(RunPlan(scenarios=tuple(scenarios)))
+
+
+def artifact_lines(plan: RunPlan, tag: str = "") -> list[str]:
+    """sha256 of each file ``run_plan`` writes for ``plan``, one line a file."""
+    lines = []
     with tempfile.TemporaryDirectory() as out:
-        run_plan(RunPlan(scenarios=tuple(scenarios)), out)
-        for sc in scenarios:
+        run_plan(plan, out)
+        for sc in plan.scenarios:
             for fn in sorted(os.listdir(os.path.join(out, sc.name))):
                 with open(os.path.join(out, sc.name, fn), "rb") as f:
-                    lines.append(f"{sc.name}/{fn} sha256={sha(f.read())}")
+                    lines.append(f"{sc.name}{tag}/{fn} sha256={sha(f.read())}")
     return lines
 
 
+def benchmark_lines() -> list[str]:
+    return [
+        line
+        for name in BENCHMARK_RUNS
+        for seed in BENCHMARK_SEEDS
+        for line in artifact_lines(build_plan(name, seed), f"-seed{seed}")
+    ]
+
+
 def main() -> None:
-    for line in radial_lines():
+    for line in radial_lines() + benchmark_lines():
         print(line, flush=True)
     # the fixtures' own functions, called outside pytest
     trace, _, _ = test_acceptance.euclid_sphere_run.__wrapped__()

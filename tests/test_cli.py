@@ -934,6 +934,23 @@ def test_a_blow_up_mid_plan_leaves_the_other_scenarios_lines(tmp_path, monkeypat
     ]
 
 
+def test_a_fault_mid_plan_prints_the_finished_scenarios_lines(tmp_path, monkeypatch, capsys):
+    # ode-flow, fault, ode-flow: the first scenario's lines, then the
+    # fault's traceback; exit 4, and the third scenario never runs
+    def broken(sc, out_dir, built):
+        raise KeyError("fault inside the table")
+
+    monkeypatch.setitem(runner_mod._MODE_RUNNERS, "mass-table", broken)
+    plan = [ode_scenario("a"), mass_table_scenario("b"), ode_scenario("c")]
+    out = tmp_path / "out"
+    assert main(["run", write_plan(tmp_path, plan), "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    lines = (out / "a" / "verdicts.txt").read_text(encoding="utf-8").splitlines()
+    assert lines and captured.out == "".join(f"a: {line}\n" for line in lines)
+    assert "Traceback" in captured.err and "KeyError: 'fault inside the table'" in captured.err
+    assert not (out / "c").exists()
+
+
 # ---------------------------------------------------------------------------
 # row formats: one %-format a CSV row, the bytes of the per-value fmt join
 

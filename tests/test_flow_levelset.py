@@ -597,12 +597,19 @@ def test_reinitialize_preserves_interface_and_signs():
     for chain in interface_contour(steep.replace_values(v)):
         dist = np.abs(np.hypot(chain[:, 0], chain[:, 1]) - R0)
         assert dist.max() < h / 2
-    # gradient close to one away from the interface
+    # gradient close to one away from the interface, out to the reach (a
+    # central difference reads a cell further)
+    reach = (_BandedStepper.WIDTH + 4) * h
     gi, gj = np.gradient(v, h)
     gn = np.hypot(gi, gj)
-    band = (np.abs(v) > 2 * h) & (np.abs(v) < 0.3)
+    band = (np.abs(v) > 2 * h) & (np.abs(v) < reach - h)
     ok = (gn[band] > 0.8) & (gn[band] < 1.2)
     assert np.mean(ok) >= 0.99
+    # a node more than a cell beyond it lies past the reach of every seed
+    # (an end of an edge the circle crosses): it takes the reach with the sign of the field
+    far = np.abs(g.values) > reach + h
+    assert (g.values[far] < 0).any() and (g.values[far] > 0).any()
+    np.testing.assert_array_equal(v[far], np.where(steep.values[far] < 0, -reach, reach))
 
 
 def test_reinitialize_is_stable_on_distance_fields():
@@ -629,6 +636,24 @@ def test_final_sample_is_not_read_off_a_rebuilt_field():
     ]
     assert finals[0].t == 40 * dt
     assert finals[0] == finals[1]
+
+
+def test_a_time_limited_run_sweeps_once_at_its_last_sample(monkeypatch):
+    # the last step takes a sample, and with it a sweep: the end of the run
+    # does not sweep again at the same t
+    g = sphere_grid(1.0, 0.05, pad=0.5)
+    dt = cfl_time_step(EUCLID, g)
+    sweep, times = flow_levelset_mod.freeze_sweep, []
+
+    def spy(state, metric, threshold_mass=None):
+        times.append(state.t)
+        return sweep(state, metric, threshold_mass)
+
+    monkeypatch.setattr(flow_levelset_mod, "freeze_sweep", spy)
+    trace = run_modified_flow(FlowRunConfig(metric=EUCLID, grid=g, t_max=40 * dt, sample_interval=10 * dt, dt=dt))
+    assert trace.freeze_all_time is None
+    assert trace.samples[-1].t == times[-1] == 40 * dt
+    assert times.count(times[-1]) == 1
 
 
 def test_freeze_sweep_idempotent_and_threshold_exact():

@@ -1,5 +1,6 @@
 """Properties of the closest-point distance rebuild: signs, frozen nodes,
-the distance near the interface, the far field, and its edge roots."""
+the distance near the interface, the fixed value past its reach, and its
+edge roots."""
 
 import os
 import subprocess
@@ -13,8 +14,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoflow.flow_levelset import _BandedStepper, _edge_zero, reinitialize
+import isoflow.flow_levelset as flow_levelset_mod
+from isoflow.config import ShapeSpec
+from isoflow.flow_levelset import FlowRunConfig, _BandedStepper, _edge_zero, reinitialize, run_modified_flow
 from isoflow.measure import AxiGrid
+from isoflow.metric import AmbientMetric
 
 H = 0.05
 EXTENT = 2.5
@@ -130,23 +134,16 @@ def test_the_two_sides_of_a_thin_shell_keep_their_own_parabolas():
     assert np.abs(rebuilt - exact)[near].max() < 0.1 * H
 
 
-def seed_feet(u):
-    """Each seed node's (rho + i z) offset, in cells, to the zero of the
-    crossing edge it takes: of the first axis's edges, then the second's,
-    low ends before high ones, the last written."""
-    seeds = np.zeros(u.shape, dtype=bool)
-    foot = np.zeros(u.shape, dtype=complex)
-    for axis, unit in ((0, 1.0), (1, 1j)):
-        a = u if axis == 0 else u.T
-        ei, ej = np.nonzero((a[:-1, :] < 0.0) != (a[1:, :] < 0.0))
-        flat, step = a.reshape(-1), a.shape[1]
-        low = ei * step + ej
-        theta = _edge_zero(flat, low, ei, step, a.shape[0])
-        for ends, offsets in ((ei, theta), (ei + 1, theta - 1.0)):
-            for i, j, offset in zip(ends, ej, offsets):
-                node = (i, j) if axis == 0 else (j, i)
-                seeds[node], foot[node] = True, offset * unit
-    return seeds, foot
+def seed_nodes(u):
+    """The ends of ``u``'s sign-changing edges."""
+    inside, seeds = u < 0.0, np.zeros(u.shape, dtype=bool)
+    change = inside[:-1, :] != inside[1:, :]
+    seeds[:-1, :] |= change
+    seeds[1:, :] |= change
+    change = inside[:, :-1] != inside[:, 1:]
+    seeds[:, :-1] |= change
+    seeds[:, 1:] |= change
+    return seeds
 
 
 def test_a_frozen_block_on_the_interface_keeps_its_values():
@@ -166,20 +163,18 @@ def test_a_frozen_block_on_the_interface_keeps_its_values():
     assert (np.abs(rebuilt - exact)[near] < 1e-3 * H).all()
 
 
-def test_nodes_past_the_reach_take_the_distance_to_their_seeds_zero():
-    # at this spacing any absolute slack would be lost: the far field is
-    # the distance to the zero the nearest seed took, up to round-off
+def test_nodes_past_the_reach_take_the_reach_with_the_sign_of_u():
+    # past WIDTH + 4 cells from every seed only a node's sign is read: it
+    # takes exactly that many cells, with u's sign, even at this spacing
     h = 1e11
     i, j = np.ogrid[0:40, 0:60]
     u = (np.hypot(i, j - 30.0) - 6.3) * h
     rebuilt = reinitialize(u, h, np.zeros(u.shape, dtype=bool))
-    seeds, foot = seed_feet(u)
-    near_seed, (si, sj) = ndimage.distance_transform_edt(~seeds, return_indices=True)
-    fi, fj = np.nonzero((near_seed > _BandedStepper.WIDTH + 4) & (u > 0.0))
-    assert fi.size
-    ni, nj = si[fi, fj], sj[fi, fj]
-    expected = h * np.abs(fi - ni + 1j * (fj - nj) - foot[ni, nj])
-    np.testing.assert_allclose(rebuilt[fi, fj], expected, rtol=1e-12)
+    near_seed = ndimage.distance_transform_edt(~seed_nodes(u))
+    far = near_seed > _BandedStepper.WIDTH + 4
+    assert far.any()
+    reach_h = (_BandedStepper.WIDTH + 4) * h
+    np.testing.assert_array_equal(rebuilt[far], np.where(u[far] < 0.0, -reach_h, reach_h))
     # nearer in, the closest point on a circle of 6.3 cells
     reach = (near_seed <= _BandedStepper.WIDTH + 4) & (u > 0.0)
     np.testing.assert_allclose(rebuilt[reach], u[reach], rtol=0.0, atol=0.01 * h)
@@ -200,3 +195,45 @@ def test_a_rebuild_leaves_scipy_spatial_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# an m = 1 sphere through its freeze, and an m = 0 dumbbell at threshold
+# mass 1 through its pinch: coarse grids, several rebuilds, and (mass,
+# shape, grid, run settings) each
+FAR_RUNS = {
+    "sphere": (
+        1.0, ShapeSpec(kind="sphere", r0=4.0), (0.088, 4.4, -4.4, 4.4),
+        dict(t_max=9.5, sample_interval=0.1, sweep_cadence=50, reinit_cadence=25),
+    ),
+    "dumbbell": (
+        0.0, ShapeSpec(kind="dumbbell", ball_radius=3.5, separation=8.4, neck_radius=0.7), (0.1, 4.4, -8.8, 8.8),
+        dict(t_max=1.2, sample_interval=0.01, sweep_cadence=10, reinit_cadence=20),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FAR_RUNS)
+def test_a_run_never_reads_a_value_past_the_reach(name, monkeypatch):
+    # every rebuilt |v| >= WIDTH + 4 cells, ten times larger: the run keeps its bits
+    mass, shape, box, settings = FAR_RUNS[name]
+    grid = AxiGrid.sample(*box, shape.signed_distance)
+    config = FlowRunConfig(metric=AmbientMetric(mass), grid=grid, threshold_mass=1.0, **settings)
+    plain = run_modified_flow(config)
+    scaled_nodes = []
+
+    def stretched(u, h, frozen_mask):
+        v = reinitialize(u, h, frozen_mask)
+        far = np.abs(v) >= (_BandedStepper.WIDTH + 4) * h
+        scaled_nodes.append(np.count_nonzero(far))
+        v[far] *= 10.0
+        return v
+
+    monkeypatch.setattr(flow_levelset_mod, "reinitialize", stretched)
+    wrapped = run_modified_flow(config)
+    assert len(scaled_nodes) >= 5 and min(scaled_nodes) > 0
+    assert plain.freeze_all_time is not None
+    assert max(s.n_components for s in plain.samples) == (2 if name == "dumbbell" else 1)
+    assert repr(wrapped.samples) == repr(plain.samples)
+    assert wrapped.arrival_time.tobytes() == plain.arrival_time.tobytes()
+    assert wrapped.freeze_all_time == plain.freeze_all_time
+
