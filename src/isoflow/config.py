@@ -197,8 +197,7 @@ def _number(value, path: str, *, minimum=None, positive=False) -> float:
 def _integer(value, path: str, *, minimum=0) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{path}: must be at least {minimum}")
+    _number(value, path, minimum=minimum)  # and finite as a float, which a run counts in
     return value
 
 

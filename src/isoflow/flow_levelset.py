@@ -570,13 +570,14 @@ def _sweep_can_change(state: LevelSetState, grid: AxiGrid, m_thr: float, t: floa
     return np.count_nonzero(deep) != len(state.components)
 
 
-def _checked_grid(state: LevelSetState, u: np.ndarray, stepper: _BandedStepper) -> AxiGrid:
+def _checked_grid(state: LevelSetState, u: np.ndarray, stepper: _BandedStepper | None) -> AxiGrid:
     """The state's grid holding the field ``u``.  A band node of ``u`` that
     is not finite, or a region that reaches the grid's outer edge, ends the
     run: :class:`RunFailure`, with the samples taken so far.  Only band
     nodes change in a step, and a refresh, the stepper's first included,
-    keeps a NaN in the band, so a value a step spoiled is still there."""
-    if not np.isfinite(np.take(u, stepper.stencil[0])).all():
+    keeps a NaN in the band, so a value a step spoiled is still there;
+    before the first step there is no ``stepper`` and nothing stepped."""
+    if stepper and not np.isfinite(np.take(u, stepper.stencil[0])).all():
         raise RunFailure("non-finite field", state.trace.samples)
     try:
         return state.grid.replace_values(u)
@@ -654,46 +655,48 @@ def _sample(state: LevelSetState, m_profile: float) -> None:
 def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     """Run the component-freezing flow and return its sampled trace.
 
+    Each pass of the loop looks at the field at t, then moves it:
+
+    1. checks: a freeze check every ``sweep_cadence`` grid-bound steps, a
+       rebuild every ``reinit_cadence`` (0: none), a sample on the
+       configured interval and at ``t_max``, and a pinch when the last
+       step changed the axis-run count;
+    2. sweep (:func:`freeze_sweep`) at a sample or a pinch, and at a check
+       only when :func:`_sweep_can_change` says it could freeze a
+       component or change the component count, so the trace is the one a
+       sweep at every check would give; a freeze refreshes the band;
+    3. sample, when due or when no live component is left;
+    4. end: at ``t_max`` (the trace is flagged incomplete), or when every
+       component is frozen or gone (that t is ``freeze_all_time``);
+    5. rebuild (:func:`reinitialize`), when due, and refresh the band;
+    6. plan; 7. step.
+
+    The field is checked (:func:`_checked_grid`) once at a t where a sweep
+    or a rebuild may read it: a band value that turned non-finite, or a
+    region that reaches the grid's outer edge, raises :class:`RunFailure`.
+    The config made every check when it was built, so a run never raises
+    :class:`~isoflow.config.ConfigError`.  The loop steps the working array
+    ``u`` in place and wraps it in the state's grid only for a sweep, which
+    every sample follows at its t.  The stepper is built at the first step,
+    so a run its first sweep ends builds none, and takes its band there.
+    Between refreshes only band nodes move, so none enters the band, and
+    one leaves it only by crossing |u| = ``WIDTH`` cells, where the cutoff
+    reaches 0.
+
     A configured dt pins the steps: every step is explicit, at that dt.
     Without one, :func:`_plan` plans the rest of the sample interval at
-    each sample, and whenever a rebuild's or a freeze's refresh takes the
-    band's bound below the step: explicit steps, or RKL2 super-steps
-    where they make fewer kernel calls.  A step of s stages keeps within
-    :func:`_stretch`(s) times the CFL bound of the band it moves
-    (:func:`cfl_time_step`'s grid bound times
-    :attr:`_BandedStepper.bound_scale`) and one period of the shorter
-    cadence (below).  While the band's bound is the grid's, explicit steps
-    keep the grid's dt.  Time is ``t_anchor + steps * dt``, the anchor
-    moving only with dt.  The stepper takes the band before the first
-    step and refreshes it after each rebuild and after a sweep that froze
-    a component, from the field and the frozen nodes alone.  Between those
-    only band nodes move, so none enters the band, and one leaves it only
-    by crossing |u| = ``WIDTH`` cells, where the cutoff reaches 0.
-
-    Sweeps for freezable components at every sample and whenever the
-    axis pinch count changes, and samples totals on the configured
-    interval.  ``reinit_cadence`` and ``sweep_cadence`` count grid-bound
-    steps, dt_grid: the configured dt, or the grid's bound snapped to the
-    sample interval.  Their periods are times on t, so they keep their
-    model time when dt grows, and no step spans more than one period of
-    either, so each period has its rebuild or check, at the first step
-    that reaches it.  The distance field is rebuilt every
-    ``reinit_cadence`` of them; every ``sweep_cadence`` of them a freeze
-    check (:func:`_sweep_can_change`, which also holds the rule for the
-    first check after a rebuild) runs the sweep only when it could freeze
-    a component or change the component count, so a run's trace is the
-    one a sweep at every such step would give.  The run ends when every
-    component is frozen or gone (that time is ``freeze_all_time``) or at
-    ``t_max`` (then the trace is flagged incomplete).
-
-    The config made every check when it was built, so what a run raises
-    is a fault of the run, never :class:`~isoflow.config.ConfigError`: a
-    band value that turns non-finite, or a region that reaches the grid's
-    outer edge, raises :class:`RunFailure` at the next check, sweep or
-    rebuild (:func:`_checked_grid`).  The loop steps the working array
-    ``u`` in place and wraps it in the state's grid only for a sweep; a
-    sample always follows a sweep at the same step, so the state's grid
-    is the current field at every sample.
+    each sample, and whenever a refresh takes the band's bound below the
+    step: explicit steps, or RKL2 super-steps where they make fewer kernel
+    calls.  A step of s stages keeps within :func:`_stretch`(s) times the
+    CFL bound of the band it moves (:func:`cfl_time_step`'s grid bound
+    times :attr:`_BandedStepper.bound_scale`) and one period of the shorter
+    cadence; while the band's bound is the grid's, explicit steps keep the
+    grid's dt.  Time is ``t_anchor + steps * dt``, the anchor moving only
+    with dt.  The cadences count grid-bound steps, dt_grid: the configured
+    dt, or the grid's bound snapped to the sample interval.  Their periods
+    are times on t, so they keep their model time when dt grows, and no
+    step spans more than one period of either, so each period has its
+    rebuild or check, at the first step that reaches it.
     """
     metric, m_thr = config.metric, config.threshold_mass
     state = initial_state(metric, config.grid)
@@ -701,15 +704,10 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     # the step the cadences count in: the configured dt, or the grid's bound
     # snapped to the sample interval
     dt = dt_grid = config.dt or config.sample_interval / math.ceil(config.sample_interval / bound)
-    state = freeze_sweep(state, metric, m_thr)
-    _sample(state, m_thr)
-
     u = config.grid.values.copy()  # working field; the input grid is kept intact
     stepper = None  # its whole-grid tables are wasted on a run the first sweep ends
-    if state.live_count:
-        stepper = _BandedStepper(metric, config.grid, u, state.frozen_mask)
     arrival_flat = state.trace.arrival_time.ravel()
-    next_sample = config.sample_interval
+    next_sample = 0.0  # the first look at the field samples it
     t_anchor, steps, t = 0.0, 0, 0.0  # t = t_anchor + steps * dt
     # rebuilds and sweep checks fall due on t, one period apart: cadence *
     # dt_grid less a slack for t's round-off; reinit_cadence 0 never falls due
@@ -723,21 +721,39 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     rebuilt_at = -math.inf  # the last rebuild's t
     # a change of the axis-run count sweeps at once, so at the top of each
     # iteration runs is its value at the last sweep
-    runs = _axis_run_count(u)
+    runs, pinched = _axis_run_count(u), False
     t_end = config.t_max - 1e-12 * max(config.t_max, 1.0)
-    while t < t_end and state.live_count:
-        # rebuild only before a step, never between a step and its sweep,
-        # so no sample is read off a just-rebuilt field
-        if t >= next_rebuild:
+    while True:
+        # look at the field at t: checks, sweep, sample, end test
+        check_due, rebuild_due = t >= next_check, t >= next_rebuild
+        sample_due = t >= next_sample - 0.5 * dt or t >= t_end
+        sweep_due = sample_due or pinched
+        if sweep_due or check_due or rebuild_due:
+            grid = _checked_grid(state, u, stepper)  # fail before a sweep or rebuild reads a bad field
+        if check_due:
+            next_check += check_period
+        if sweep_due or check_due and _sweep_can_change(state, grid, m_thr, t, rebuilt_at):
+            frozen_before = state.frozen_count
+            state = freeze_sweep(replace(state, grid=grid, t=t), metric, m_thr)
+            if stepper and state.frozen_count != frozen_before:
+                stepper.refresh(u, state.frozen_mask)
+        if sample_due or not state.live_count:
+            _sample(state, m_thr)
+            next_sample += config.sample_interval
+        if t >= t_end or not state.live_count:
+            break
+        # then move it, so no sample is read off a just-rebuilt field
+        if stepper is None:
+            stepper = _BandedStepper(metric, config.grid, u, state.frozen_mask)
+        if rebuild_due:
             next_rebuild += rebuild_period
-            _checked_grid(state, u, stepper)  # fail before a rebuild reads a bad field
             u = reinitialize(u, config.grid.h, state.frozen_mask)
             stepper.refresh(u, state.frozen_mask)
             rebuilt_at = t
         if config.dt is None:
             limit = bound * stepper.bound_scale
             # plan at a sample, or when a refresh took the bound below the step
-            if t == state.trace.samples[-1].t or dt > min(_stretch(stages) * limit, cap):
+            if sample_due or dt > min(_stretch(stages) * limit, cap):
                 # keep the grid's dt while the band's bound is the grid's
                 kept = dt if limit == bound and dt == dt_grid else math.inf
                 stages, planned = _plan(next_sample - t, limit, cap, kept)
@@ -759,26 +775,6 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
                 arrival_flat[flat[np.isinf(arrival_flat[flat])]] = t
             count = _axis_run_count(u)
             pinched, runs = count != runs, count
-        check_due = t >= next_check
-        if check_due:
-            next_check += check_period
-        sample_due = t >= next_sample - 0.5 * dt
-        sweep_due = sample_due or pinched
-        if sweep_due or check_due:
-            grid = _checked_grid(state, u, stepper)
-            if sweep_due or _sweep_can_change(state, grid, m_thr, t, rebuilt_at):
-                frozen_before = state.frozen_count
-                state = freeze_sweep(replace(state, grid=grid, t=t), metric, m_thr)
-                if state.frozen_count != frozen_before:
-                    stepper.refresh(u, state.frozen_mask)
-        if sample_due:
-            _sample(state, m_thr)
-            next_sample += config.sample_interval
-    if state.live_count and state.t < t:
-        # time limit: a final sweep, unless the last step swept
-        state = freeze_sweep(replace(state, grid=_checked_grid(state, u, stepper), t=t), metric, m_thr)
-    if state.trace.samples[-1].t < t:
-        _sample(state, m_thr)
     if not state.live_count:
         state.trace.freeze_all_time = t
     return state.trace

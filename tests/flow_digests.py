@@ -11,11 +11,14 @@ table at m = 1 (``trace.csv``, ``components.csv``, ``mass_table.csv``,
 the benchmark's sphere-freeze and dumbbell-pinch plans at seeds 3 and 11
 (``perfbench/workloads.py``'s ``build_plan``).  Then it runs criteria 05,
 06 and 07 (the dumbbell at all three h) with the configs of
-``test_acceptance.py``'s fixtures, and prints one line a run: sha256 of
-repr(samples) (exact for floats), sha256 of the arrival-time bytes, and
-``freeze_all_time``.  A change meant to
-keep the outputs to the bit prints the same lines before and after it;
-run it on both trees and diff.  pytest does not collect this file.
+``test_acceptance.py``'s fixtures, and four small runs, one for each way
+a run can end: frozen at its first sweep, a region that vanishes between
+samples (at a check, and at a sample) and a time limit that is not a
+whole number of sample intervals.  It prints one line a level-set run:
+sha256 of repr(samples) (exact for floats), sha256 of the arrival-time
+bytes, and ``freeze_all_time``.  A change meant to keep the outputs to
+the bit prints the same lines before and after it; run it on both trees
+and diff.  pytest does not collect this file.
 """
 
 import hashlib
@@ -27,11 +30,15 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path[:0] = [os.path.join(ROOT, "src"), HERE, os.path.join(ROOT, "perfbench")]
 
+import numpy as np  # noqa: E402
 import test_acceptance  # noqa: E402
 from workloads import build_plan  # noqa: E402
 from isoflow.config import RunPlan, Scenario, TimeSpec  # noqa: E402
+from isoflow.flow_levelset import FlowRunConfig, run_modified_flow  # noqa: E402
 from isoflow.flow_ode import run_symmetric_flow  # noqa: E402
+from isoflow.measure import AxiGrid  # noqa: E402
 from isoflow.metric import AmbientMetric  # noqa: E402
+from isoflow.profile import radius_from_area  # noqa: E402
 from isoflow.runner import run_plan  # noqa: E402
 
 RADIAL_MASSES = (("m05", 0.5), ("m1", 1.0), ("m2", 2.0))
@@ -83,6 +90,30 @@ def benchmark_lines() -> list[str]:
     ]
 
 
+def sphere_grid(r0: float, h: float, pad: float) -> AxiGrid:
+    ext = r0 + pad
+    return AxiGrid.sample(h, ext, -ext, ext, lambda rho, z: np.hypot(rho, z) - r0)
+
+
+def end_path_lines() -> list[str]:
+    """One line for each way a run ends: every component frozen at the
+    first sweep (an m = 1 sphere of area 30 pi), an m = 0 sphere that
+    vanishes between samples, found gone at a sweep check and at a
+    sample, and an m = 1 sphere stopped at a ``t_max`` that is not a
+    whole number of sample intervals."""
+    schw, flat = AmbientMetric(1.0), AmbientMetric.euclidean()
+    small, vanishing = sphere_grid(radius_from_area(1.0, 30.0 * np.pi), 0.05, 0.6), sphere_grid(0.5, 0.05, 0.5)
+    runs = {
+        "end-frozen-at-first-sweep": dict(metric=schw, grid=small, t_max=0.5, sample_interval=0.05),
+        "end-vanished-at-a-check": dict(metric=flat, grid=vanishing, t_max=0.2, sample_interval=0.007, sweep_cadence=3),
+        "end-vanished-at-a-sample": dict(metric=flat, grid=vanishing, t_max=0.2, sample_interval=0.01),
+        "end-time-limit": dict(
+            metric=schw, grid=sphere_grid(2.5, 0.05, 0.6), t_max=0.101, sample_interval=0.1, sweep_cadence=50
+        ),
+    }
+    return [digest_line(name, run_modified_flow(FlowRunConfig(**config))) for name, config in runs.items()]
+
+
 def main() -> None:
     for line in radial_lines() + benchmark_lines():
         print(line, flush=True)
@@ -94,6 +125,8 @@ def main() -> None:
     runs, _ = test_acceptance.dumbbell_runs.__wrapped__()
     for h, trace in runs.items():
         print(digest_line(f"07-dumbbell-h{h}", trace), flush=True)
+    for line in end_path_lines():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

@@ -173,6 +173,21 @@ def test_a_sample_interval_too_long_to_count_in_steps_is_a_config_error(tmp_path
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["reinit_cadence", "sweep_cadence"])
+def test_a_cadence_past_the_float_range_is_a_config_error(tmp_path, capsys, field):
+    # an integer the parser takes, but the run counts its periods in floats
+    sc = small_levelset_scenario()
+    sc["time"][field] = 10**400
+    assert main(["run", write_plan(tmp_path, [sc]), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"bad config: scenarios[0].time.{field}: must be finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    # a config built in code is checked by the same rule
+    with pytest.raises(ConfigError, match=f"^{field}: must be finite"):
+        TimeSpec(t_max=0.1, sample_interval=0.05, **{field: 10**400})
+
+
 @pytest.mark.parametrize(
     "bad, flags, named",
     [

@@ -656,6 +656,23 @@ def test_a_time_limited_run_sweeps_once_at_its_last_sample(monkeypatch):
     assert times.count(times[-1]) == 1
 
 
+@pytest.mark.parametrize(
+    "cadences, n_samples, t_last",
+    [({"sample_interval": 0.007, "sweep_cadence": 3}, 10, 0.0585), ({"sample_interval": 0.01}, 7, 0.06)],
+    ids=["at-a-check", "at-a-sample"],
+)
+def test_a_region_that_vanishes_ends_the_run_where_a_sweep_finds_it_gone(cadences, n_samples, t_last):
+    # an m = 0 sphere of radius 0.5 vanishes near t = 0.0625: a sweep
+    # check between samples, or the next sample's sweep, finds no
+    # component, and the run ends there with one sample of none
+    trace = run_modified_flow(FlowRunConfig(metric=EUCLID, grid=sphere_grid(0.5, 0.05, pad=0.5), t_max=0.2, **cadences))
+    times = [s.t for s in trace.samples]
+    assert len(times) == n_samples and times[-1] == pytest.approx(t_last, rel=1e-12)
+    assert all(a < b for a, b in zip(times, times[1:]))
+    assert [s.n_components for s in trace.samples].count(0) == 1 and trace.samples[-1].n_components == 0
+    assert trace.freeze_all_time == times[-1] and not trace.incomplete
+
+
 def test_freeze_sweep_idempotent_and_threshold_exact():
     r = radius_from_area(1.0, 30.0 * math.pi)
     g = sphere_grid(r, 0.05, pad=0.6)
