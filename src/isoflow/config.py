@@ -27,7 +27,7 @@ from .metric import AmbientMetric, enclosed_volume, sphere_area
 MODE_FIELDS = {
     "lemma-suite": (),
     "ode-flow": ("r0", "time"),
-    "levelset-flow": ("shape", "grid", "time", "threshold_mass", "q_slack"),
+    "levelset-flow": ("shape", "grid", "time", "threshold_mass"),
     "mass-table": ("r_values",),
 }
 # fields each shape kind reads, besides kind
@@ -161,8 +161,6 @@ class Scenario:
     threshold_mass: float | None = None
     # ode-flow initial radius (levelset runs take it from the shape)
     r0: float = 0.0
-    # verdict slack for the monotone-Q check in levelset runs
-    q_slack: float | None = None
     # mass-table radius grid
     r_values: tuple[float, ...] = ()
 
@@ -315,9 +313,6 @@ def _parse_scenario(obj, path: str, seen_names: set) -> Scenario:
         threshold = obj.get("threshold_mass")
         if threshold is not None:
             threshold = _number(threshold, f"{path}.threshold_mass", minimum=0.0)
-        q_slack = obj.get("q_slack")
-        if q_slack is not None:
-            q_slack = _number(q_slack, f"{path}.q_slack", positive=True)
         shape = _parse_shape(_require(obj, "shape", path), f"{path}.shape")
         # the zero set's distance from the origin (for the dumbbell, a lower bound)
         if mass > 0.0 and abs(shape.signed_distance(0.0, 0.0)) <= 0.5 * mass:
@@ -332,7 +327,7 @@ def _parse_scenario(obj, path: str, seen_names: set) -> Scenario:
         ):
             if extent >= room:
                 raise ConfigError(f"{path}.grid.{key}: shape does not fit inside the grid")
-        read = dict(shape=shape, grid=grid, time=time, threshold_mass=threshold, q_slack=q_slack)
+        read = dict(shape=shape, grid=grid, time=time, threshold_mass=threshold)
     elif mode == "ode-flow":
         r0 = _number(_require(obj, "r0", path), f"{path}.r0", positive=True)
         if r0 <= 0.5 * mass:

@@ -231,17 +231,14 @@ def _match_ids(state: LevelSetState, measures: list[ComponentMeasure]) -> tuple[
     return assigned, np.take(lookup, measures[0].labels, mode="clip"), next_id
 
 
-def freeze_sweep(
-    state: LevelSetState, metric: AmbientMetric, threshold_mass: float | None = None
-) -> LevelSetState:
+def freeze_sweep(state: LevelSetState, metric: AmbientMetric, m_thr: float) -> LevelSetState:
     """Measure components, refresh records, freeze the small ones.
 
     A live component whose surface area is below 36 pi m^2 (threshold
-    mass m) has its nodes and a one-cell halo added to the frozen mask
-    and its freeze-time measurements stored for good.  With m = 0 the
-    sweep only refreshes measurements.
+    mass m = ``m_thr``) has its nodes and a one-cell halo added to the
+    frozen mask and its freeze-time measurements stored for good.  With
+    m = 0 the sweep only refreshes measurements.
     """
-    m_thr = metric.mass if threshold_mass is None else threshold_mass
     threshold = convexity_threshold(m_thr)
     measures = measure_components(metric, state.grid)
     assigned, new_map, next_id = _match_ids(state, measures)
@@ -254,7 +251,7 @@ def freeze_sweep(
             continue
         freeze = m_thr > 0.0 and m.perimeter < threshold
         if freeze:
-            from scipy import ndimage  # as in measure.label_regions
+            from scipy import ndimage  # here, so importing this module loads no scipy
 
             frozen_mask = frozen_mask | ndimage.binary_dilation(m.node_mask, structure=_HALO)
         records.append(
@@ -385,7 +382,7 @@ def reinitialize(u: np.ndarray, h: float, frozen_mask: np.ndarray) -> np.ndarray
         x, y, cos, sin, c0, c1, c2, lo, hi = np.take(zeros, k, axis=1)
         return cos * (i - x) + sin * (j - y), cos * (j - y) - sin * (i - x), (c0, c1, c2), (lo, hi)
 
-    from scipy import ndimage  # as in measure.label_regions
+    from scipy import ndimage  # here, so importing this module loads no scipy
 
     # each node's nearest seed and its distance in cells, the root of an integer sum
     seed_dist, (si, sj) = ndimage.distance_transform_edt((zero < 0).reshape(u.shape), return_indices=True)
@@ -437,7 +434,8 @@ class _BandedStepper:
     gathered stencil values and :func:`_speed`'s work rows.  A step is
     then one gather into the first, the kernel's arithmetic in the second
     and one scatter, and allocates no array.  Only the run loop refreshes
-    the band, at the events that change it (:func:`run_modified_flow`).
+    the band, once before a step that follows a rebuild or a freeze
+    (:func:`run_modified_flow`).
 
     The band's edge is soft (Peng, Merriman, Osher, Zhao & Kang 1999): the
     band's coefficient rows, so the speed, are weighted by a cutoff of |u|
@@ -664,12 +662,14 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     2. sweep (:func:`freeze_sweep`) at a sample or a pinch, and at a check
        only when :func:`_sweep_can_change` says it could freeze a
        component or change the component count, so the trace is the one a
-       sweep at every check would give; a freeze refreshes the band;
+       sweep at every check would give;
     3. sample, when due or when no live component is left;
     4. end: at ``t_max`` (the trace is flagged incomplete), or when every
        component is frozen or gone (that t is ``freeze_all_time``);
-    5. rebuild (:func:`reinitialize`), when due, and refresh the band;
-    6. plan; 7. step.
+    5. rebuild (:func:`reinitialize`), when due;
+    6. take the band: build the stepper before the first step, and refresh
+       it after a rebuild or a sweep that froze a component;
+    7. plan; 8. step.
 
     The field is checked (:func:`_checked_grid`) once at a t where a sweep
     or a rebuild may read it: a band value that turned non-finite, or a
@@ -677,11 +677,11 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
     The config made every check when it was built, so a run never raises
     :class:`~isoflow.config.ConfigError`.  The loop steps the working array
     ``u`` in place and wraps it in the state's grid only for a sweep, which
-    every sample follows at its t.  The stepper is built at the first step,
-    so a run its first sweep ends builds none, and takes its band there.
-    Between refreshes only band nodes move, so none enters the band, and
-    one leaves it only by crossing |u| = ``WIDTH`` cells, where the cutoff
-    reaches 0.
+    every sample follows at its t.  The look reads the stepper only for its
+    band's nodes, in that check, so a run its first sweep ends builds none,
+    and no band is taken after the last sweep.  Between refreshes only band
+    nodes move, so none enters the band, and one leaves it only by crossing
+    |u| = ``WIDTH`` cells, where the cutoff reaches 0.
 
     A configured dt pins the steps: every step is explicit, at that dt.
     Without one, :func:`_plan` plans the rest of the sample interval at
@@ -732,24 +732,24 @@ def run_modified_flow(config: FlowRunConfig) -> FlowTrace:
             grid = _checked_grid(state, u, stepper)  # fail before a sweep or rebuild reads a bad field
         if check_due:
             next_check += check_period
+        frozen_before = state.frozen_count
         if sweep_due or check_due and _sweep_can_change(state, grid, m_thr, t, rebuilt_at):
-            frozen_before = state.frozen_count
             state = freeze_sweep(replace(state, grid=grid, t=t), metric, m_thr)
-            if stepper and state.frozen_count != frozen_before:
-                stepper.refresh(u, state.frozen_mask)
         if sample_due or not state.live_count:
             _sample(state, m_thr)
             next_sample += config.sample_interval
         if t >= t_end or not state.live_count:
             break
         # then move it, so no sample is read off a just-rebuilt field
-        if stepper is None:
-            stepper = _BandedStepper(metric, config.grid, u, state.frozen_mask)
         if rebuild_due:
             next_rebuild += rebuild_period
             u = reinitialize(u, config.grid.h, state.frozen_mask)
-            stepper.refresh(u, state.frozen_mask)
             rebuilt_at = t
+        # take the band once, after any rebuild and before the plan reads its bound
+        if stepper is None:
+            stepper = _BandedStepper(metric, config.grid, u, state.frozen_mask)
+        elif rebuild_due or state.frozen_count != frozen_before:
+            stepper.refresh(u, state.frozen_mask)
         if config.dt is None:
             limit = bound * stepper.bound_scale
             # plan at a sample, or when a refresh took the bound below the step

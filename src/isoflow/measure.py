@@ -154,7 +154,8 @@ def label_regions(grid: AxiGrid) -> tuple[np.ndarray, int]:
     Returns (labels, count); labels is int32 and labels[i, j] == 0 marks
     outside nodes.
     """
-    from scipy import ndimage  # here, so the radial modes never load scipy
+    # here, so a module that imports this one for AxiGrid alone loads no scipy
+    from scipy import ndimage
 
     labels = np.zeros(grid.values.shape, dtype=np.int32)
     n = ndimage.label(grid.values < 0, structure=_FOUR_CONNECTED, output=labels)

@@ -209,10 +209,9 @@ def _run_levelset_flow(sc: Scenario, out_dir: str, cfg: FlowRunConfig) -> list[V
 
     # monotone decrease of the profile-gap up to a grid-resolution slack
     q = np.array([s.profile_gap for s in samples])
-    q_slack = sc.q_slack if sc.q_slack is not None else sc.grid.h
     worst_rise = float(np.max(np.diff(q))) if len(q) > 1 else 0.0
     m_thr = cfg.threshold_mass
-    verdicts = [Verdict("prop74", q_slack - max(worst_rise, 0.0)), *_cor75(samples, m_thr)]
+    verdicts = [Verdict("prop74", sc.grid.h - max(worst_rise, 0.0)), *_cor75(samples, m_thr)]
 
     if m_thr > 0.0:
         frozen = {c.id: c for s in samples for c in s.components if c.frozen}
@@ -267,8 +266,9 @@ def run_plan(plan: RunPlan, out_root: str, *, h: float | None = None, dt: float 
     even the root directory.  With several mistakes the first scenario's
     is reported.  Each run is handed what the pass built, its config or
     its (dt, every), so every level-set grid is held until its own run.
-    Any other exception in a run ends the plan there: :class:`PlanFault`,
-    chained from it, with the results of the scenarios before it.
+    Any other exception in a run, or in making its directory or its
+    ``verdicts.txt``, ends the plan there: :class:`PlanFault`, chained
+    from it, with the results of the scenarios before it.
     """
     if h is not None:
         h = _number(h, "--h", positive=True)
@@ -292,14 +292,15 @@ def run_plan(plan: RunPlan, out_root: str, *, h: float | None = None, dt: float 
     while ready:  # popped, so a grid is dropped once its run is done
         sc, built = ready.pop(0)
         out_dir = os.path.join(out_root, sc.name)
-        os.makedirs(out_dir, exist_ok=True)
         failure = None
         try:
-            verdicts = _MODE_RUNNERS[sc.mode](sc, out_dir, built)
-        except RunFailure as e:
-            verdicts, failure = [Verdict("blow-up", -math.inf)], e
+            os.makedirs(out_dir, exist_ok=True)
+            try:
+                verdicts = _MODE_RUNNERS[sc.mode](sc, out_dir, built)
+            except RunFailure as e:
+                verdicts, failure = [Verdict("blow-up", -math.inf)], e
+            _write_lines(os.path.join(out_dir, "verdicts.txt"), [v.line() for v in verdicts])
         except Exception as e:
             raise PlanFault(results) from e
-        _write_lines(os.path.join(out_dir, "verdicts.txt"), [v.line() for v in verdicts])
         results.append(ScenarioResult(sc.name, tuple(verdicts), failure))
     return results

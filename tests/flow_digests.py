@@ -11,12 +11,13 @@ table at m = 1 (``trace.csv``, ``components.csv``, ``mass_table.csv``,
 the benchmark's sphere-freeze and dumbbell-pinch plans at seeds 3 and 11
 (``perfbench/workloads.py``'s ``build_plan``).  Then it runs criteria 05,
 06 and 07 (the dumbbell at all three h) with the configs of
-``test_acceptance.py``'s fixtures, and four small runs, one for each way
-a run can end: frozen at its first sweep, a region that vanishes between
+``test_acceptance.py``'s fixtures, four small runs, one for each way a
+run can end: frozen at its first sweep, a region that vanishes between
 samples (at a check, and at a sample) and a time limit that is not a
-whole number of sample intervals.  It prints one line a level-set run:
-sha256 of repr(samples) (exact for floats), sha256 of the arrival-time
-bytes, and ``freeze_all_time``.  A change meant to keep the outputs to
+whole number of sample intervals, and ``test_band_refresh.py``'s
+two-ball run, where a freeze and a rebuild share a pass.  It prints one
+line a level-set run: sha256 of repr(samples) (exact for floats), sha256
+of the arrival-time bytes, and ``freeze_all_time``.  A change meant to keep the outputs to
 the bit prints the same lines before and after it; run it on both trees
 and diff.  pytest does not collect this file.
 """
@@ -32,6 +33,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), HERE, os.path.join(ROOT, "perfbench")
 
 import numpy as np  # noqa: E402
 import test_acceptance  # noqa: E402
+import test_band_refresh  # noqa: E402
 from workloads import build_plan  # noqa: E402
 from isoflow.config import RunPlan, Scenario, TimeSpec  # noqa: E402
 from isoflow.flow_levelset import FlowRunConfig, run_modified_flow  # noqa: E402
@@ -127,6 +129,7 @@ def main() -> None:
         print(digest_line(f"07-dumbbell-h{h}", trace), flush=True)
     for line in end_path_lines():
         print(line, flush=True)
+    print(digest_line("freeze-and-rebuild-one-pass", run_modified_flow(test_band_refresh.two_ball_config())))
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """The band refresh: it reads only the field and the frozen nodes it is
 given, so a refreshed stepper holds the tables a stepper built on that
-field would, and a run refreshes only where its band can change."""
+field would, and a run takes its band only before a step that follows
+its start, a rebuild or a freeze."""
 
 import numpy as np
 import pytest
 
 import isoflow.flow_levelset as flow_levelset_mod
-from isoflow.flow_levelset import _BandedStepper
+from isoflow.flow_levelset import FlowRunConfig, _BandedStepper, run_modified_flow
 from isoflow.measure import AxiGrid
 from isoflow.metric import AmbientMetric
 from test_levelset_pins import RUNS, pinned_record
@@ -72,16 +73,39 @@ def test_a_refresh_keeps_a_nan_in_the_band():
     assert np.array_equal(stepper.stencil[0], np.union1d(inside, [far]))
 
 
-def refresh_log(run):
-    """The events of the planned run ``run`` (a ``RUNS`` entry), in order:
-    "refresh", "rebuild", and "freeze" or "sweep" for a sweep that did or
-    did not freeze a component."""
+def two_ball_config() -> FlowRunConfig:
+    """An m = 0 union of two balls whose small one freezes at t = 0.03, in
+    a pass that also rebuilds: threshold mass 1/6, both cadences 5."""
+
+    def two_balls(rho, z):
+        return np.minimum(np.hypot(rho, z - 1.4) - 1.2, np.hypot(rho, z + 1.6) - 0.6)
+
+    return FlowRunConfig(
+        metric=AmbientMetric.euclidean(),
+        grid=AxiGrid.sample(0.1, 2.5, -3.0, 3.5, two_balls),
+        t_max=0.1,
+        sample_interval=0.05,
+        threshold_mass=0.5 / 3,
+        sweep_cadence=5,
+        reinit_cadence=5,
+    )
+
+
+def event_log(run):
+    """The events of ``run()``, in order: "refresh" (a stepper's build
+    included), "rebuild", "step", and "freeze" or "sweep" for a sweep that
+    did or did not freeze a component."""
     log = []
-    refresh, rebuild, sweep = _BandedStepper.refresh, flow_levelset_mod.reinitialize, flow_levelset_mod.freeze_sweep
+    refresh, step = _BandedStepper.refresh, _BandedStepper.step
+    rebuild, sweep = flow_levelset_mod.reinitialize, flow_levelset_mod.freeze_sweep
 
     def spy_refresh(self, u, frozen_mask):
         log.append("refresh")
         refresh(self, u, frozen_mask)
+
+    def spy_step(self, *args):
+        log.append("step")
+        return step(self, *args)
 
     def spy_rebuild(*args):
         log.append("rebuild")
@@ -94,21 +118,52 @@ def refresh_log(run):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_BandedStepper, "refresh", spy_refresh)
+        mp.setattr(_BandedStepper, "step", spy_step)
         mp.setattr(flow_levelset_mod, "reinitialize", spy_rebuild)
         mp.setattr(flow_levelset_mod, "freeze_sweep", spy_sweep)
-        pinned_record(run)
+        run()
     return log
+
+
+def between_steps(log):
+    """The log cut at its steps: the events before the first step, between
+    each two steps and after the last."""
+    passes = [[]]
+    for event in log:
+        if event == "step":
+            passes.append([])
+        else:
+            passes[-1].append(event)
+    return passes
+
+
+def assert_taken_before_steps_that_need_it(log):
+    first, *later, last = between_steps(log)
+    # the band is taken once before the first step, right before it
+    assert first.count("refresh") == 1 and first[-1] == "refresh"
+    # and once before each later step that follows a rebuild or a freezing
+    # sweep, right before it, and before no other
+    for events in later:
+        taken = "rebuild" in events or "freeze" in events
+        assert events.count("refresh") == int(taken)
+        assert not taken or events[-1] == "refresh"
+    # no take follows the run's last sweep
+    assert "refresh" not in last
 
 
 # the m = 1 sphere through its freeze, and the m = 0 dumbbell at threshold
 # mass 1 through its pinch and the sweep that freezes both halves
 @pytest.mark.parametrize("name", ["sphere-m1", "dumbbell-m0"])
 def test_a_run_refreshes_the_band_only_at_its_start_a_rebuild_or_a_freeze(name):
-    log = refresh_log(RUNS[name])
-    # the start: one refresh after the first sweep, before the first step
-    assert log[:2] == ["sweep", "refresh"]
-    # then one refresh right after each rebuild and each freezing sweep,
-    # and no other
-    after = [log[k - 1] for k, event in enumerate(log) if event == "refresh"][1:]
-    assert after == [event for event in log[2:] if event in ("rebuild", "freeze")]
-    assert "rebuild" in after and "freeze" in after
+    log = event_log(lambda: pinned_record(RUNS[name]))
+    assert_taken_before_steps_that_need_it(log)
+    # both runs rebuild, and end at the sweep that freezes their last component
+    assert "rebuild" in log and "freeze" in between_steps(log)[-1]
+
+
+def test_a_freeze_and_a_rebuild_in_one_pass_take_the_band_once():
+    log = event_log(lambda: run_modified_flow(two_ball_config()))
+    assert_taken_before_steps_that_need_it(log)
+    start = log.index("freeze")
+    assert log[start : log.index("step", start)] == ["freeze", "rebuild", "refresh"]
+    assert log.count("refresh") == 10

@@ -458,7 +458,7 @@ def full_scenarios():
     """One scenario per mode, carrying every field that mode reads."""
     levelset = small_levelset_scenario()
     levelset["time"].update(dt=1e-4, sweep_cadence=5, reinit_cadence=100)
-    levelset.update(threshold_mass=1.0, q_slack=0.05)
+    levelset["threshold_mass"] = 1.0
     ode = ode_scenario()
     ode["time"]["dt"] = 0.01
     suite = {"name": "lemmas", "mode": "lemma-suite", "metric": {"kind": "schwarzschild", "mass": 1.0}}
@@ -499,6 +499,15 @@ def test_a_field_the_mode_does_not_read_is_rejected_by_name(mode, field, value):
         target = target[name]
     target[key] = value
     with pytest.raises(ConfigError, match=re.escape(f"scenarios[0].{field}: not used by {mode}")):
+        parse_plan(json.dumps({"scenarios": [sc]}))
+
+
+@pytest.mark.parametrize("mode", sorted(full_scenarios()))
+def test_q_slack_is_an_unknown_field(mode):
+    # prop74's slack is the grid spacing h; no mode reads a q_slack
+    sc = full_scenarios()[mode]
+    sc["q_slack"] = 0.05
+    with pytest.raises(ConfigError, match=re.escape("scenarios[0]: unknown field(s) ['q_slack']")):
         parse_plan(json.dumps({"scenarios": [sc]}))
 
 
@@ -964,6 +973,24 @@ def test_a_fault_mid_plan_prints_the_finished_scenarios_lines(tmp_path, monkeypa
     assert lines and captured.out == "".join(f"a: {line}\n" for line in lines)
     assert "Traceback" in captured.err and "KeyError: 'fault inside the table'" in captured.err
     assert not (out / "c").exists()
+
+
+@pytest.mark.parametrize("blocked", ["b", "b/verdicts.txt"], ids=["scenario-dir", "verdicts-file"])
+def test_a_fault_making_a_scenarios_files_prints_the_finished_scenarios_lines(tmp_path, capsys, blocked):
+    # b's directory is a file, or its verdicts.txt a directory: the OSError
+    # is a fault of b's run, so a's lines print before its traceback
+    out = tmp_path / "out"
+    (out / blocked).parent.mkdir(parents=True, exist_ok=True)
+    if blocked == "b":
+        (out / blocked).write_text("", encoding="utf-8")
+    else:
+        (out / blocked).mkdir()
+    plan = [mass_table_scenario("a"), mass_table_scenario("b")]
+    assert main(["run", write_plan(tmp_path, plan), "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    lines = (out / "a" / "verdicts.txt").read_text(encoding="utf-8").splitlines()
+    assert lines and captured.out == "".join(f"a: {line}\n" for line in lines)
+    assert "Traceback" in captured.err and "Error: [Errno" in captured.err
 
 
 # ---------------------------------------------------------------------------

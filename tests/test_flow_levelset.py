@@ -676,9 +676,9 @@ def test_a_region_that_vanishes_ends_the_run_where_a_sweep_finds_it_gone(cadence
 def test_freeze_sweep_idempotent_and_threshold_exact():
     r = radius_from_area(1.0, 30.0 * math.pi)
     g = sphere_grid(r, 0.05, pad=0.6)
-    state = freeze_sweep(initial_state(SCHW, g), SCHW)
+    state = freeze_sweep(initial_state(SCHW, g), SCHW, SCHW.mass)
     assert state.frozen_count == 1
-    again = freeze_sweep(state, SCHW)
+    again = freeze_sweep(state, SCHW, SCHW.mass)
     assert again.frozen_count == 1
     assert again.components[0].freeze_time == state.components[0].freeze_time
     assert np.array_equal(again.frozen_mask, state.frozen_mask)
@@ -687,6 +687,6 @@ def test_freeze_sweep_idempotent_and_threshold_exact():
 def test_bigger_sphere_not_frozen():
     r = radius_from_area(1.0, 40.0 * math.pi)
     g = sphere_grid(r, 0.05, pad=0.6)
-    state = freeze_sweep(initial_state(SCHW, g), SCHW)
+    state = freeze_sweep(initial_state(SCHW, g), SCHW, SCHW.mass)
     assert state.frozen_count == 0
     assert state.live_count == 1

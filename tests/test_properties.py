@@ -47,7 +47,6 @@ SCENARIO = st.fixed_dictionaries(
         "time": objects(("t_max", "sample_interval", "dt", "sweep_cadence", "reinit_cadence")),
         "threshold_mass": VALUE,
         "r0": VALUE,
-        "q_slack": VALUE,
         "r_values": st.lists(NUMBER, max_size=4) | VALUE,
     },
 )

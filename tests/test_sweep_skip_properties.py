@@ -148,7 +148,7 @@ def test_a_rebuild_since_the_last_sweep_makes_the_check_sweep():
     # t or later) makes the check sweep, and only with threshold mass > 0
     metric = AmbientMetric(mass=1.0)
     grid = AxiGrid.sample(H, 4.0, -4.0, 4.0, lambda rho, z: np.hypot(rho, z) - 3.0)
-    state = freeze_sweep(replace(initial_state(metric, grid), t=0.5), metric)
+    state = freeze_sweep(replace(initial_state(metric, grid), t=0.5), metric, metric.mass)
     (sphere,) = state.components
     assert not sphere.frozen and sphere.perimeter > 1.5 * convexity_threshold(1.0)
     can_change, t = flow_levelset_mod._sweep_can_change, state.t + 0.01
